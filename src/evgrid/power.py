@@ -5,14 +5,24 @@ ohm impedances) plus per-unit bases declared in the bus file header. All
 solving happens in per-unit. Only slack + PQ buses are supported, which is
 all a passive distribution feeder needs.
 
-The solver is full Newton-Raphson in polar form with an analytic Jacobian,
-flat start, and a hard iteration cap. Charging loads enter as additional
-active-power consumption at their coupling buses.
+The solver is full Newton-Raphson in polar form with an analytic Jacobian
+rebuilt every iteration and a hard iteration cap. On a radial feeder the
+Jacobian of S = V conj(Ybus V) is non-zero only on the diagonal and at the
+two positions of each of the n-1 lines, so ``PowerNetwork`` precomputes
+those positions, their admittances and where they land in the PQ-reduced
+real Jacobian; each iteration then evaluates the entries elementwise in
+O(n) and scatters them into the matrix handed to the dense linear solve.
+
+Every solve starts flat (all voltages 1+0j). A warm start from the previous
+solution would save an iteration or two, but it would make a solution
+depend on which solve ran before it, and callers cache solutions by load
+pattern. Charging loads enter as additional active-power consumption at
+their coupling buses.
 """
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,6 +126,7 @@ class PowerNetwork:
         )
         self._p_base = np.array([b.p_base_kw for b in self.buses])
         self._q_base = np.array([b.q_base_kvar for b in self.buses])
+        self._build_jacobian_pattern()
 
     def _build_ybus(self) -> np.ndarray:
         n = len(self.buses)
@@ -130,6 +141,33 @@ class PowerNetwork:
             y[i, j] -= adm
             y[j, i] -= adm
         return y
+
+    def _build_jacobian_pattern(self) -> None:
+        """Structural non-zeros of the PQ block of dS/dtheta and dS/d|V|.
+
+        Entries are the PQ diagonal (first m) followed by both orientations
+        of every line between two PQ buses. ``_jac_flat`` holds their flat
+        positions in the 2m x 2m real Jacobian, block by block:
+        [dP/dth, dP/d|V|; dQ/dth, dQ/d|V|].
+        """
+        pq = self.pq_indices
+        m = len(pq)
+        pos = np.full(len(self.buses), -1)
+        pos[pq] = np.arange(m)
+        ends = np.array([(self._index[ln.from_bus], self._index[ln.to_bus])
+                         for ln in self.lines], dtype=int).reshape(-1, 2)
+        ends = ends[(pos[ends] >= 0).all(axis=1)]
+        rows = np.concatenate([pq, ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([pq, ends[:, 1], ends[:, 0]])
+        self._jac_rows = rows
+        self._jac_cols = cols
+        self._jac_y = self.ybus[rows, cols]
+        r, c = pos[rows], pos[cols]
+        size = 2 * m
+        self._jac_flat = np.concatenate([
+            r * size + c, r * size + m + c,
+            (m + r) * size + c, (m + r) * size + m + c,
+        ])
 
     def index_of(self, bus_id: int) -> int:
         return self._index[bus_id]
@@ -184,7 +222,9 @@ def bus_injections(net: PowerNetwork, extra_load_kw=None):
 
     extra_load_kw maps bus_id -> additional active-power consumption in kW
     (charging stations draw at unity power factor). Loads are consumption,
-    injections are their negation.
+    injections are their negation. A load on the slack bus is rejected: the
+    slack balances the feeder and is outside the mismatch, so the solver
+    would ignore it.
     """
     p_kw = net._p_base.copy()
     q_kvar = net._q_base.copy()
@@ -192,10 +232,38 @@ def bus_injections(net: PowerNetwork, extra_load_kw=None):
         for bus_id, kw in extra_load_kw.items():
             if bus_id not in net._index:
                 raise KeyError(f"unknown bus {bus_id}")
+            if bus_id == net.slack_id:
+                raise ValueError(f"charging load at bus {bus_id}, the slack bus")
+            if not math.isfinite(kw):
+                raise ValueError(f"non-finite charging load {kw} at bus {bus_id}")
             if kw < 0:
                 raise ValueError(f"negative charging load at bus {bus_id}")
             p_kw[net.index_of(bus_id)] += kw
     return (-(p_kw) - 1j * q_kvar) / net.s_base_kva
+
+
+def _jacobian(net: PowerNetwork, v: np.ndarray, i_bus: np.ndarray) -> np.ndarray:
+    """Real Jacobian of the PQ mismatches [dP; dQ] w.r.t. [theta_pq; |V|_pq].
+
+    Uses the complex-form derivatives of S = V conj(I), I = Ybus V:
+    off the diagonal dS_i/dtheta_k = -j V_i conj(Y_ik V_k) and
+    dS_i/d|V_k| = V_i conj(Y_ik V_k / |V_k|); the diagonal adds
+    j V_i conj(I_i) and conj(I_i) V_i / |V_i| respectively.
+    """
+    rows, cols, pq = net._jac_rows, net._jac_cols, net.pq_indices
+    m = len(pq)
+    yv = net._jac_y * v[cols]
+    v_rows = v[rows]
+    ds_dth = -1j * v_rows * np.conj(yv)
+    ds_dvm = v_rows * np.conj(yv / np.abs(v[cols]))
+    v_pq = v[pq]
+    i_conj = np.conj(i_bus[pq])
+    ds_dth[:m] += 1j * v_pq * i_conj
+    ds_dvm[:m] += i_conj * (v_pq / np.abs(v_pq))
+    jac = np.zeros(4 * m * m)
+    jac[net._jac_flat] = np.concatenate(
+        [ds_dth.real, ds_dvm.real, ds_dth.imag, ds_dvm.imag])
+    return jac.reshape(2 * m, 2 * m)
 
 
 def solve_power_flow(net: PowerNetwork, extra_load_kw=None,
@@ -230,18 +298,7 @@ def solve_power_flow(net: PowerNetwork, extra_load_kw=None,
         if it == max_iter:
             break
 
-        # standard complex-form partial derivatives of S = V conj(Ybus V)
-        diag_v = np.diag(v)
-        diag_i = np.diag(i_bus)
-        diag_vn = np.diag(v / np.abs(v))
-        ds_dth = 1j * diag_v @ np.conj(diag_i - net.ybus @ diag_v)
-        ds_dvm = diag_v @ np.conj(net.ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
-
-        j11 = ds_dth[np.ix_(pq, pq)].real
-        j12 = ds_dvm[np.ix_(pq, pq)].real
-        j21 = ds_dth[np.ix_(pq, pq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
+        jac = _jacobian(net, v, i_bus)
         rhs = -np.concatenate([dp, dq])
         try:
             step = np.linalg.solve(jac, rhs)

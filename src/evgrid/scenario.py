@@ -203,6 +203,10 @@ def load_scenario(path) -> ScenarioConfig:
         if st.bus not in power.bus_ids:
             raise ScenarioError(f"{path}: stations[{i}]: bus {st.bus} "
                                 f"not in feeder")
+        if st.bus == power.slack_id:
+            raise ScenarioError(f"{path}: stations[{i}]: station {st.cs_id} "
+                                f"is on bus {st.bus}, the feeder's slack bus; "
+                                f"its load would not enter the power flow")
         if st.piles < 1:
             raise ScenarioError(f"{path}: stations[{i}]: piles must be >= 1")
         stations.append(st)

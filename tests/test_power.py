@@ -5,6 +5,7 @@ import pytest
 
 import evgrid
 from evgrid.power import (
+    _jacobian,
     Bus,
     Line,
     PFSolution,
@@ -43,6 +44,43 @@ def _random_radial(rng, n_buses):
         buses.append(Bus(i, "pq", float(rng.uniform(0, 200)), float(rng.uniform(0, 120))))
         lines.append(Line(parent, i, float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0))))
     return PowerNetwork(buses, lines, BASE_MVA, BASE_KV)
+
+
+def _shuffled_radial(rng, n_buses):
+    """Random radial feeder with scrambled bus ids, bus order, line order and
+    line orientation. Returns the network and the oracle's tuples, whose lines
+    run parent -> child as the sweep requires."""
+    ids = [int(i) for i in rng.choice(np.arange(1, 10 * n_buses), n_buses, replace=False)]
+    buses = [(ids[0], "slack", 0.0, 0.0)]
+    lines = []
+    for k in range(1, n_buses):
+        parent = ids[int(rng.integers(0, k))]
+        buses.append((ids[k], "pq", float(rng.uniform(0, 250)), float(rng.uniform(0, 150))))
+        lines.append((parent, ids[k], float(rng.uniform(0.05, 0.8)), float(rng.uniform(0.05, 0.8))))
+    net_buses = [Bus(*buses[i]) for i in rng.permutation(n_buses)]
+    net_lines = []
+    for i in rng.permutation(n_buses - 1):
+        f, t, r, x = lines[i]
+        net_lines.append(Line(t, f, r, x) if rng.random() < 0.5 else Line(f, t, r, x))
+    return PowerNetwork(net_buses, net_lines, BASE_MVA, BASE_KV), buses, lines
+
+
+def _voltages(net, x):
+    """Complex bus voltages for x = [theta_pq; |V|_pq], slack at 1+0j."""
+    pq = net.pq_indices
+    m = len(pq)
+    ang = np.zeros(len(net.buses))
+    mag = np.ones(len(net.buses))
+    ang[pq] = x[:m]
+    mag[pq] = x[m:]
+    return mag * np.exp(1j * ang)
+
+
+def _pq_powers(net, x):
+    """[P; Q] at the PQ buses, straight from S = V conj(Ybus V)."""
+    v = _voltages(net, x)
+    s = (v * np.conj(net.ybus @ v))[net.pq_indices]
+    return np.concatenate([s.real, s.imag])
 
 
 def test_flat_voltage_with_zero_load():
@@ -112,6 +150,51 @@ def test_small_random_radial_nets_match_oracle():
             assert abs(sol.voltage(bid) - abs(oracle[bid])) < 1e-6
 
 
+def test_shuffled_random_feeders_match_oracle():
+    # ids, bus order, line order and orientation must not matter
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        net, buses, lines = _shuffled_radial(rng, int(rng.integers(20, 81)))
+        sol = solve_power_flow(net)
+        assert sol.iterations <= 10
+        oracle = sweep_power_flow(buses, lines, BASE_MVA, BASE_KV)
+        for bid in net.bus_ids:
+            assert abs(sol.voltage(bid) - abs(oracle[bid])) < 1e-8
+
+
+def test_69bus_double_load_against_sweep_oracle():
+    net = load_power_network(evgrid.DATA_DIR / "ieee69")
+    extra = {b.bus_id: b.p_base_kw for b in net.buses if b.kind == "pq"}
+    sol = solve_power_flow(net, extra_load_kw=extra)
+    assert sol.iterations <= 10
+    buses, lines = _as_tuples(net)
+    oracle = sweep_power_flow(
+        [(bid, kind, 2.0 * p, q) for bid, kind, p, q in buses], lines,
+        BASE_MVA, BASE_KV)
+    for bid in net.bus_ids:
+        assert abs(sol.voltage(bid) - abs(oracle[bid])) < 1e-8
+
+
+@pytest.mark.parametrize("feeder", ["ieee33", "shuffled"])
+def test_jacobian_matches_central_differences(feeder):
+    rng = np.random.default_rng(5)
+    if feeder == "ieee33":
+        net = _net33()
+    else:
+        net, _, _ = _shuffled_radial(rng, 40)
+    m = len(net.pq_indices)
+    x = np.concatenate([rng.uniform(-0.05, 0.05, m), rng.uniform(0.9, 1.05, m)])
+    v = _voltages(net, x)
+    jac = _jacobian(net, v, net.ybus @ v)
+    h = 1e-6
+    fd = np.empty((2 * m, 2 * m))
+    for k in range(2 * m):
+        e = np.zeros(2 * m)
+        e[k] = h
+        fd[:, k] = (_pq_powers(net, x + e) - _pq_powers(net, x - e)) / (2 * h)
+    assert np.max(np.abs(jac - fd)) < 1e-6 * np.max(np.abs(fd))
+
+
 def test_solution_satisfies_balance_equations():
     # plugging the accepted solution back must leave mismatches below tol
     net = _net33()
@@ -175,6 +258,20 @@ def test_injections_sign_and_mapping():
         bus_injections(net, extra_load_kw={999: 1.0})
     with pytest.raises(ValueError):
         bus_injections(net, extra_load_kw={18: -5.0})
+
+
+@pytest.mark.parametrize("kw", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_load_rejected_before_solving(kw):
+    net = _net33()
+    with pytest.raises(ValueError, match=f"non-finite charging load {kw} at bus 18"):
+        solve_power_flow(net, extra_load_kw={18: kw})
+
+
+def test_slack_bus_load_rejected():
+    # the slack is outside the mismatch, so its load would be dropped silently
+    net = _net33()
+    with pytest.raises(ValueError, match="bus 1, the slack bus"):
+        solve_power_flow(net, extra_load_kw={1: 5000.0})
 
 
 def test_network_validation_errors():

@@ -69,6 +69,9 @@ def test_station_cross_validation(tmp_path):
     bad_node = MINIMAL.replace("node: 6", "node: 77")
     with pytest.raises(ScenarioError, match="node 77"):
         load_scenario(_write(tmp_path, bad_node))
+    on_slack = MINIMAL.replace("bus: 18", "bus: 1")
+    with pytest.raises(ScenarioError, match="station 0 is on bus 1, .*slack"):
+        load_scenario(_write(tmp_path, on_slack))
     dup = MINIMAL + "  - {cs_id: 0, node: 10, bus: 30, piles: 4}\n"
     with pytest.raises(ScenarioError, match="duplicate station"):
         load_scenario(_write(tmp_path, dup))

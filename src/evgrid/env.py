@@ -15,10 +15,12 @@ Each decision step covers a segment of simulation ticks and yields
   segment runs until every vehicle finishes and a mean would hide it);
 * a cost equal to the bus-averaged voltage deviation at the segment's
   highest-charging-load sampled instant (sampled at the decision instant
-  and every simulated minute).
+  and every simulated minute; the load compared is the setpoint times the
+  number of charging EVs, and ties go to the earliest instant).
 
 A droop controller refreshes the uniform pile setpoint once per interval
-using the power flow at the previous interval's peak-load minute sample.
+using the power flow at the previous interval's peak-load minute sample,
+chosen by the same exact comparison.
 
 Time advances in 1 s ticks. Within a tick: droop boundary first, then
 departures (pausing for decisions before any movement), then movement,
@@ -108,19 +110,25 @@ def segment_reward(counts, last_count, final, rp: RewardParams,
     return rp.w1 * (rp.r_max - r_t)
 
 
-def segment_cost(samples, solve, v_ref: float = 1.0) -> float:
-    """Deviation cost at the segment's highest-total-load sampled instant.
-
-    samples: [(total_kw, {bus: kw}), ...] in time order; ties keep the
-    earliest. solve maps the per-bus extra-load dict to a PF solution.
-    """
-    if not samples:
-        raise EnvError("segment recorded no load samples")
+def peak_sample(samples):
+    """The first sample with the largest key (samples[i][0])."""
     best = samples[0]
     for s in samples[1:]:
         if s[0] > best[0]:
             best = s
-    return voltage_deviation(solve(best[1]), v_ref)
+    return best
+
+
+def segment_cost(samples, solve, v_ref: float = 1.0) -> float:
+    """Deviation cost at the segment's highest-total-load sampled instant.
+
+    samples: [(total_kw, {bus: kw}), ...] in time order; the first element
+    is the comparison key and ties keep the earliest. solve maps the
+    per-bus extra-load dict to a PF solution.
+    """
+    if not samples:
+        raise EnvError("segment recorded no load samples")
+    return voltage_deviation(solve(peak_sample(samples)[1]), v_ref)
 
 
 class CouplingEnv:
@@ -413,8 +421,13 @@ class CouplingEnv:
     # ------------------------------------------------------------------
 
     def _load_sample(self):
-        loads = charging_loads_kw(self.stations, self._setpoint)
-        return (sum(loads.values()), loads)
+        """(total kW, {bus: kW}). The total is one product, setpoint times
+        charging EVs, so two instants with equal counts tie exactly however
+        the EVs split over buses (a float sum of the per-bus kW would tie
+        only up to rounding)."""
+        n = sum(len(cs.charging) for cs in self.stations)
+        return (self._setpoint * n,
+                charging_loads_kw(self.stations, self._setpoint))
 
     def _minute_sample(self):
         sample = self._load_sample()
@@ -428,11 +441,7 @@ class CouplingEnv:
 
     def _update_droop(self):
         samples = self._interval_samples or [self._load_sample()]
-        best = samples[0]
-        for s in samples[1:]:
-            if s[0] > best[0]:
-                best = s
-        v_avg = average_voltage(self._solve(best[1]))
+        v_avg = average_voltage(self._solve(peak_sample(samples)[1]))
         self._setpoint = droop_power(v_avg, self.cfg.droop)
         self._interval_samples = []
         occ = tuple(len(cs.queue) + len(cs.charging) for cs in self.stations)

@@ -50,6 +50,12 @@ predictor:
   dec_len: 1
 """
 
+# three stations on three buses, for splitting one charging count over buses
+THREE = TINY.replace(
+    "  - {cs_id: 1, node: 10, bus: 30, piles: 3}\n",
+    "  - {cs_id: 1, node: 10, bus: 30, piles: 3}\n"
+    "  - {cs_id: 2, node: 3, bus: 25, piles: 3}\n")
+
 
 @pytest.fixture(scope="module")
 def tiny_cfg(tmp_path_factory):
@@ -102,6 +108,44 @@ def test_segment_cost_base_case_and_peak_selection():
     assert mixed == c400
     tied = segment_cost([(200.0, {30: 200.0}), (200.0, {18: 200.0})], solve)
     assert tied == c200
+
+
+def test_peak_ties_are_exact_and_keep_the_earliest(tmp_path):
+    """Two instants with the same charging count split differently over
+    buses tie exactly, and both the step cost and the droop update use the
+    earlier one, even where float sums of the per-bus kW differ."""
+    p = tmp_path / "three.yaml"
+    p.write_text(THREE)
+    env = CouplingEnv(load_scenario(p))
+    env.reset(0)
+
+    def sample(counts):
+        for cs, k in zip(env.stations, counts):
+            cs.charging = [None] * k
+        return env._load_sample()
+
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        env._setpoint = float(rng.uniform(15.0, 50.0))
+        first, second = sample((5, 7, 3)), sample((7, 3, 5))
+        if sum(first[1].values()) != sum(second[1].values()):
+            break
+    else:
+        pytest.fail("no setpoint separates the per-bus float sums")
+    assert first[0] == second[0]
+    assert first[1] != second[1]
+
+    solved = []
+
+    def solve(loads):
+        solved.append(loads)
+        return solve_power_flow(env.power, loads)
+
+    segment_cost([first, second], solve)
+    env._solve = solve
+    env._interval_samples = [first, second]
+    env._update_droop()
+    assert solved == [first[1], first[1]]
 
 
 def test_reset_state_and_history(tiny_cfg):

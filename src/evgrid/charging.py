@@ -11,11 +11,14 @@ picks uniformly for all stations:
 
 Charging advances in fixed ticks; a vehicle finishes on the tick its state
 of charge reaches the target (no clamping, so the energy ledger stays exact:
-capacity * (soc_end - soc_start) == charged_kwh - driven_kwh).
+capacity * (soc_end - soc_start) == charged_kwh - driven_kwh). The
+environment does not step idle stations (nothing charging, nothing
+queued): ``update_charging`` would change nothing there.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -105,16 +108,15 @@ class ChargingStation:
         finished = []
         kwh = battery.eta * setpoint_kw * dt / 3600.0
         dsoc = kwh / battery.capacity_kwh
-        keep = []
         for veh in self.charging:
             veh.soc += dsoc
             veh.charged_kwh += kwh
             if veh.soc >= veh.soc_target:
                 veh.t_charge_end = t_end
                 finished.append(veh)
-            else:
-                keep.append(veh)
-        self.charging = keep
+        if finished:
+            self.charging = [veh for veh in self.charging
+                             if veh.soc < veh.soc_target]
         while self.queue and len(self.charging) < self.piles:
             self._start(self.queue.popleft(), t_end)
         return finished
@@ -135,19 +137,27 @@ class ChargingStation:
         q_soc = [v.soc for v in self.queue]
         c_soc = [v.soc for v in self.charging]
         waits = [t - v.t_cs_arrive for v in self.queue]
-
-        def stats(xs):
-            if not xs:
-                return 0.0, 0.0
-            mu = float(np.mean(xs))
-            return mu, float(np.std(xs))
-
-        mu_q, sd_q = stats(q_soc)
-        mu_c, sd_c = stats(c_soc)
-        mu_w, sd_w = stats(waits)
+        mu_q, sd_q = _mean_std(q_soc)
+        mu_c, sd_c = _mean_std(c_soc)
+        mu_w, sd_w = _mean_std(waits)
         return np.array([len(self.queue), len(self.charging),
                          mu_q, sd_q, mu_c, sd_c, mu_w, sd_w,
                          float(self.pending)])
+
+
+def _mean_std(xs):
+    """(np.mean(xs), np.std(xs)) bit for bit, (0, 0) for an empty list.
+
+    The same reductions numpy's _mean and _var make (pairwise add.reduce,
+    one division by n, squared deviations, one sqrt) without their
+    per-call dispatch."""
+    n = len(xs)
+    if not n:
+        return 0.0, 0.0
+    a = np.array(xs)
+    mu = np.add.reduce(a) / n
+    d = a - mu
+    return float(mu), math.sqrt(np.add.reduce(d * d) / n)
 
 
 def charging_loads_kw(stations, setpoint_kw: float):

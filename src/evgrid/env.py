@@ -342,7 +342,8 @@ class CouplingEnv:
             self._seg_counts.append(n_p)
         t_end = float(t + 1)
         arrivals = self.sim.step(TICK_S)
-        arrivals.sort(key=lambda v: v.vid)
+        if len(arrivals) > 1:
+            arrivals.sort(key=lambda v: v.vid)
         for veh in arrivals:
             if veh.phase == DRIVE_CS:
                 self.stations[self._cs_index[veh.cs_id]].submit_arrival(veh, t_end)
@@ -350,6 +351,8 @@ class CouplingEnv:
                 self._finish(veh, t_end)
         battery = self.cfg.battery
         for cs in self.stations:
+            if not cs.charging and not cs.queue:
+                continue        # idle: update_charging would change nothing
             for veh in cs.update_charging(TICK_S, self._setpoint, battery, t_end):
                 if veh.dest == cs.node:
                     self._finish(veh, t_end)
@@ -358,7 +361,8 @@ class CouplingEnv:
                     veh.route = shortest_path(self.road, cs.node, veh.dest,
                                               self.sim.travel_times())
                     self.sim.enter_road(veh)
-        self._check_stranded(t_end)
+        if self.sim.drained:
+            self._check_stranded(t_end)
         self._t = t + 1
         self._mid_tick = False
         if self._t % 60 == 0:
@@ -396,8 +400,11 @@ class CouplingEnv:
         self.completed.append(veh)
 
     def _check_stranded(self, t_end):
-        bad = [v for v in self.sim.driving if v.is_ev and v.soc <= 0.0]
-        for veh in bad:
+        """Take this tick's drained EVs off the road. Only the tick's
+        movement lowers SoC, and chargers re-entering after it carry at
+        least their target, so sim.drained is every driving EV at or
+        below zero, in driving order."""
+        for veh in self.sim.drained:
             self.sim.remove(veh)
             if veh.phase == DRIVE_CS and veh.cs_id is not None:
                 cs = self.stations[self._cs_index[veh.cs_id]]

@@ -124,10 +124,6 @@ class LSTM:
     def param_dict(self):
         return self._params
 
-    def initial_state(self, batch):
-        shape = (self.num_layers, batch, self.hidden_dim)
-        return np.zeros(shape), np.zeros(shape)
-
     def forward(self, seq, state=None, training=False, dropout_rng=None,
                 dropout_masks=None):
         """Returns (outputs, (h, c), cache).

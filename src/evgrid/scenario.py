@@ -361,7 +361,11 @@ def generate_trips(cfg: ScenarioConfig, seed: int):
         is_ev = bool(ev_flags[vid])
         pairs = ev_pairs if is_ev else cv_pairs
         w = ev_w if is_ev else cv_w
-        idx = int(rng.choice(len(pairs), p=w))
+        if w is None:
+            # the draw rng.choice(len(pairs)) makes, without its overhead
+            idx = int(rng.integers(0, len(pairs), dtype=np.int64))
+        else:
+            idx = int(rng.choice(len(pairs), p=w))
         o, dest = pairs[idx]
         soc = float(rng.uniform(d.soc_init_low, d.soc_init_high)) if is_ev else 1.0
         trips.append(Trip(vid=vid, origin=o, dest=dest,

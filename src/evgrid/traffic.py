@@ -9,6 +9,15 @@ Routing is Dijkstra over per-link travel times with a deterministic
 tie-break: among equal-cost paths the lexicographically smallest link-id
 sequence wins. Movement advances in fixed ticks; distance left over after
 crossing a node carries onto the next route link within the same tick.
+
+Within a tick, ``TrafficSim.step`` memoises each link's speed lazily: the
+first vehicle it moves on a link fixes that link's speed for the tick from
+the link's count at that moment. A vehicle that crossed onto the link
+earlier in the same tick is already in that count, so results depend on
+the order of ``TrafficSim.driving``. This is kept on purpose until tick
+semantics become order-independent (speeds snapshotted at tick start),
+which will move outputs. ``step`` also reports, in ``drained``, the EVs
+still on the road whose state of charge it drained to zero or below.
 """
 
 from __future__ import annotations
@@ -52,6 +61,11 @@ class RoadNetwork:
                 raise ValueError(f"link {ln.link_id} has invalid parameters")
             self.links[ln.link_id] = ln
             self.out_links[ln.from_node].append(ln.link_id)
+        # (length, length * lanes, free-flow speed, jam density) per link,
+        # the operands of link_speed, read by the tick loop
+        self.link_params = {lid: (ln.length_m, ln.length_m * ln.lanes,
+                                  ln.vf_ms, ln.kjam_m_lane)
+                            for lid, ln in self.links.items()}
         for nid in self.out_links:
             self.out_links[nid].sort()
         self.link_ids = tuple(sorted(self.links))
@@ -177,11 +191,6 @@ DRIVE_DEST = 4     # heading to the final destination
 DONE = 5
 STRANDED = 6       # battery hit empty en route; removed from the network
 
-PHASE_NAMES = {WAITING: "waiting", DRIVE_CS: "drive_cs", QUEUED: "queued",
-               CHARGING: "charging", DRIVE_DEST: "drive_dest", DONE: "done",
-               STRANDED: "stranded"}
-
-
 class Vehicle:
     __slots__ = ("vid", "is_ev", "origin", "dest", "depart_s", "soc",
                  "soc_target", "phase", "route", "route_idx", "pos_m",
@@ -239,6 +248,7 @@ class TrafficSim:
         self.battery = battery          # BatteryParams for EV energy drain
         self.counts = {lid: 0 for lid in net.links}
         self.driving = []
+        self.drained = []               # set by step, in driving order
 
     def enter_road(self, veh: Vehicle):
         """Start driving veh along veh.route (must be non-empty)."""
@@ -250,9 +260,15 @@ class TrafficSim:
         self.driving.append(veh)
 
     def travel_times(self):
-        """Current planning costs: each link as seen by an entering vehicle."""
-        return {lid: link_travel_time(self.net.links[lid], self.counts[lid])
-                for lid in self.net.links}
+        """Current planning costs: each link as seen by an entering vehicle.
+
+        Inlines link_travel_time on the precomputed link parameters."""
+        counts = self.counts
+        out = {}
+        for lid, (length, cap, vf, kjam) in self.net.link_params.items():
+            v = vf * (1.0 - (counts[lid] / cap) / kjam)
+            out[lid] = length / (v if v > V_MIN_MS else V_MIN_MS)
+        return out
 
     def remove(self, veh: Vehicle):
         """Take a driving vehicle off the network (stranded-battery case)."""
@@ -261,52 +277,70 @@ class TrafficSim:
 
     def density_vector(self):
         """Normalized densities over links, sorted by link id, clipped to 1."""
+        params = self.net.link_params
         out = np.empty(len(self.net.link_ids))
         for i, lid in enumerate(self.net.link_ids):
-            ln = self.net.links[lid]
-            k = self.counts[lid] / (ln.length_m * ln.lanes)
-            out[i] = min(k / ln.kjam_m_lane, 1.0)
+            _, cap, _, kjam = params[lid]
+            out[i] = min((self.counts[lid] / cap) / kjam, 1.0)
         return out
 
     def step(self, dt: float = 1.0):
-        """Advance one tick. Returns vehicles whose route finished this tick."""
-        links = self.net.links
+        """Advance one tick. Returns vehicles whose route finished this tick
+        and sets ``drained`` to the EVs still driving with SoC <= 0."""
+        params = self.net.link_params
         counts = self.counts
-        speeds = {}
+        battery = self.battery
+        if battery is not None:
+            rho = battery.rho_kwh_per_km
+            capacity = battery.capacity_kwh
+        speeds = {}         # lid -> (distance per tick, link length)
         arrived = []
-        still = []
+        drained = []
         for veh in self.driving:
-            lid = veh.route[veh.route_idx]
-            v = speeds.get(lid)
-            if v is None:
-                v = link_speed(links[lid], counts[lid] - 1)
-                speeds[lid] = v
-            remaining = v * dt
-            traveled = 0.0
+            route = veh.route
+            idx = veh.route_idx
+            lid = route[idx]
+            memo = speeds.get(lid)
+            if memo is None:
+                # link_speed(links[lid], counts[lid] - 1), inlined
+                length, cap, vf, kjam = params[lid]
+                v = vf * (1.0 - ((counts[lid] - 1) / cap) / kjam)
+                memo = ((v if v > V_MIN_MS else V_MIN_MS) * dt, length)
+                speeds[lid] = memo
+            remaining, length = memo
+            to_end = length - veh.pos_m
             finished = False
-            while True:
-                link = links[veh.route[veh.route_idx]]
-                to_end = link.length_m - veh.pos_m
-                if remaining < to_end:
-                    veh.pos_m += remaining
-                    traveled += remaining
-                    break
-                traveled += to_end
-                remaining -= to_end
-                counts[veh.route[veh.route_idx]] -= 1
-                veh.route_idx += 1
-                if veh.route_idx >= len(veh.route):
-                    finished = True
-                    break
-                counts[veh.route[veh.route_idx]] += 1
-                veh.pos_m = 0.0
-            if veh.is_ev and self.battery is not None and traveled > 0.0:
-                kwh = self.battery.rho_kwh_per_km * (traveled / 1000.0)
+            if remaining < to_end:          # stays on its link
+                veh.pos_m += remaining
+                traveled = remaining
+            else:                           # crosses one or more nodes
+                traveled = 0.0
+                while True:
+                    traveled += to_end
+                    remaining -= to_end
+                    counts[route[idx]] -= 1
+                    idx += 1
+                    if idx >= len(route):
+                        finished = True
+                        break
+                    counts[route[idx]] += 1
+                    veh.pos_m = 0.0
+                    to_end = params[route[idx]][0]
+                    if remaining < to_end:
+                        veh.pos_m += remaining
+                        traveled += remaining
+                        break
+                veh.route_idx = idx
+            if veh.is_ev and battery is not None and traveled > 0.0:
+                kwh = rho * (traveled / 1000.0)
                 veh.driven_kwh += kwh
-                veh.soc -= kwh / self.battery.capacity_kwh
+                veh.soc -= kwh / capacity
+                if veh.soc <= 0.0 and not finished:
+                    drained.append(veh)
             if finished:
                 arrived.append(veh)
-            else:
-                still.append(veh)
-        self.driving = still
+        if arrived:
+            self.driving = [veh for veh in self.driving
+                            if veh.route_idx < len(veh.route)]
+        self.drained = drained
         return arrived

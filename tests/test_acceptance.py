@@ -311,6 +311,7 @@ def test_c08_charging_time_oracle(capsys):
             f"{ticks} ticks, end={v.t_charge_end} s (== 580 exactly)")
 
 
+@pytest.mark.slow
 def test_c09_directional_training_check(capsys, reduced_cfg):
     """Three methods, three bundled seeds, 100 epochs on the reduced
     scenario. The constrained method must end with lower voltage cost than

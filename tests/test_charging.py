@@ -7,6 +7,7 @@ from evgrid.charging import (
     BatteryParams,
     ChargingStation,
     DroopParams,
+    _mean_std,
     charging_loads_kw,
     droop_power,
 )
@@ -200,3 +201,35 @@ def test_overshoot_kept_for_ledger_exactness():
     # 58 ticks * 0.125 kWh = 7.25 kWh -> soc slightly above target
     assert v.soc == pytest.approx(0.5 + 7.25 / 24.0)
     assert v.soc > 0.8
+
+
+def test_mean_std_matches_numpy_bit_for_bit():
+    # lengths past 8 take numpy's pairwise-summation branch
+    rng = np.random.default_rng(0)
+    for n in list(range(1, 40)) + [int(k) for k in rng.integers(40, 301, 200)]:
+        for scale in (1.0, 1e-3, 600.0):
+            xs = list(rng.uniform(0.0, scale, n) + rng.choice([0.0, 1e6]))
+            assert _mean_std(xs) == (float(np.mean(xs)), float(np.std(xs)))
+    assert _mean_std([]) == (0.0, 0.0)
+
+
+def test_state_features_statistics():
+    cs = ChargingStation(0, 1, 2, piles=2)
+    evs = [_ev(i, soc=s) for i, s in enumerate((0.3, 0.5, 0.4, 0.35))]
+    for i, v in enumerate(evs):
+        cs.submit_arrival(v, t=10.0 * i)
+    f = cs.state_features(100.0)
+    assert list(f[:2]) == [2, 2]
+    assert (f[2], f[3]) == (np.mean([0.4, 0.35]), np.std([0.4, 0.35]))
+    assert (f[4], f[5]) == (np.mean([0.3, 0.5]), np.std([0.3, 0.5]))
+    assert (f[6], f[7]) == (np.mean([80.0, 70.0]), np.std([80.0, 70.0]))
+
+
+def test_idle_station_update_changes_nothing():
+    """The environment skips stations with nothing charging or queued;
+    update_charging there would return nothing and leave the state as is."""
+    cs = ChargingStation(3, 1, 2, piles=2)
+    cs.pending = 1
+    before = dict(vars(cs))
+    assert cs.update_charging(1.0, 50.0, BAT, t_end=7.0) == []
+    assert vars(cs) == before

@@ -312,6 +312,35 @@ def test_stranded_vehicles_keep_duality(tmp_path):
         assert veh.is_ev and veh.phase == STRANDED and veh.t_done is None
 
 
+def test_drained_list_equals_full_scan(tmp_path, monkeypatch):
+    """Stranding runs on the EVs step drained; after every tick the scan
+    the environment used to make over all driving vehicles finds nothing
+    more, and before removal it finds exactly the drained list."""
+    p = tmp_path / "strand.yaml"
+    p.write_text(TINY + "battery:\n  capacity_kwh: 0.5\n")
+    cfg = load_scenario(p)
+    scans = []
+
+    def check_stranded(self, t_end):
+        scans.append([v.vid for v in self.sim.driving
+                      if v.is_ev and v.soc <= 0.0])
+        assert scans[-1] == [v.vid for v in self.sim.drained]
+        original(self, t_end)
+
+    def tick_post(self):
+        tick(self)
+        assert not [v for v in self.sim.driving if v.is_ev and v.soc <= 0.0]
+
+    original, tick = CouplingEnv._check_stranded, CouplingEnv._tick_post
+    monkeypatch.setattr(CouplingEnv, "_check_stranded", check_stranded)
+    monkeypatch.setattr(CouplingEnv, "_tick_post", tick_post)
+    for seed in range(3):
+        env = CouplingEnv(cfg)
+        _, metrics = run_episode(env, seed, lambda s, e: 0)
+        assert metrics.n_stranded == len(env.stranded) > 0
+    assert scans and all(scans)     # called only on ticks that drained
+
+
 def test_greedy_station_matches_enumeration(tiny_cfg):
     from evgrid.traffic import shortest_path, path_length_m
     road = tiny_cfg.road_net

@@ -137,6 +137,34 @@ def test_trip_determinism_and_seed_variation():
     assert a != c
 
 
+def _reference_trips(cfg, seed):
+    """generate_trips with every origin-destination draw made by
+    rng.choice, as before integers() replaced it for unweighted draws."""
+    d = cfg.demand
+    n = int(round(d.rate_veh_per_h * cfg.horizon_s / 3600.0))
+    rng = np.random.default_rng([seed, cfg.seed])
+    n_ev = int(round(d.ev_fraction * n))
+    ev_flags = np.zeros(n, dtype=bool)
+    ev_flags[rng.permutation(n)[:n_ev]] = True
+    cv_pairs, ev_pairs = cv_feasible_pairs(cfg), ev_feasible_pairs(cfg)
+    trips = []
+    for vid in range(n):
+        is_ev = bool(ev_flags[vid])
+        pairs = ev_pairs if is_ev else cv_pairs
+        o, dest = pairs[int(rng.choice(len(pairs)))]
+        soc = float(rng.uniform(d.soc_init_low, d.soc_init_high)) if is_ev else 1.0
+        trips.append(Trip(vid, o, dest, vid * (3600.0 / d.rate_veh_per_h),
+                          is_ev, soc))
+    return trips
+
+
+def test_unweighted_trips_match_choice_draws():
+    for name in ("reduced.yaml", "case_a.yaml"):
+        cfg = load_scenario(evgrid.DATA_DIR / name)
+        for seed in range(3):
+            assert generate_trips(cfg, seed) == _reference_trips(cfg, seed)
+
+
 def test_ev_soc_bounds_and_cv_soc():
     cfg = load_scenario(evgrid.DATA_DIR / "case_a.yaml")
     for t in generate_trips(cfg, seed=1):

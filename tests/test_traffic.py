@@ -254,3 +254,97 @@ def test_network_validation():
         RoadNetwork({1: (0, 0), 2: (1, 0)}, [_link(1, 1, 2), _link(1, 2, 1)])
     with pytest.raises(ValueError, match="invalid parameters"):
         RoadNetwork({1: (0, 0), 2: (1, 0)}, [_link(1, 1, 2, length=-5.0)])
+
+
+def _reference_step(sim, dt=1.0):
+    """TrafficSim.step as first written: per-vehicle link_speed calls and a
+    single crossing loop. Returns (arrived, EVs still driving at SoC <= 0
+    found by a full scan)."""
+    links = sim.net.links
+    counts = sim.counts
+    speeds = {}
+    arrived, still = [], []
+    for veh in sim.driving:
+        lid = veh.route[veh.route_idx]
+        v = speeds.get(lid)
+        if v is None:
+            v = link_speed(links[lid], counts[lid] - 1)
+            speeds[lid] = v
+        remaining = v * dt
+        traveled = 0.0
+        finished = False
+        while True:
+            link = links[veh.route[veh.route_idx]]
+            to_end = link.length_m - veh.pos_m
+            if remaining < to_end:
+                veh.pos_m += remaining
+                traveled += remaining
+                break
+            traveled += to_end
+            remaining -= to_end
+            counts[veh.route[veh.route_idx]] -= 1
+            veh.route_idx += 1
+            if veh.route_idx >= len(veh.route):
+                finished = True
+                break
+            counts[veh.route[veh.route_idx]] += 1
+            veh.pos_m = 0.0
+        if veh.is_ev and sim.battery is not None and traveled > 0.0:
+            kwh = sim.battery.rho_kwh_per_km * (traveled / 1000.0)
+            veh.driven_kwh += kwh
+            veh.soc -= kwh / sim.battery.capacity_kwh
+        (arrived if finished else still).append(veh)
+    sim.driving = still
+    return arrived, [v for v in still if v.is_ev and v.soc <= 0.0]
+
+
+def _vehicle_state(v):
+    return (v.vid, v.route_idx, v.pos_m, v.soc, v.driven_kwh)
+
+
+def test_step_matches_reference_bit_for_bit():
+    """Random departures with short links (several crossings per tick) and
+    small batteries (EVs drain to zero en route): every position, SoC,
+    count, arrival and drained EV equals the reference step exactly."""
+    net = load_road_network(evgrid.DATA_DIR / "nguyen_dupuis")
+    short = RoadNetwork(net.nodes, [
+        RoadLink(ln.link_id, ln.from_node, ln.to_node, ln.length_m / 150.0,
+                 ln.lanes, ln.vf_ms, ln.kjam_m_lane)
+        for ln in net.links.values()])
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        fast, ref = TrafficSim(short, _Battery()), TrafficSim(short, _Battery())
+        nodes = sorted(short.nodes)
+        n_drained = n_crossed = 0
+        vid = 0
+        for tick in range(300):
+            for _ in range(int(rng.integers(0, 4))):
+                o, d = (int(x) for x in rng.choice(nodes, 2, replace=False))
+                if d not in short.reachable_from(o):
+                    continue
+                route = shortest_path(short, o, d, fast.travel_times())
+                assert route == shortest_path(short, o, d, ref.travel_times())
+                is_ev = bool(rng.random() < 0.5)
+                soc = float(rng.uniform(0.00005, 0.0004))
+                for sim in (fast, ref):
+                    veh = Vehicle(vid, o, d, float(tick), is_ev=is_ev, soc=soc)
+                    veh.route = list(route)
+                    sim.enter_road(veh)
+                vid += 1
+            before = {v.vid: v.route_idx for v in fast.driving}
+            arrived = fast.step(1.0)
+            want_arrived, want_drained = _reference_step(ref, 1.0)
+            assert ([_vehicle_state(v) for v in arrived]
+                    == [_vehicle_state(v) for v in want_arrived])
+            assert ([_vehicle_state(v) for v in fast.driving]
+                    == [_vehicle_state(v) for v in ref.driving])
+            assert ([v.vid for v in fast.drained]
+                    == [v.vid for v in want_drained])
+            assert fast.counts == ref.counts
+            n_drained += len(fast.drained)
+            n_crossed += sum(v.route_idx > before[v.vid] + 1
+                             for v in fast.driving)
+            for sim, bad in ((fast, fast.drained), (ref, want_drained)):
+                for veh in bad:
+                    sim.remove(veh)
+        assert n_drained > 0 and n_crossed > 0

@@ -213,18 +213,6 @@ def test_mean_std_matches_numpy_bit_for_bit():
     assert _mean_std([]) == (0.0, 0.0)
 
 
-def test_state_features_statistics():
-    cs = ChargingStation(0, 1, 2, piles=2)
-    evs = [_ev(i, soc=s) for i, s in enumerate((0.3, 0.5, 0.4, 0.35))]
-    for i, v in enumerate(evs):
-        cs.submit_arrival(v, t=10.0 * i)
-    f = cs.state_features(100.0)
-    assert list(f[:2]) == [2, 2]
-    assert (f[2], f[3]) == (np.mean([0.4, 0.35]), np.std([0.4, 0.35]))
-    assert (f[4], f[5]) == (np.mean([0.3, 0.5]), np.std([0.3, 0.5]))
-    assert (f[6], f[7]) == (np.mean([80.0, 70.0]), np.std([80.0, 70.0]))
-
-
 def test_idle_station_update_changes_nothing():
     """The environment skips stations with nothing charging or queued;
     update_charging there would return nothing and leave the state as is."""

@@ -313,9 +313,9 @@ def test_stranded_vehicles_keep_duality(tmp_path):
 
 
 def test_drained_list_equals_full_scan(tmp_path, monkeypatch):
-    """Stranding runs on the EVs step drained; after every tick the scan
-    the environment used to make over all driving vehicles finds nothing
-    more, and before removal it finds exactly the drained list."""
+    """Stranding runs on the EVs step drained: before removal a full scan
+    of the driving vehicles finds exactly the drained list, and after
+    every tick it finds nothing."""
     p = tmp_path / "strand.yaml"
     p.write_text(TINY + "battery:\n  capacity_kwh: 0.5\n")
     cfg = load_scenario(p)

@@ -139,7 +139,7 @@ def test_trip_determinism_and_seed_variation():
 
 def _reference_trips(cfg, seed):
     """generate_trips with every origin-destination draw made by
-    rng.choice, as before integers() replaced it for unweighted draws."""
+    rng.choice(len(pairs)), the call its unweighted draws stand in for."""
     d = cfg.demand
     n = int(round(d.rate_veh_per_h * cfg.horizon_s / 3600.0))
     rng = np.random.default_rng([seed, cfg.seed])

@@ -25,7 +25,9 @@ chosen by the same exact comparison.
 Time advances in 1 s ticks. Within a tick: droop boundary first, then
 departures (pausing for decisions before any movement), then movement,
 station arrivals in vehicle-id order, charging, and re-routing of finished
-chargers; minute sampling happens after the tick's physics. Departure,
+chargers; minute sampling happens after the tick's physics and appends a
+``minute_log`` row (t, occupancy per station, station features or None,
+total kW, setpoint; see ``_minute_sample``). Departure,
 arrival, and completion timestamps therefore all land on tick boundaries,
 which keeps the per-vehicle travel-time sum exactly equal to the
 tick-counted dual (``EpisodeMetrics.ttt_s == EpisodeMetrics.ttt_tick_s``).
@@ -41,7 +43,8 @@ import numpy as np
 
 from .charging import ChargingStation, charging_loads_kw, droop_power
 from .power import average_voltage, solve_power_flow, voltage_deviation
-from .scenario import RewardParams, ScenarioConfig, build_vehicle, generate_trips
+from .scenario import (RewardParams, ScenarioConfig, build_vehicle,
+                       generate_trips, samples_per_window)
 from .traffic import (DRIVE_CS, DRIVE_DEST, DONE, STRANDED, NoPathError,
                       TrafficSim, path_length_m, record_trip_times,
                       shortest_path)
@@ -144,6 +147,8 @@ class CouplingEnv:
             raise EnvError("droop interval must be a whole number of seconds")
         self._droop_every = int(cfg.droop.interval_s)
         self._n_links = len(self.road.link_ids)
+        self._per_window = samples_per_window(cfg.predictor.window_s,
+                                              cfg.predictor.sample_s)
         self._greedy_memo = {}
         self._terminal = False
         self._pending = deque()
@@ -197,7 +202,7 @@ class CouplingEnv:
         self._seg_samples = None
         self._interval_samples = []
         self._pf_cache = {}
-        self.minute_log = []    # (t, occupancy, station features, total kW, setpoint)
+        self.minute_log = []    # see _minute_sample
         self.droop_log = []     # (t, v_avg, setpoint kW, occupancy tuple)
         self.completed = []
         self.stranded = []
@@ -222,7 +227,7 @@ class CouplingEnv:
         vid = self._pending.popleft()
         veh = self._vehicles[vid]
         followed = bool(self._compliance_rng.random() < self.compliance_rate)
-        applied = idx if followed else self._greedy(veh.origin)
+        applied = idx if followed else self.greedy_station(veh.origin)
         t0 = self._t
         self._assign(veh, applied, t0)
         self._seg_counts = []
@@ -373,7 +378,7 @@ class CouplingEnv:
         if veh.is_ev and veh.depart_s >= self.cfg.demand.warmup_s:
             self._pending.append(veh.vid)
         elif veh.is_ev:
-            self._assign(veh, self._greedy(veh.origin), t)
+            self._assign(veh, self.greedy_station(veh.origin), t)
         else:
             veh.phase = DRIVE_DEST
             veh.route = shortest_path(self.road, veh.origin, veh.dest,
@@ -416,10 +421,14 @@ class CouplingEnv:
             self._ttt_ticks -= t_end - veh.depart_s   # keep the tick dual exact
             self.stranded.append(veh)
 
-    def _greedy(self, origin):
+    def greedy_station(self, origin) -> int:
+        """``greedy_station`` for this scenario's stations, memoised per
+        origin. It ranks by static free-flow metres from the station nodes
+        of ``cfg``, so one search per origin serves every episode, and the
+        memo fills lazily (also before the first reset)."""
         idx = self._greedy_memo.get(origin)
         if idx is None:
-            idx = greedy_station(self.road, self.stations, origin)
+            idx = greedy_station(self.road, self.cfg.stations, origin)
             self._greedy_memo[origin] = idx
         return idx
 
@@ -437,14 +446,23 @@ class CouplingEnv:
                 charging_loads_kw(self.stations, self._setpoint))
 
     def _minute_sample(self):
+        """Record a load sample and append one ``minute_log`` row
+        (t, occupancy per station, station features or None, total kW,
+        setpoint).
+
+        Only the forecaster reads the features, and only on the row that
+        closes a demand window (every ``samples_per_window``-th row of the
+        episode, see ``DemandHistory.sync``), so only that row computes
+        them; every other row holds None there."""
         sample = self._load_sample()
         self._interval_samples.append(sample)
         if self._seg_samples is not None:
             self._seg_samples.append(sample)
         occ = np.array([len(cs.queue) + len(cs.charging) for cs in self.stations],
                        dtype=float)
-        self.minute_log.append((self._t, occ, self._station_features(),
-                                sample[0], self._setpoint))
+        closes = (len(self.minute_log) + 1) % self._per_window == 0
+        feats = self._station_features() if closes else None
+        self.minute_log.append((self._t, occ, feats, sample[0], self._setpoint))
 
     def _update_droop(self):
         samples = self._interval_samples or [self._load_sample()]

@@ -101,6 +101,16 @@ class LSTM:
     Inputs are (T, batch, input_dim); outputs (T, batch, hidden). Dropout is
     inverted (scaled at train time) and applied to the outputs of every
     layer except the last, with a fresh mask per time step.
+
+    Each (t, layer) step makes one gate-activation pass: ``_sigmoid`` runs
+    once on the whole (batch, 4H) pre-activation ``s`` (its g block is
+    computed and ignored, cheaper than two more calls), i, f, o are
+    contiguous copies of its column blocks and g is tanh of its own block.
+    ``backward`` forms the pre-activation gradient at full width too:
+    ``dz = [di | df | dg | do] * s * (1 - s)``, then the g block is
+    overwritten with ``dg * (1 - g*g)``. Every element sees the same
+    operations in the same order as per-gate code (``(di * i) * (1 - i)``
+    and so on), so all values are bit for bit what per-gate calls give.
     """
 
     def __init__(self, input_dim, hidden_dim, num_layers, dropout, rng):
@@ -161,14 +171,17 @@ class LSTM:
                 z = (x @ self._params[f"wx{layer}"]
                      + hp @ self._params[f"wh{layer}"]
                      + self._params[f"b{layer}"])
-                i = _sigmoid(z[:, :H])
-                f = _sigmoid(z[:, H:2 * H])
+                s = _sigmoid(z)         # one pass; the g block goes unused
+                # contiguous copies: backward reuses each gate several times,
+                # and elementwise ops on strided column views cost ~3x more
+                i = s[:, :H].copy()
+                f = s[:, H:2 * H].copy()
                 g = np.tanh(z[:, 2 * H:3 * H])
-                o = _sigmoid(z[:, 3 * H:])
+                o = s[:, 3 * H:].copy()
                 cn = f * cp + i * g
                 tc = np.tanh(cn)
                 hn = o * tc
-                steps.append((x, hp, cp, i, f, g, o, cn, tc))
+                steps.append((x, hp, cp, s, i, f, g, o, cn, tc))
                 h[layer] = hn
                 c[layer] = cn
                 x = hn
@@ -195,21 +208,19 @@ class LSTM:
 
         grad_outputs = np.asarray(grad_outputs, dtype=float)
         for t in range(T - 1, -1, -1):
-            dx_up = grad_outputs[t].copy()       # gradient arriving at top layer's h_t
+            dx_up = grad_outputs[t]      # gradient arriving at top layer's h_t
             for layer in range(L - 1, -1, -1):
-                x, hp, cp, i, f, g, o, cn, tc = steps[t * L + layer]
+                x, hp, cp, s, i, f, g, o, cn, tc = steps[t * L + layer]
                 dh = dx_up + dh_next[layer]
                 dc = dc_next[layer] + dh * o * (1.0 - tc * tc)
                 do = dh * tc
                 di = dc * g
                 dg = dc * i
                 df = dc * cp
-                dz = np.concatenate([
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ], axis=1)
+                dz = np.concatenate([di, df, dg, do], axis=1)
+                dz *= s                 # full width: (d * s) * (1 - s)
+                dz *= 1.0 - s
+                dz[:, 2 * H:3 * H] = dg * (1.0 - g * g)
                 grads[f"wx{layer}"] += x.T @ dz
                 grads[f"wh{layer}"] += hp.T @ dz
                 grads[f"b{layer}"] += dz.sum(axis=0)
@@ -226,12 +237,19 @@ class LSTM:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x))
+    otherwise, element by element.
+
+    One pass over the whole array instead of two masked ones, with the same
+    arithmetic per element: ``np.minimum(x, -x)`` is -|x| for every number,
+    so ``e`` is exp(-x) where x >= 0 and exp(x) elsewhere, and each element
+    gets the same exp, add and divide on the same operands as the masked
+    form. The results agree bit for bit, including ±0, subnormals, ±inf and
+    NaN: ``np.minimum`` returns a NaN operand as it is, where ``-np.abs``
+    would flip its sign bit.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ future windows, and the online trigger fires whenever the pair buffer size
 is both >= ``min_buffer`` and a multiple of ``train_every``, until the
 smoothed loss flattens out (see ``convergence_check``); after that the
 model keeps predicting but stops training and the buffer stops growing.
+
+``train_step`` stacks the buffer's pairs once per call into (N, T, ·)
+arrays and gathers each minibatch from them with one fancy-index and one
+transposing copy (``_gather``): the same values, C layout and strides as
+stacking the minibatch's pairs along axis 1, so the LSTMs see identical
+inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nn import LSTM, Adam, DenseNet
-from .scenario import PredictorConfig, ScenarioConfig
+from .scenario import PredictorConfig, ScenarioConfig, samples_per_window
 
 
 def average_demand(occupancy_samples) -> np.ndarray:
@@ -38,13 +44,12 @@ class DemandHistory:
 
     ``sync`` consumes new rows of the environment's minute log, whose rows
     start with (t, occupancy vector, station feature vector, ...). Every
-    ``window_s / sample_s`` rows close one window.
+    ``samples_per_window(window_s, sample_s)``-th row closes one window,
+    and only a closing row's features are read.
     """
 
     def __init__(self, window_s: float = 240.0, sample_s: float = 60.0):
-        if window_s % sample_s != 0:
-            raise ValueError("window_s must be a multiple of sample_s")
-        self.per_window = int(window_s // sample_s)
+        self.per_window = samples_per_window(window_s, sample_s)
         self.snapshots = []      # station features at each window close
         self.demands = []        # mean occupancy per window
         self._occ_acc = []
@@ -59,6 +64,9 @@ class DemandHistory:
         for row in minute_log[self._consumed:]:
             self._occ_acc.append(np.asarray(row[1], dtype=float))
             if len(self._occ_acc) == self.per_window:
+                if row[2] is None:
+                    raise ValueError(f"minute row at t={row[0]} closes a "
+                                     f"window but carries no station features")
                 self.demands.append(average_demand(self._occ_acc))
                 self.snapshots.append(np.asarray(row[2], dtype=float).copy())
                 self._occ_acc = []
@@ -175,12 +183,15 @@ class Seq2SeqForecaster:
         if len(buffer) < batch:
             raise ValueError(f"buffer holds {len(buffer)} pairs, need {batch}")
         params = self.param_dict()
+        enc_all = np.stack(buffer.enc_inputs)       # (N, enc_len, feat)
+        dec_all = np.stack(buffer.dec_inputs)       # (N, dec_len, M)
+        tgt_all = np.stack(buffer.targets)          # (N, dec_len, M)
         losses = np.empty(iters)
         for it in range(iters):
             idx = self._rng.choice(len(buffer), size=batch, replace=False)
-            enc_x = np.stack([buffer.enc_inputs[i] for i in idx], axis=1)
-            dec_x = np.stack([buffer.dec_inputs[i] for i in idx], axis=1)
-            target = np.stack([buffer.targets[i] for i in idx], axis=1)
+            enc_x = _gather(enc_all, idx)
+            dec_x = _gather(dec_all, idx)
+            target = _gather(tgt_all, idx)
 
             _, enc_state, enc_cache = self.encoder.forward(
                 enc_x, training=True, dropout_rng=self._rng)
@@ -207,6 +218,15 @@ class Seq2SeqForecaster:
         mean_loss = float(losses.mean())
         self.losses.append(mean_loss)
         return mean_loss
+
+
+def _gather(pairs, idx):
+    """Time-major minibatch (T, len(idx), ·) of the (N, T, ·) stacked pairs:
+    the values, C layout and strides of
+    ``np.stack([pairs[i] for i in idx], axis=1)`` from one fancy-index and
+    one copy (a copy even where the transpose is already contiguous, as with
+    one pair, so the strides match too)."""
+    return pairs[idx].transpose(1, 0, 2).copy()
 
 
 class OnlinePredictor:

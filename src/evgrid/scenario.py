@@ -86,6 +86,14 @@ class PredictorConfig:
     converge_tol: float = 0.02
 
 
+def samples_per_window(window_s: float, sample_s: float) -> int:
+    """Minute samples per predictor demand window. Counting from an
+    episode's first sample, every this-many-th sample closes a window."""
+    if window_s % sample_s != 0:
+        raise ValueError("window_s must be a multiple of sample_s")
+    return int(window_s // sample_s)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import CouplingEnv, EnvError, EpisodeMetrics, greedy_station
+from .env import CouplingEnv, EnvError, EpisodeMetrics
 from .nn import (Adam, DenseNet, assign_params, categorical_sample,
                  load_params, log_softmax, save_params)
 from .power import PowerFlowError
@@ -455,7 +455,7 @@ def run_ppo_episode(env: CouplingEnv, agent, rng, ep_seed,
 
 
 def greedy_action(env: CouplingEnv) -> int:
-    return greedy_station(env.road, env.stations, env.pending_vehicle.origin)
+    return env.greedy_station(env.pending_vehicle.origin)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,312 @@
+"""The LSTM and forecaster fast paths against frozen copies of the code they
+replaced, bit for bit.
+
+The references below are the masked two-formula sigmoid, the LSTM
+forward/backward with one sigmoid call per gate and a concatenated ``dz``,
+and the minibatch gather that stacked the buffer's pairs per minibatch.
+Every comparison is on the int64 view of the float64 results, so a
+difference in the last bit, in the sign of a zero or in a NaN payload fails.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import evgrid
+from evgrid.nn import LSTM, _sigmoid
+from evgrid.predictor import PredictorBuffer, Seq2SeqForecaster, _gather
+from evgrid.scenario import load_scenario
+
+FAST = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def same_bits(a, b):
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# frozen references
+# ---------------------------------------------------------------------------
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_lstm_forward(net, seq, state=None, training=False, dropout_rng=None,
+                     dropout_masks=None):
+    params = net.param_dict()
+    seq = np.asarray(seq, dtype=float)
+    T, batch, _ = seq.shape
+    L, H = net.num_layers, net.hidden_dim
+    if state is not None:
+        h = [np.array(state[0][l], dtype=float) for l in range(L)]
+        c = [np.array(state[1][l], dtype=float) for l in range(L)]
+    else:
+        h = [np.zeros((batch, H)) for _ in range(L)]
+        c = [np.zeros((batch, H)) for _ in range(L)]
+    use_drop = training and net.dropout > 0.0 and L > 1
+    if use_drop and dropout_masks is None:
+        keep = 1.0 - net.dropout
+        dropout_masks = (dropout_rng.random((L - 1, T, batch, H)) < keep
+                         ).astype(float) / keep
+    steps = []
+    outputs = np.empty((T, batch, H))
+    for t in range(T):
+        x = seq[t]
+        for layer in range(L):
+            hp, cp = h[layer], c[layer]
+            z = (x @ params[f"wx{layer}"] + hp @ params[f"wh{layer}"]
+                 + params[f"b{layer}"])
+            i = ref_sigmoid(z[:, :H])
+            f = ref_sigmoid(z[:, H:2 * H])
+            g = np.tanh(z[:, 2 * H:3 * H])
+            o = ref_sigmoid(z[:, 3 * H:])
+            cn = f * cp + i * g
+            tc = np.tanh(cn)
+            hn = o * tc
+            steps.append((x, hp, cp, i, f, g, o, cn, tc))
+            h[layer] = hn
+            c[layer] = cn
+            x = hn
+            if use_drop and layer < L - 1:
+                x = x * dropout_masks[layer, t]
+        outputs[t] = x
+    cache = (seq.shape, steps, dropout_masks if use_drop else None)
+    return outputs, (np.stack(h), np.stack(c)), cache
+
+
+def ref_lstm_backward(net, cache, grad_outputs, grad_state=None):
+    params = net.param_dict()
+    (T, batch, _), steps, masks = cache
+    L, H = net.num_layers, net.hidden_dim
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grad_inputs = np.zeros((T, batch, net.input_dim))
+    if grad_state is not None:
+        dh_next = grad_state[0].copy()
+        dc_next = grad_state[1].copy()
+    else:
+        dh_next = np.zeros((L, batch, H))
+        dc_next = np.zeros((L, batch, H))
+    grad_outputs = np.asarray(grad_outputs, dtype=float)
+    for t in range(T - 1, -1, -1):
+        dx_up = grad_outputs[t].copy()
+        for layer in range(L - 1, -1, -1):
+            x, hp, cp, i, f, g, o, cn, tc = steps[t * L + layer]
+            dh = dx_up + dh_next[layer]
+            dc = dc_next[layer] + dh * o * (1.0 - tc * tc)
+            do = dh * tc
+            di = dc * g
+            dg = dc * i
+            df = dc * cp
+            dz = np.concatenate([
+                di * i * (1.0 - i),
+                df * f * (1.0 - f),
+                dg * (1.0 - g * g),
+                do * o * (1.0 - o),
+            ], axis=1)
+            grads[f"wx{layer}"] += x.T @ dz
+            grads[f"wh{layer}"] += hp.T @ dz
+            grads[f"b{layer}"] += dz.sum(axis=0)
+            dh_next[layer] = dz @ params[f"wh{layer}"].T
+            dc_next[layer] = dc * f
+            dx = dz @ params[f"wx{layer}"].T
+            if layer == 0:
+                grad_inputs[t] = dx
+            else:
+                if masks is not None:
+                    dx = dx * masks[layer - 1, t]
+                dx_up = dx
+    return grads, grad_inputs, (dh_next, dc_next)
+
+
+def ref_gather(pairs, idx):
+    return np.stack([pairs[i] for i in idx], axis=1)
+
+
+def ref_train_step(model, buffer, iters):
+    """``Seq2SeqForecaster.train_step`` as it was, on the references."""
+    batch = model.cfg.batch
+    params = model.param_dict()
+    rng = model._rng
+    losses = np.empty(iters)
+    for it in range(iters):
+        idx = rng.choice(len(buffer), size=batch, replace=False)
+        enc_x = ref_gather(buffer.enc_inputs, idx)
+        dec_x = ref_gather(buffer.dec_inputs, idx)
+        target = ref_gather(buffer.targets, idx)
+        _, enc_state, enc_cache = ref_lstm_forward(
+            model.encoder, enc_x, training=True, dropout_rng=rng)
+        dec_out, _, dec_cache = ref_lstm_forward(
+            model.decoder, dec_x, state=enc_state, training=True,
+            dropout_rng=rng)
+        ld, b, hid = dec_out.shape
+        flat, head_cache = model.head.forward(dec_out.reshape(ld * b, hid))
+        diff = flat.reshape(ld, b, -1) - target
+        losses[it] = float(np.mean(diff * diff))
+        dflat = (2.0 * diff / diff.size).reshape(ld * b, -1)
+        head_grads, dout = model.head.backward(head_cache, dflat)
+        dec_grads, _, dstate0 = ref_lstm_backward(
+            model.decoder, dec_cache, dout.reshape(ld, b, hid))
+        enc_grads, _, _ = ref_lstm_backward(
+            model.encoder, enc_cache, np.zeros((enc_x.shape[0], b, hid)),
+            grad_state=dstate0)
+        grads = {}
+        for prefix, gd in (("enc.", enc_grads), ("dec.", dec_grads),
+                           ("head.", head_grads)):
+            for k, v in gd.items():
+                grads[prefix + k] = v
+        model.optimizer.step(params, grads)
+    mean_loss = float(losses.mean())
+    model.losses.append(mean_loss)
+    return mean_loss
+
+
+# ---------------------------------------------------------------------------
+# sigmoid
+# ---------------------------------------------------------------------------
+
+TINY = np.finfo(float).tiny          # smallest normal
+SUB = 5e-324                         # smallest subnormal
+
+
+def test_sigmoid_special_values():
+    payload_nan = np.array([0x7FF0000000000123], dtype=np.int64).view(float)[0]
+    x = np.array([0.0, -0.0, SUB, -SUB, TINY / 3, -TINY / 3, TINY, -TINY,
+                  709.0, -709.0, 746.0, -746.0, 745.2, -745.2, 1e-20, -1e-20,
+                  36.7, -36.7, np.inf, -np.inf, np.nan, -np.nan,
+                  payload_nan, -payload_nan])
+    assert same_bits(_sigmoid(x), ref_sigmoid(x))
+    # 2-D and strided inputs, as the LSTM passes them
+    grid = np.tile(x, (3, 2))
+    assert same_bits(_sigmoid(grid), ref_sigmoid(grid))
+    assert same_bits(_sigmoid(grid[:, ::3]), ref_sigmoid(grid[:, ::3]))
+
+
+@FAST
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                               max_side=40),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+def test_sigmoid_matches_masked_form(x):
+    assert same_bits(_sigmoid(x), ref_sigmoid(x))
+
+
+# ---------------------------------------------------------------------------
+# LSTM forward / backward
+# ---------------------------------------------------------------------------
+
+def _lstm_case(layers, hidden, batch, data_seed, scale):
+    rng = np.random.default_rng(data_seed)
+    dropout = 0.5 if layers > 1 else 0.0
+    net = LSTM(7, hidden, layers, dropout, np.random.default_rng(data_seed + 1))
+    T = 3
+    seq = rng.normal(size=(T, batch, 7)) * scale
+    state = (rng.normal(size=(layers, batch, hidden)),
+             rng.normal(size=(layers, batch, hidden)))
+    masks = None
+    if layers > 1:
+        masks = (rng.random((layers - 1, T, batch, hidden)) < 0.5) / 0.5
+    grad_out = rng.normal(size=(T, batch, hidden))
+    grad_state = (rng.normal(size=(layers, batch, hidden)),
+                  rng.normal(size=(layers, batch, hidden)))
+    return net, seq, state, masks, grad_out, grad_state
+
+
+def _assert_lstm_matches(layers, hidden, batch, data_seed, scale):
+    net, seq, state, masks, grad_out, grad_state = _lstm_case(
+        layers, hidden, batch, data_seed, scale)
+    for st0, gs in ((None, None), (state, grad_state)):
+        kw = dict(state=st0, training=masks is not None, dropout_masks=masks)
+        out, (h, c), cache = net.forward(seq, **kw)
+        r_out, (r_h, r_c), r_cache = ref_lstm_forward(net, seq, **kw)
+        assert same_bits(out, r_out)
+        assert same_bits(h, r_h) and same_bits(c, r_c)
+        grads, gin, (dh0, dc0) = net.backward(cache, grad_out, grad_state=gs)
+        r_grads, r_gin, (r_dh0, r_dc0) = ref_lstm_backward(
+            net, r_cache, grad_out, grad_state=gs)
+        assert grads.keys() == r_grads.keys()
+        assert all(same_bits(grads[k], r_grads[k]) for k in grads)
+        assert same_bits(gin, r_gin)
+        assert same_bits(dh0, r_dh0) and same_bits(dc0, r_dc0)
+
+
+@pytest.mark.parametrize("layers,hidden,batch", [(1, 32, 1), (1, 32, 32)])
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data_seed=st.integers(0, 2**31), scale=st.sampled_from([0.1, 1.0, 40.0]))
+def test_lstm_matches_reference(layers, hidden, batch, data_seed, scale):
+    _assert_lstm_matches(layers, hidden, batch, data_seed, scale)
+
+
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(data_seed=st.integers(0, 2**31))
+def test_lstm_matches_reference_two_layers_pinned_dropout(data_seed):
+    _assert_lstm_matches(2, 256, 64, data_seed, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# minibatch gather and train_step
+# ---------------------------------------------------------------------------
+
+@FAST
+@given(n=st.integers(1, 40), t=st.integers(1, 6), width=st.integers(1, 12),
+       data=st.data())
+def test_gather_matches_per_minibatch_stack(n, t, width, data):
+    pairs = [np.random.default_rng(k).normal(size=(t, width)) for k in range(n)]
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                      max_size=n, unique=True)))
+    got = _gather(np.stack(pairs), idx)
+    want = ref_gather(pairs, idx)
+    assert same_bits(got, want)
+    assert got.flags.c_contiguous and got.strides == want.strides
+
+
+def _random_pairs(buf, cfg, n_stations, rng, n):
+    for _ in range(n):
+        buf.enc_inputs.append(rng.normal(size=(cfg.enc_len, 9 * n_stations)))
+        buf.dec_inputs.append(rng.random((cfg.dec_len, n_stations)) * 3.0)
+        buf.targets.append(rng.random((cfg.dec_len, n_stations)) * 3.0)
+
+
+@pytest.mark.parametrize("scenario,iters", [("reduced", None), ("case_a", 2)])
+def test_train_step_matches_reference(scenario, iters):
+    """Three train steps, the buffer growing between them; case_a runs two
+    minibatches per step to keep the test short."""
+    cfg = load_scenario(evgrid.DATA_DIR / f"{scenario}.yaml")
+    p, m = cfg.predictor, cfg.n_stations
+    iters = p.iters_per_step if iters is None else iters
+    fast = Seq2SeqForecaster(m, 9 * m, p, np.random.default_rng(21))
+    ref = Seq2SeqForecaster(m, 9 * m, p, np.random.default_rng(21))
+    buf = PredictorBuffer(p.enc_len, p.dec_len)
+    data_rng = np.random.default_rng(22)
+    for _ in range(3):
+        _random_pairs(buf, p, m, data_rng, p.batch // 2 + 3)
+        if len(buf) < p.batch:
+            _random_pairs(buf, p, m, data_rng, p.batch - len(buf))
+        loss = fast.train_step(buf, iters=iters)
+        r_loss = ref_train_step(ref, buf, iters)
+        assert same_bits(np.float64(loss), np.float64(r_loss))
+    assert same_bits(np.array(fast.losses), np.array(ref.losses))
+    r_params = ref.param_dict()
+    for k, v in fast.param_dict().items():
+        assert same_bits(v, r_params[k]), k
+    snaps = data_rng.normal(size=(p.enc_len, 9 * m))
+    last = data_rng.random(m)
+    # forecasts: the fast predict against the reference forward passes
+    preds = fast.predict(snaps, last)
+    _, state, _ = ref_lstm_forward(ref.encoder, snaps[:, None, :])
+    x = last[None, None, :]
+    for j in range(p.dec_len):
+        out, state, _ = ref_lstm_forward(ref.decoder, x, state=state)
+        y, _ = ref.head.forward(out[0])
+        assert same_bits(preds[j], y[0])
+        x = y[None, :, :]

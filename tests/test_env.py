@@ -358,3 +358,24 @@ def test_greedy_station_matches_enumeration(tiny_cfg):
             continue
         best = min(range(len(dists)), key=lambda i: (dists[i], i))
         assert greedy_station(road, tiny_cfg.stations, origin) == best
+
+
+@pytest.mark.parametrize("scenario", ["reduced", "case_a"])
+def test_greedy_memo_matches_greedy_station(scenario):
+    from evgrid.traffic import NoPathError
+    cfg = load_scenario(evgrid.DATA_DIR / f"{scenario}.yaml")
+    env = CouplingEnv(cfg)
+    expected = {}
+    for origin in cfg.road_net.nodes:
+        try:
+            expected[origin] = greedy_station(cfg.road_net, cfg.stations, origin)
+        except NoPathError:
+            with pytest.raises(NoPathError):
+                env.greedy_station(origin)
+            continue
+        assert env.greedy_station(origin) == expected[origin]
+    assert expected
+    env.reset(0)        # the memo outlives episodes; stations are rebuilt
+    for origin, idx in expected.items():
+        assert env.greedy_station(origin) == idx
+        assert greedy_station(env.road, env.stations, origin) == idx

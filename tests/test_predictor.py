@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import evgrid
 from evgrid.predictor import (DemandHistory, OnlinePredictor, PredictorBuffer,
                               Seq2SeqForecaster, augment_state, average_demand,
                               convergence_check)
@@ -282,3 +283,52 @@ def test_online_predictor_buffer_spans_episodes(pred_cfg):
     op.observe(fake_episode_rows(rng, n_windows=6))
     assert len(op.history) == 6
     assert len(op.buffer) == 7 + 3
+
+
+def test_minute_rows_carry_features_only_on_window_close(monkeypatch):
+    """An opsrl episode on reduced: each closing row's features are what
+    the env would compute on every row, the other rows hold None, and the
+    forecaster's history is what a features-on-every-row log gives."""
+    from evgrid.env import CouplingEnv
+    from evgrid.srl import LagrangePPOAgent, pad_width, run_ppo_episode
+
+    cfg = load_scenario(evgrid.DATA_DIR / "reduced.yaml")
+    full = []           # features computed on every row, as before
+    sample = CouplingEnv._minute_sample
+
+    def minute_sample(env):
+        full.append(env._station_features())
+        sample(env)
+
+    monkeypatch.setattr(CouplingEnv, "_minute_sample", minute_sample)
+    env = CouplingEnv(cfg)
+    pad = pad_width(cfg)
+    agent = LagrangePPOAgent(env.state_dim + pad, env.action_dim, cfg.training,
+                             np.random.default_rng(1))
+    predictor = OnlinePredictor(cfg, seed=3)
+    run_ppo_episode(env, agent, np.random.default_rng(2), 7, predictor, pad)
+
+    rows = env.minute_log
+    per_window = predictor.history.per_window
+    assert len(rows) == len(full) >= 3 * per_window
+    for k, row in enumerate(rows):
+        if (k + 1) % per_window:
+            assert row[2] is None
+        else:
+            np.testing.assert_array_equal(row[2], full[k])
+
+    old_log = [(r[0], r[1], f, r[3], r[4]) for r, f in zip(rows, full)]
+    rebuilt = DemandHistory(cfg.predictor.window_s, cfg.predictor.sample_s)
+    rebuilt.sync(old_log)
+    assert len(rebuilt) == len(predictor.history) > 0
+    for got, want in zip(predictor.history.snapshots, rebuilt.snapshots):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(predictor.history.demands, rebuilt.demands):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_history_rejects_a_closing_row_without_features():
+    rows = minute_rows([[1.0]] * 4)
+    rows[3] = rows[3][:2] + (None,) + rows[3][3:]
+    with pytest.raises(ValueError, match="no station features"):
+        DemandHistory().sync(rows)

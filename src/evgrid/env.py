@@ -25,12 +25,15 @@ chosen by the same exact comparison.
 Time advances in 1 s ticks. Within a tick: droop boundary first, then
 departures (pausing for decisions before any movement), then movement,
 station arrivals in vehicle-id order, charging, and re-routing of finished
-chargers; minute sampling happens after the tick's physics and appends a
-``minute_log`` row (t, occupancy per station, station features or None,
-total kW, setpoint; see ``_minute_sample``). Departure,
+chargers; minute sampling happens after the tick's physics. Departure,
 arrival, and completion timestamps therefore all land on tick boundaries,
 which keeps the per-vehicle travel-time sum exactly equal to the
 tick-counted dual (``EpisodeMetrics.ttt_s == EpisodeMetrics.ttt_tick_s``).
+
+Each minute sample appends one ``minute_log`` row: (t, occupancy per
+station, station features, total kW, setpoint). The station features are
+computed only on rows that close a forecaster demand window and are None
+on the others (see ``_minute_sample``).
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ class CouplingEnv:
         self._seg_samples = None
         self._interval_samples = []
         self._pf_cache = {}
-        self.minute_log = []    # see _minute_sample
+        self.minute_log = []    # rows as in the module docstring
         self.droop_log = []     # (t, v_avg, setpoint kW, occupancy tuple)
         self.completed = []
         self.stranded = []
@@ -446,11 +449,10 @@ class CouplingEnv:
                 charging_loads_kw(self.stations, self._setpoint))
 
     def _minute_sample(self):
-        """Record a load sample and append one ``minute_log`` row
-        (t, occupancy per station, station features or None, total kW,
-        setpoint).
+        """Record a load sample and append one ``minute_log`` row (layout
+        in the module docstring).
 
-        Only the forecaster reads the features, and only on the row that
+        Only the forecaster reads the station features, and only on the row that
         closes a demand window (every ``samples_per_window``-th row of the
         episode, see ``DemandHistory.sync``), so only that row computes
         them; every other row holds None there."""

@@ -17,10 +17,8 @@ smoothed loss flattens out (see ``convergence_check``); after that the
 model keeps predicting but stops training and the buffer stops growing.
 
 ``train_step`` stacks the buffer's pairs once per call into (N, T, ·)
-arrays and gathers each minibatch from them with one fancy-index and one
-transposing copy (``_gather``): the same values, C layout and strides as
-stacking the minibatch's pairs along axis 1, so the LSTMs see identical
-inputs.
+arrays and gathers each minibatch from them (``_gather``), so the LSTMs
+see the same arrays as from stacking each minibatch's pairs.
 """
 
 from __future__ import annotations

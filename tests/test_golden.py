@@ -1,16 +1,19 @@
 """Golden regression outputs: byte-exact CSVs from pinned runs.
 
 ``tests/golden/`` holds every byte-reproducible CSV (all but
-``timing.csv``) of three runs: greedy evaluation on the bundled reduced
-and case_a scenarios with seeds 0-2, and a 3-epoch ppolag training run on
-reduced with seed 0 (its training curve plus the evaluation of the
-trained agent). The test reruns them and compares byte for byte.
+``timing.csv``) of the runs in ``RUNS``: greedy evaluation on the bundled
+reduced and case_a scenarios with seeds 0-2, a 3-epoch ppolag training
+run on reduced, and a 2-epoch x 3-episode training run on reduced of
+every other trainable method (each training run with seed 0: its training
+curve plus the evaluation of the trained agent). The opsrl run is long
+enough for its forecaster to train, so the augmented state is pinned too.
+The test reruns them all and compares byte for byte.
 
 Floating-point results are reproducible per platform, not across Python
 or numpy versions, so ``manifest.json`` records the versions the files
-were made with, and the test fails on any other version. To regenerate
-(after checking that the outputs are meant to move), run from the
-repository root:
+were made with, and the test fails on any other version. It also lists
+every pinned run. To regenerate (after checking that the outputs are
+meant to move), run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -31,9 +34,28 @@ from evgrid.scenario import load_scenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
-EVAL_SEEDS = (0, 1, 2)
-TRAIN_SEED = 0
-TRAIN_EPOCHS = 3
+EVAL_SEEDS = [0, 1, 2]
+TRAIN_SEEDS = [0]
+SHORT_TRAINING = {"epochs": 2, "episodes_per_epoch": 3}
+
+
+def _run(verb, method, scenario, seeds, training=None):
+    return {"verb": verb, "method": method, "scenario": scenario,
+            "seeds": seeds, "training": training or {}}
+
+
+# One output directory per pinned run; "training" overrides the scenario's
+# training settings.
+RUNS = {
+    "eval_greedy_reduced": _run("eval", "greedy", "reduced", EVAL_SEEDS),
+    "eval_greedy_case_a": _run("eval", "greedy", "case_a", EVAL_SEEDS),
+    "train_ppolag_reduced": _run("train", "ppolag", "reduced", TRAIN_SEEDS,
+                                 {"epochs": 3}),
+    **{f"train_{m}_reduced": _run("train", m, "reduced", TRAIN_SEEDS,
+                                  SHORT_TRAINING)
+       for m in ("opsrl", "ppo", "ppopenalty", "dqn", "reinforce",
+                 "actorcritic")},
+}
 
 
 def versions():
@@ -43,13 +65,14 @@ def versions():
 def generate(out):
     """Write the pinned runs' byte-reproducible CSVs under out/<run>/."""
     out = Path(out)
-    reduced = load_scenario(evgrid.DATA_DIR / "reduced.yaml")
-    case_a = load_scenario(evgrid.DATA_DIR / "case_a.yaml")
-    run_eval(reduced, "greedy", EVAL_SEEDS, out / "eval_greedy_reduced")
-    run_eval(case_a, "greedy", EVAL_SEEDS, out / "eval_greedy_case_a")
-    short = replace(reduced, training=replace(reduced.training,
-                                              epochs=TRAIN_EPOCHS))
-    run_train(short, "ppolag", [TRAIN_SEED], out / "train_ppolag_reduced")
+    for name, run in RUNS.items():
+        cfg = load_scenario(evgrid.DATA_DIR / f"{run['scenario']}.yaml")
+        if run["verb"] == "eval":
+            run_eval(cfg, run["method"], run["seeds"], out / name)
+        else:
+            cfg = replace(cfg, training=replace(cfg.training,
+                                                **run["training"]))
+            run_train(cfg, run["method"], run["seeds"], out / name)
     for path in out.glob("*/*"):
         if path.suffix != ".csv" or path.name == "timing.csv":
             path.unlink()
@@ -75,6 +98,9 @@ def test_golden_outputs_are_byte_identical(tmp_path):
         f"golden outputs were made with {pinned} and this is {now}; "
         f"floating-point outputs are only byte-reproducible per version, so "
         f"regenerate them with `{REGENERATE}` and review the diff")
+    assert made["runs"] == RUNS, (
+        f"manifest.json lists other runs than RUNS; regenerate with "
+        f"`{REGENERATE}`")
 
     generate(tmp_path)
     assert csv_files(tmp_path) == csv_files(GOLDEN)
@@ -93,11 +119,7 @@ def main():
         generate(tmp)
         shutil.rmtree(GOLDEN, ignore_errors=True)
         shutil.copytree(tmp, GOLDEN)
-    manifest = {**versions(),
-                "eval_seeds": list(EVAL_SEEDS),
-                "train": {"method": "ppolag", "scenario": "reduced",
-                          "seed": TRAIN_SEED, "epochs": TRAIN_EPOCHS},
-                "regenerate": REGENERATE}
+    manifest = {**versions(), "runs": RUNS, "regenerate": REGENERATE}
     (GOLDEN / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(csv_files(GOLDEN))} files under {GOLDEN}")

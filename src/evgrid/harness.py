@@ -30,11 +30,9 @@ import yaml
 
 from . import DATA_DIR, __version__
 from .env import CouplingEnv
-from .predictor import OnlinePredictor
 from .scenario import ScenarioError, load_scenario
-from .srl import (AUGMENTED, METHODS, ActorCriticAgent, DQNAgent,
-                  LagrangePPOAgent, ReinforceAgent, evaluate, load_checkpoint,
-                  pad_width, save_checkpoint, train)
+from .srl import (METHODS, build_agent, evaluate, load_checkpoint,
+                  save_checkpoint, train)
 
 EVAL_SEED_BASE = 990_000
 SWEEP_AXES = ("ev_fraction", "controller_interval", "decoder_length",
@@ -187,29 +185,8 @@ def write_eval_artifacts(out, method, seed, records, trace):
 
 
 # ---------------------------------------------------------------------------
-# Agent plumbing shared by eval and sweep
+# Scenario, sweep and seed resolution
 # ---------------------------------------------------------------------------
-
-def build_agent(cfg, env, method, seed=0):
-    """Fresh (untrained) agent + predictor matching a method's layout."""
-    pad = pad_width(cfg) if method in AUGMENTED else 0
-    dim = env.state_dim + pad
-    tc = cfg.training
-    rng = np.random.default_rng([seed, cfg.seed, 4])
-    if method in ("opsrl", "ppolag", "ppo", "ppopenalty"):
-        agent = LagrangePPOAgent(dim, env.action_dim, tc, rng,
-                                 constrained=method in AUGMENTED)
-    elif method == "dqn":
-        agent = DQNAgent(dim, env.action_dim, tc, rng)
-    elif method == "reinforce":
-        agent = ReinforceAgent(dim, env.action_dim, tc, rng)
-    elif method == "actorcritic":
-        agent = ActorCriticAgent(dim, env.action_dim, tc, rng)
-    else:
-        raise HarnessError(f"method '{method}' does not use an agent")
-    predictor = OnlinePredictor(cfg, seed) if method == "opsrl" else None
-    return agent, predictor
-
 
 def _patched_source(cfg, keys, value):
     """Copy of the scenario document with one (possibly nested) key changed,

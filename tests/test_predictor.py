@@ -290,7 +290,7 @@ def test_minute_rows_carry_features_only_on_window_close(monkeypatch):
     the env would compute on every row, the other rows hold None, and the
     forecaster's history is what a features-on-every-row log gives."""
     from evgrid.env import CouplingEnv
-    from evgrid.srl import LagrangePPOAgent, pad_width, run_ppo_episode
+    from evgrid.srl import LagrangePPOAgent, pad_width, rollout
 
     cfg = load_scenario(evgrid.DATA_DIR / "reduced.yaml")
     full = []           # features computed on every row, as before
@@ -306,7 +306,8 @@ def test_minute_rows_carry_features_only_on_window_close(monkeypatch):
     agent = LagrangePPOAgent(env.state_dim + pad, env.action_dim, cfg.training,
                              np.random.default_rng(1))
     predictor = OnlinePredictor(cfg, seed=3)
-    run_ppo_episode(env, agent, np.random.default_rng(2), 7, predictor, pad)
+    act_rng = np.random.default_rng(2)
+    rollout(env, lambda s: agent.act(s, act_rng), 7, predictor, pad)
 
     rows = env.minute_log
     per_window = predictor.history.per_window

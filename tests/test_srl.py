@@ -1,16 +1,21 @@
 """Learning-stack tests: GAE, clip math, multiplier, agents, rollouts."""
 
+from functools import partial
+from types import MethodType
+
 import numpy as np
 import pytest
 
+from evgrid.env import CouplingEnv
 from evgrid.nn import log_softmax
 from evgrid.predictor import OnlinePredictor
 from evgrid.scenario import TrainConfig, load_scenario
 from evgrid.srl import (ActorCriticAgent, DQNAgent, EpisodeData,
                         LagrangePPOAgent, ReinforceAgent, actor_objective,
-                        clipped_surrogate, combined_advantage, compute_gae,
-                        evaluate, lagrangian_update, load_checkpoint,
-                        pad_width, ppo_update, save_checkpoint, train)
+                        build_agent, clipped_surrogate, combined_advantage,
+                        compute_gae, evaluate, greedy_action,
+                        lagrangian_update, load_checkpoint, pad_width,
+                        ppo_update, rollout, save_checkpoint, train)
 
 TINY = """\
 name: tiny
@@ -259,6 +264,43 @@ def test_dqn_uniform_when_fully_exploring_and_target_sync():
 def core_metrics(m):
     return (m.ttt_s, m.ttt_tick_s, m.cvv, m.wct_min, m.n_steps,
             m.n_completed, m.n_ev_completed, m.n_stranded)
+
+
+def test_rollout_collects_every_policy_kind(tiny_cfg):
+    env = CouplingEnv(tiny_cfg)
+    ppo, _ = build_agent(tiny_cfg, env, "ppo")
+    dqn, _ = build_agent(tiny_cfg, env, "dqn")
+    pg, _ = build_agent(tiny_cfg, env, "reinforce")
+    rng = np.random.default_rng(0)
+    runs = {
+        "greedy": (MethodType(greedy_action, env), None),
+        "ppo": (lambda s: ppo.act(s, rng), None),
+        "dqn": (lambda s: dqn.act(s, rng, 0.5),
+                partial(dqn.learn_step, rng=rng)),
+        "reinforce": (lambda s: pg.act(s, rng)[0], None),
+    }
+    steps = {}
+    for kind, (policy, on_step) in runs.items():
+        ep = rollout(env, policy, 21, on_step=on_step)
+        n = steps[kind] = ep.metrics.n_steps
+        assert n > 0
+        for col in (ep.states, ep.actions, ep.rewards, ep.costs):
+            assert len(col) == n, kind
+        assert ep.states.shape == (n, env.state_dim)
+        ppo_cols = (ep.logps, ep.values_r, ep.values_c)
+        if kind == "ppo":
+            assert all(col.shape == (n,) for col in ppo_cols)
+        else:
+            assert all(col is None for col in ppo_cols), kind
+
+    replay = list(dqn.replay)
+    n = steps["dqn"]
+    assert len(replay) == n
+    assert [done for *_, done in replay] == [False] * (n - 1) + [True]
+    for (_, _, _, s_next, _), (s, *_) in zip(replay, replay[1:]):
+        np.testing.assert_array_equal(s_next, s)
+    last_next = replay[-1][3]
+    assert last_next.shape == (env.state_dim,) and not last_next.any()
 
 
 def test_train_rejects_bad_methods(tiny_cfg):

@@ -239,11 +239,18 @@ def _parse_values(text):
         tok = tok.strip()
         if not tok:
             continue
-        if "/" in tok:
-            num, den = tok.split("/", 1)
-            out.append(float(num) / float(den))
-        else:
-            out.append(float(tok))
+        num, slash, den = tok.partition("/")
+        try:
+            value = float(num) / float(den) if slash else float(num)
+        except ValueError:
+            raise HarnessError(f"sweep value '{tok}' is not a number") \
+                from None
+        except ZeroDivisionError:
+            raise HarnessError(f"sweep value '{tok}' divides by zero") \
+                from None
+        if not np.isfinite(value):
+            raise HarnessError(f"sweep value '{tok}' is not finite")
+        out.append(value)
     if not out:
         raise HarnessError("empty sweep value list")
     return out
@@ -251,7 +258,16 @@ def _parse_values(text):
 
 def resolve_seeds(args, cfg):
     if args.seeds:
-        return [int(s) for s in args.seeds.split(",")]
+        seeds = []
+        for tok in args.seeds.split(","):
+            try:
+                seeds.append(int(tok))
+            except ValueError:
+                what = (f"seed '{tok.strip()}' is not an integer"
+                        if tok.strip() else "a seed is empty")
+                raise HarnessError(f"--seeds '{args.seeds}': {what}") \
+                    from None
+        return seeds
     if "seeds" in cfg.source:
         return [int(s) for s in cfg.seeds]
     return list(range(5))

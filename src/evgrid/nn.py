@@ -360,6 +360,8 @@ def load_params(path):
 def assign_params(params, loaded, prefix=""):
     """Copy loaded arrays into live parameter dicts, validating shapes."""
     for k, p in params.items():
+        if prefix + k not in loaded:
+            raise ValueError(f"checkpoint has no parameter '{prefix + k}'")
         src = loaded[prefix + k]
         if src.shape != p.shape:
             raise ValueError(f"shape mismatch for {prefix + k}: "

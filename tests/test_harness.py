@@ -2,6 +2,7 @@
 validation, manifest provenance, percentile oracle, and exit codes."""
 
 import json
+import re
 from argparse import Namespace
 from pathlib import Path
 
@@ -10,10 +11,10 @@ import pytest
 import yaml
 
 from evgrid import DATA_DIR
-from evgrid.harness import (MetricsRecord, _parse_values, apply_sweep_value,
-                            build_agent, config_hash, main, percentile98,
-                            resolve_scenario, resolve_seeds, run_eval,
-                            run_report)
+from evgrid.harness import (HarnessError, MetricsRecord, _parse_values,
+                            apply_sweep_value, build_agent, config_hash, main,
+                            percentile98, resolve_scenario, resolve_seeds,
+                            run_eval, run_report)
 from evgrid.env import CouplingEnv
 from evgrid.scenario import load_scenario
 from evgrid.srl import save_checkpoint
@@ -130,6 +131,16 @@ def test_parse_values_accepts_fractions():
     assert _parse_values("1/6,0.5, 2") == [1.0 / 6.0, 0.5, 2.0]
     with pytest.raises(ValueError):
         _parse_values(" , ")
+    for text, message in (("0.5,1/0", "'1/0' divides by zero"),
+                          ("2/-0.0", "'2/-0.0' divides by zero"),
+                          ("inf", "'inf' is not finite"),
+                          ("1, nan", "'nan' is not finite"),
+                          ("1e308/1e-308", "'1e308/1e-308' is not finite"),
+                          ("2,x", "'x' is not a number"),
+                          ("1/2/3", "'1/2/3' is not a number")):
+        with pytest.raises(HarnessError,
+                           match=re.escape(f"sweep value {message}")):
+            _parse_values(text)
 
 
 def test_sweep_axis_replacements(tiny_cfg):
@@ -170,6 +181,14 @@ def test_sweep_changes_config_hash(tiny_cfg):
 
 def test_resolve_seeds(tiny_cfg):
     assert resolve_seeds(Namespace(seeds="4,7"), tiny_cfg) == [4, 7]
+    assert resolve_seeds(Namespace(seeds="4, 7"), tiny_cfg) == [4, 7]
+    for text, why in (("0,,x", "a seed is empty"),
+                      ("0,", "a seed is empty"),
+                      ("0,x", "seed 'x' is not an integer"),
+                      ("1.5", "seed '1.5' is not an integer")):
+        with pytest.raises(HarnessError,
+                           match=re.escape(f"--seeds '{text}': {why}")):
+            resolve_seeds(Namespace(seeds=text), tiny_cfg)
     assert resolve_seeds(Namespace(seeds=""), tiny_cfg) == [0, 3]
     bare = load_scenario(DATA_DIR / "reduced.yaml")
     del bare.source["seeds"]
@@ -231,6 +250,23 @@ def test_train_run_artifacts(train_run):
     assert len(summary) == 4  # ttt/cvv/wct for one method
 
 
+def last_error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("ERROR ")
+    return json.loads(err[len("ERROR "):])
+
+
+def test_eval_rejects_another_methods_checkpoint(train_run, scenario_path,
+                                                 tmp_path, capsys):
+    rc = main(["eval", "--scenario", str(scenario_path), "--method", "dqn",
+               "--checkpoint", str(train_run / "checkpoint_ppo_s0.bin"),
+               "--seeds", "0", "--out", str(tmp_path / "ev")])
+    assert rc == 1
+    payload = last_error(capsys)
+    assert payload["type"] == "ValueError"
+    assert payload["message"] == "checkpoint has no parameter 'q.w0'"
+
+
 def test_manifest_provenance(train_run, tiny_cfg):
     doc = json.loads((train_run / "manifest.json").read_text())
     assert doc["scenario"] == "tinyharness"
@@ -288,10 +324,17 @@ def test_main_sweep_and_errors(scenario_path, tmp_path, capsys):
     rc = main(["eval", "--scenario", "missing_scenario", "--method",
                "greedy", "--out", str(tmp_path / "x")])
     assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()[-1]
-    assert err.startswith("ERROR ")
-    payload = json.loads(err[len("ERROR "):])
-    assert payload["type"] == "HarnessError"
+    assert last_error(capsys)["type"] == "HarnessError"
+
+    for values, seeds, message in (
+            ("1/0", "1", "sweep value '1/0' divides by zero"),
+            ("1/6", "0,,x", "--seeds '0,,x': a seed is empty")):
+        rc = main(["sweep", "--scenario", str(scenario_path), "--method",
+                   "greedy", "--sweep-axis", "ev_fraction", "--sweep-values",
+                   values, "--seeds", seeds, "--out", str(tmp_path / "z")])
+        assert rc == 1
+        assert last_error(capsys) == {"type": "HarnessError",
+                                      "message": message}
 
     rc = main(["sweep", "--scenario", str(scenario_path), "--method",
                "greedy", "--sweep-axis", "controller_interval",

@@ -165,10 +165,6 @@ class CouplingEnv:
         return 5 + self._n_links + 9 * len(self.cfg.stations)
 
     @property
-    def pending_vid(self):
-        return self._pending[0] if self._pending else None
-
-    @property
     def pending_vehicle(self):
         """Vehicle awaiting a station decision (None outside a pause)."""
         return self._vehicles[self._pending[0]] if self._pending else None

@@ -256,13 +256,6 @@ def _sigmoid(x):
 # categorical head
 # ---------------------------------------------------------------------------
 
-def softmax(logits):
-    z = np.asarray(logits, dtype=float)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def log_softmax(logits):
     z = np.asarray(logits, dtype=float)
     z = z - z.max(axis=-1, keepdims=True)
@@ -273,13 +266,6 @@ def categorical_sample(probs, rng):
     """Inverse-CDF sample; probs (n,) -> int index."""
     u = rng.random()
     return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
-
-
-def categorical_entropy(probs):
-    p = np.asarray(probs, dtype=float)
-    safe = np.where(p > 0, p, 1.0)
-    return float(-(p * np.log(safe)).sum(axis=-1)) if p.ndim == 1 else \
-        -(p * np.log(safe)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +343,18 @@ def load_params(path):
     return out
 
 
-def assign_params(params, loaded, prefix=""):
+def prefixed(**named):
+    """One ordered dict of ``"<name>.<key>": array`` from named parameter
+    or gradient dicts, in argument order (the arrays are not copied)."""
+    return {f"{name}.{k}": v for name, d in named.items() for k, v in d.items()}
+
+
+def assign_params(params, loaded):
     """Copy loaded arrays into live parameter dicts, validating shapes."""
     for k, p in params.items():
-        if prefix + k not in loaded:
-            raise ValueError(f"checkpoint has no parameter '{prefix + k}'")
-        src = loaded[prefix + k]
+        if k not in loaded:
+            raise ValueError(f"checkpoint has no parameter '{k}'")
+        src = loaded[k]
         if src.shape != p.shape:
-            raise ValueError(f"shape mismatch for {prefix + k}: "
-                             f"{src.shape} vs {p.shape}")
+            raise ValueError(f"shape mismatch for {k}: {src.shape} vs {p.shape}")
         p[...] = src

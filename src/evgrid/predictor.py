@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import LSTM, Adam, DenseNet
+from .nn import LSTM, Adam, DenseNet, prefixed
 from .scenario import PredictorConfig, ScenarioConfig, samples_per_window
 
 
@@ -152,12 +152,9 @@ class Seq2SeqForecaster:
         self.converged = False
 
     def param_dict(self):
-        out = {}
-        for prefix, net in (("enc.", self.encoder), ("dec.", self.decoder),
-                            ("head.", self.head)):
-            for k, v in net.param_dict().items():
-                out[prefix + k] = v
-        return out
+        return prefixed(enc=self.encoder.param_dict(),
+                        dec=self.decoder.param_dict(),
+                        head=self.head.param_dict())
 
     def predict(self, snapshots, last_demand) -> np.ndarray:
         """Autoregressive forecast: (enc_len, feat) history -> (dec_len, M)."""
@@ -206,13 +203,8 @@ class Seq2SeqForecaster:
                 dec_cache, dout.reshape(ld, b, hid))
             enc_grads, _, _ = self.encoder.backward(
                 enc_cache, np.zeros((enc_x.shape[0], b, hid)), grad_state=dstate0)
-
-            grads = {}
-            for prefix, gd in (("enc.", enc_grads), ("dec.", dec_grads),
-                               ("head.", head_grads)):
-                for k, v in gd.items():
-                    grads[prefix + k] = v
-            self.optimizer.step(params, grads)
+            self.optimizer.step(params, prefixed(enc=enc_grads, dec=dec_grads,
+                                                 head=head_grads))
         mean_loss = float(losses.mean())
         self.losses.append(mean_loss)
         return mean_loss

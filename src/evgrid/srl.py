@@ -6,11 +6,12 @@ cost, then 40 minibatch iterations ascend a clipped importance-ratio
 surrogate built from the combined advantage A_r - lambda * A_c (normalized
 after combination), updating actor, reward critic and cost critic in that
 order on the same minibatch. Baselines share the env and network substrate:
-nearest-station greedy, DQN, REINFORCE, one-step actor-critic, reward-only
-PPO, and PPO on a min-max penalty-shaped reward calibrated on its first
-epoch. The full method pairs the constrained agent with the online demand
-predictor; with augmentation disabled it reduces exactly to the
-constrained-PPO baseline.
+nearest-station greedy, ``DQNAgent``, ``PolicyGradientAgent`` (REINFORCE
+without a critic, one-step actor-critic with one), and ``LagrangePPOAgent``
+unconstrained as reward-only PPO and as PPO on a min-max penalty-shaped
+reward calibrated on its first epoch. The full method pairs the constrained
+agent with the online demand predictor; with augmentation disabled it
+reduces exactly to the constrained-PPO baseline.
 
 Every method is a policy acting in the same env: ``build_agent`` is the one
 factory for agents and predictors (training, evaluation and the harness all
@@ -30,7 +31,7 @@ import numpy as np
 
 from .env import CouplingEnv, EnvError, EpisodeMetrics
 from .nn import (Adam, DenseNet, assign_params, categorical_sample,
-                 load_params, log_softmax, save_params)
+                 load_params, log_softmax, prefixed, save_params)
 from .power import PowerFlowError
 from .predictor import OnlinePredictor
 from .scenario import ScenarioConfig, TrainConfig
@@ -43,7 +44,7 @@ EPISODIC_PG = ("reinforce", "actorcritic")      # update after each episode
 
 
 # ---------------------------------------------------------------------------
-# Advantage and multiplier math
+# Advantage, multiplier and update-step math
 # ---------------------------------------------------------------------------
 
 def compute_gae(rewards, values, gamma, lam):
@@ -113,6 +114,31 @@ def actor_objective(logits, actions, logp_old, adv, clip, ent_coef):
     return loss, dlogits, info
 
 
+def _pg_step(actor, opt, states, actions, weights):
+    """One Adam step of ``actor`` along the score-function gradient
+    sum_t w_t grad log pi(a_t|s_t) / T; returns the taken log-probs."""
+    logits, cache = actor.forward(states)
+    lp = log_softmax(logits)
+    p = np.exp(lp)
+    rows = np.arange(len(actions))
+    onehot = np.zeros_like(p)
+    onehot[rows, actions] = 1.0
+    dlogits = -(weights[:, None] * (onehot - p)) / len(actions)
+    grads, _ = actor.backward(cache, dlogits)
+    opt.step(actor.param_dict(), grads)
+    return lp[rows, actions]
+
+
+def _critic_step(critic, opt, v, cache, target):
+    """One Adam step of ``critic`` on the mean squared error of its forward
+    output ``v`` (n, 1), with ``cache``, to a fixed ``target`` (n,);
+    returns that error."""
+    diff = v[:, 0] - target
+    grads, _ = critic.backward(cache, (2.0 * diff / len(diff))[:, None])
+    opt.step(critic.param_dict(), grads)
+    return float(np.mean(diff * diff))
+
+
 # ---------------------------------------------------------------------------
 # Episode container
 # ---------------------------------------------------------------------------
@@ -176,12 +202,9 @@ class LagrangePPOAgent:
         return int(np.argmax(logits))
 
     def param_dict(self):
-        out = {}
-        for prefix, net in (("actor.", self.actor), ("vr.", self.critic_r),
-                            ("vc.", self.critic_c)):
-            for k, v in net.param_dict().items():
-                out[prefix + k] = v
-        return out
+        return prefixed(actor=self.actor.param_dict(),
+                        vr=self.critic_r.param_dict(),
+                        vc=self.critic_c.param_dict())
 
 
 def ppo_update(agent: LagrangePPOAgent, episodes, rng):
@@ -247,12 +270,9 @@ def ppo_update(agent: LagrangePPOAgent, episodes, rng):
                                 "critic_c_loss"))
         for critic, opt, ret, key in critic_plan:
             v, vcache = critic.forward(states[mb])
-            diff = v[:, 0] - ret[mb]
-            vloss = float(np.mean(diff * diff))
+            vloss = _critic_step(critic, opt, v, vcache, ret[mb])
             if not np.isfinite(vloss):
                 raise RuntimeError(f"non-finite {key} at minibatch {it}")
-            vgrads, _ = critic.backward(vcache, (2.0 * diff / len(mb))[:, None])
-            opt.step(critic.param_dict(), vgrads)
             stats[key] = vloss
     stats["lam"] = agent.lam
     return stats
@@ -262,89 +282,57 @@ def ppo_update(agent: LagrangePPOAgent, episodes, rng):
 # Baseline agents
 # ---------------------------------------------------------------------------
 
-class ReinforceAgent:
-    """Monte-Carlo policy gradient on discounted episode returns."""
+class PolicyGradientAgent:
+    """Episodic policy gradient, one update per complete episode.
 
-    def __init__(self, state_dim, n_actions, tc: TrainConfig, rng):
+    Without a critic this is REINFORCE: each step is weighted by its
+    normalized discounted return. With ``critic=True`` it is one-step
+    actor-critic: the weight is the TD error against a critic that then
+    regresses onto the frozen TD target.
+    """
+
+    def __init__(self, state_dim, n_actions, tc: TrainConfig, rng,
+                 critic=False):
         self.actor = DenseNet([state_dim, *tc.hidden, n_actions], rng)
-        self.tc = tc
-        self.n_actions = n_actions
-        self.opt = Adam(self.actor.param_dict(), tc.lr)
-
-    def act(self, state, rng):
-        logits, _ = self.actor.forward(np.asarray(state, dtype=float))
-        lp = log_softmax(logits)
-        a = categorical_sample(np.exp(lp), rng)
-        return a, float(lp[a])
-
-    def act_greedy(self, state) -> int:
-        logits, _ = self.actor.forward(np.asarray(state, dtype=float))
-        return int(np.argmax(logits))
-
-    def update(self, states, actions, rewards):
-        """One gradient step on a complete episode."""
-        g = np.empty(len(rewards))
-        acc = 0.0
-        for t in range(len(rewards) - 1, -1, -1):
-            acc = rewards[t] + self.tc.gamma * acc
-            g[t] = acc
-        if len(g) > 1 and g.std() > 1e-8:
-            g = (g - g.mean()) / g.std()
-        logits, cache = self.actor.forward(np.asarray(states, dtype=float))
-        lp = log_softmax(logits)
-        p = np.exp(lp)
-        onehot = np.zeros_like(p)
-        rows = np.arange(len(actions))
-        onehot[rows, actions] = 1.0
-        dlogits = -(g[:, None] * (onehot - p)) / len(actions)
-        grads, _ = self.actor.backward(cache, dlogits)
-        self.opt.step(self.actor.param_dict(), grads)
-        return float(-(lp[rows, actions] * g).mean())
-
-    def param_dict(self):
-        return {"actor." + k: v for k, v in self.actor.param_dict().items()}
-
-
-class ActorCriticAgent:
-    """One-step TD actor-critic; updates once per episode, batched."""
-
-    def __init__(self, state_dim, n_actions, tc: TrainConfig, rng):
-        self.actor = DenseNet([state_dim, *tc.hidden, n_actions], rng)
-        self.critic = DenseNet([state_dim, *tc.hidden, 1], rng)
+        self.critic = DenseNet([state_dim, *tc.hidden, 1], rng) \
+            if critic else None
         self.tc = tc
         self.n_actions = n_actions
         self.opt_actor = Adam(self.actor.param_dict(), tc.lr)
-        self.opt_critic = Adam(self.critic.param_dict(), tc.lr)
+        self.opt_critic = Adam(self.critic.param_dict(), tc.lr) \
+            if critic else None
 
-    act = ReinforceAgent.act
-    act_greedy = ReinforceAgent.act_greedy
+    def act(self, state, rng) -> int:
+        logits, _ = self.actor.forward(np.asarray(state, dtype=float))
+        return categorical_sample(np.exp(log_softmax(logits)), rng)
+
+    act_greedy = LagrangePPOAgent.act_greedy
 
     def update(self, states, actions, rewards):
+        """One gradient step on a complete episode; returns the policy loss
+        (REINFORCE) or the mean squared TD error (actor-critic)."""
         s = np.asarray(states, dtype=float)
-        r = np.asarray(rewards, dtype=float)
+        if self.critic is None:
+            g = np.empty(len(rewards))
+            acc = 0.0
+            for t in range(len(rewards) - 1, -1, -1):
+                acc = rewards[t] + self.tc.gamma * acc
+                g[t] = acc
+            if len(g) > 1 and g.std() > 1e-8:
+                g = (g - g.mean()) / g.std()
+            lp = _pg_step(self.actor, self.opt_actor, s, actions, g)
+            return float(-(lp * g).mean())
         v, vcache = self.critic.forward(s)
-        v = v[:, 0]
-        v_next = np.append(v[1:], 0.0)          # terminal bootstrap
-        td = r + self.tc.gamma * v_next - v
-
-        logits, cache = self.actor.forward(s)
-        lp = log_softmax(logits)
-        p = np.exp(lp)
-        onehot = np.zeros_like(p)
-        onehot[np.arange(len(actions)), actions] = 1.0
-        dlogits = -(td[:, None] * (onehot - p)) / len(actions)
-        grads, _ = self.actor.backward(cache, dlogits)
-        self.opt_actor.step(self.actor.param_dict(), grads)
-
-        # critic chases the frozen TD target
-        vgrads, _ = self.critic.backward(vcache, (-2.0 * td / len(td))[:, None])
-        self.opt_critic.step(self.critic.param_dict(), vgrads)
-        return float(np.mean(td * td))
+        target = np.asarray(rewards, dtype=float) \
+            + self.tc.gamma * np.append(v[1:, 0], 0.0)   # terminal bootstrap
+        _pg_step(self.actor, self.opt_actor, s, actions, target - v[:, 0])
+        return _critic_step(self.critic, self.opt_critic, v, vcache, target)
 
     def param_dict(self):
-        out = {"actor." + k: v for k, v in self.actor.param_dict().items()}
-        out.update({"critic." + k: v for k, v in self.critic.param_dict().items()})
-        return out
+        if self.critic is None:
+            return prefixed(actor=self.actor.param_dict())
+        return prefixed(actor=self.actor.param_dict(),
+                        critic=self.critic.param_dict())
 
 
 class DQNAgent:
@@ -420,9 +408,7 @@ class DQNAgent:
         return loss
 
     def param_dict(self):
-        out = {"q." + k: v for k, v in self.q.param_dict().items()}
-        out.update({"tgt." + k: v for k, v in self.target.param_dict().items()})
-        return out
+        return prefixed(q=self.q.param_dict(), tgt=self.target.param_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +430,9 @@ def build_agent(cfg: ScenarioConfig, env: CouplingEnv, method: str, seed=0):
                                  constrained=method in AUGMENTED)
     elif method == "dqn":
         agent = DQNAgent(dim, env.action_dim, tc, rng)
-    elif method == "reinforce":
-        agent = ReinforceAgent(dim, env.action_dim, tc, rng)
-    elif method == "actorcritic":
-        agent = ActorCriticAgent(dim, env.action_dim, tc, rng)
+    elif method in EPISODIC_PG:
+        agent = PolicyGradientAgent(dim, env.action_dim, tc, rng,
+                                    critic=method == "actorcritic")
     else:
         raise ValueError(f"method '{method}' does not use an agent")
     predictor = OnlinePredictor(cfg, seed) if method == "opsrl" else None
@@ -584,9 +569,6 @@ def train(cfg: ScenarioConfig, method: str, seed: int, epochs=None,
 
         def policy(s):
             return agent.act(s, act_rng, eps)   # eps: set per episode below
-    elif method in EPISODIC_PG:
-        def policy(s):
-            return agent.act(s, act_rng)[0]
     else:
         def policy(s):
             return agent.act(s, act_rng)
@@ -685,8 +667,7 @@ def save_checkpoint(path, agent, predictor: OnlinePredictor | None = None):
     if hasattr(agent, "updates"):
         params["meta.updates"] = np.array([agent.updates], dtype=float)
     if predictor is not None:
-        for k, v in predictor.model.param_dict().items():
-            params["pred." + k] = v
+        params.update(prefixed(pred=predictor.model.param_dict()))
         params["predmeta.losses"] = np.array(predictor.model.losses)
         params["predmeta.converged"] = np.array(
             [float(predictor.model.converged)])
@@ -701,6 +682,6 @@ def load_checkpoint(path, agent, predictor: OnlinePredictor | None = None):
     if hasattr(agent, "updates"):
         agent.updates = int(loaded["meta.updates"][0])
     if predictor is not None:
-        assign_params(predictor.model.param_dict(), loaded, prefix="pred.")
+        assign_params(prefixed(pred=predictor.model.param_dict()), loaded)
         predictor.model.losses = list(loaded["predmeta.losses"])
         predictor.model.converged = bool(loaded["predmeta.converged"][0])

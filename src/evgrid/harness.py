@@ -218,9 +218,10 @@ def apply_sweep_value(cfg, axis, value):
                        source=_patched_source(cfg, ("droop", "interval_s"),
                                               interval))
     if axis == "decoder_length":
-        n = int(value)
-        if n < 1:
-            raise HarnessError("decoder_length must be >= 1")
+        v = float(value)
+        if not v.is_integer() or v < 1:
+            raise HarnessError(f"decoder_length {v:g} is not an integer >= 1")
+        n = int(v)
         return replace(cfg, predictor=replace(cfg.predictor, dec_len=n),
                        source=_patched_source(cfg, ("predictor", "dec_len"), n))
     if axis == "compliance_rate":
@@ -383,10 +384,8 @@ def run_report(out):
             for row in rows:
                 by_key.setdefault((method, int(row[0])), []).append(
                     [float(x) for x in row[1:]])
-        rows = [(m, e, repr(float(np.mean([v[0] for v in vals]))),
-                 repr(float(np.mean([v[1] for v in vals]))),
-                 repr(float(np.mean([v[2] for v in vals]))),
-                 repr(float(np.mean([v[3] for v in vals]))))
+        # per-column means: np.mean(vals, axis=0) sums in another order
+        rows = [(m, e, *(repr(float(np.mean(col))) for col in zip(*vals)))
                 for (m, e), vals in sorted(by_key.items())]
         write_csv(out / "report_training_curve.csv",
                   ["method", "epoch", "mean_ttt", "mean_cvv", "lambda",

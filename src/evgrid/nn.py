@@ -13,7 +13,12 @@ Initialization conventions:
 Checkpoint format (``save_params`` / ``load_params``): little-endian binary,
 magic ``b"EVGD"``, uint32 version, uint32 entry count, then per entry a
 uint16 name length, the utf-8 name, a uint8 rank, uint64 dims, and the raw
-float64 data.
+float64 data. Agent checkpoints (``srl.save_checkpoint``) hold the agent's
+parameters, the forecaster's under ``pred.`` with ``predmeta.losses`` and
+``predmeta.converged``, and float ``meta.*`` entries: the tag
+``meta.method`` (an index into ``srl.METHODS``), ``meta.state_dim``,
+``meta.action_dim`` and ``meta.pad_width``, plus ``meta.lam`` or
+``meta.updates`` where the agent keeps them.
 """
 
 from __future__ import annotations

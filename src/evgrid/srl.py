@@ -421,8 +421,15 @@ def pad_width(cfg: ScenarioConfig) -> int:
 
 
 def build_agent(cfg: ScenarioConfig, env: CouplingEnv, method: str, seed=0):
-    """Fresh (untrained) agent + predictor matching a method's layout."""
-    dim = env.state_dim + (pad_width(cfg) if method in AUGMENTED else 0)
+    """Fresh (untrained) agent + predictor matching a method's layout.
+
+    The agent's ``tag`` records the method (as its index in ``METHODS``),
+    the env's state and action dims and the forecast pad width: the
+    identity that ``save_checkpoint`` writes and ``load_checkpoint``
+    checks.
+    """
+    pad = pad_width(cfg) if method in AUGMENTED else 0
+    dim = env.state_dim + pad
     tc = cfg.training
     rng = np.random.default_rng([seed, cfg.seed, 4])
     if method in PPO_FAMILY:
@@ -435,6 +442,8 @@ def build_agent(cfg: ScenarioConfig, env: CouplingEnv, method: str, seed=0):
                                     critic=method == "actorcritic")
     else:
         raise ValueError(f"method '{method}' does not use an agent")
+    agent.tag = {"method": METHODS.index(method), "state_dim": env.state_dim,
+                 "action_dim": env.action_dim, "pad_width": pad}
     predictor = OnlinePredictor(cfg, seed) if method == "opsrl" else None
     return agent, predictor
 
@@ -558,7 +567,7 @@ def train(cfg: ScenarioConfig, method: str, seed: int, epochs=None,
         else int(episodes_per_epoch)
     env = CouplingEnv(cfg)
     agent, predictor = build_agent(cfg, env, method, seed)
-    pad = pad_width(cfg) if method in AUGMENTED else 0
+    pad = agent.tag["pad_width"]
     act_rng = np.random.default_rng([seed, cfg.seed, 2])
     upd_rng = np.random.default_rng([seed, cfg.seed, 5])
 
@@ -661,7 +670,11 @@ def evaluate(cfg: ScenarioConfig, method: str, agent=None, predictor=None,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, agent, predictor: OnlinePredictor | None = None):
+    """Write a ``build_agent`` agent, its tag as float ``meta.*`` entries,
+    and the predictor if one is given."""
     params = dict(agent.param_dict())
+    params.update({f"meta.{k}": np.array([float(v)])
+                   for k, v in agent.tag.items()})
     if hasattr(agent, "lam"):
         params["meta.lam"] = np.array([agent.lam])
     if hasattr(agent, "updates"):
@@ -674,14 +687,42 @@ def save_checkpoint(path, agent, predictor: OnlinePredictor | None = None):
     save_params(path, params)
 
 
+def _tag_text(tag):
+    m = tag["method"]
+    name = repr(METHODS[int(m)]) if float(m).is_integer() \
+        and 0 <= m < len(METHODS) else f"method index {m:g}"
+    return (f"{name} (state dim {tag['state_dim']:g}, action dim "
+            f"{tag['action_dim']:g}, pad width {tag['pad_width']:g})")
+
+
 def load_checkpoint(path, agent, predictor: OnlinePredictor | None = None):
+    """Load a ``save_checkpoint`` file into a ``build_agent`` agent (and
+    predictor). Raises ValueError for a file without a tag, a tag other
+    than the agent's, an entry the targets do not use, or a missing or
+    misshapen parameter."""
     loaded = load_params(path)
-    assign_params(agent.param_dict(), loaded)
+    if "meta.method" not in loaded:
+        raise ValueError("checkpoint predates method tags; train it again")
+    tag = {k: float(loaded[f"meta.{k}"][0]) if f"meta.{k}" in loaded
+           else float("nan") for k in agent.tag}
+    if tag != agent.tag:
+        raise ValueError(f"checkpoint was saved for {_tag_text(tag)}, "
+                         f"not {_tag_text(agent.tag)}")
+    params = dict(agent.param_dict())
+    meta = [f"meta.{k}" for k in agent.tag]
+    meta += [f"meta.{k}" for k in ("lam", "updates") if hasattr(agent, k)]
+    if predictor is not None:
+        params.update(prefixed(pred=predictor.model.param_dict()))
+        meta += ["predmeta.losses", "predmeta.converged"]
+    unused = [k for k in loaded if k not in params and k not in meta]
+    if unused:
+        raise ValueError("checkpoint has entries the target does not use: "
+                         + ", ".join(unused))
+    assign_params(params, loaded)
     if hasattr(agent, "lam"):
         agent.lam = float(loaded["meta.lam"][0])
     if hasattr(agent, "updates"):
         agent.updates = int(loaded["meta.updates"][0])
     if predictor is not None:
-        assign_params(prefixed(pred=predictor.model.param_dict()), loaded)
         predictor.model.losses = list(loaded["predmeta.losses"])
         predictor.model.converged = bool(loaded["predmeta.converged"][0])

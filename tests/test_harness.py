@@ -14,8 +14,9 @@ from evgrid import DATA_DIR
 from evgrid.harness import (HarnessError, MetricsRecord, _parse_values,
                             apply_sweep_value, build_agent, config_hash, main,
                             percentile98, resolve_scenario, resolve_seeds,
-                            run_eval, run_report)
+                            run_eval, run_report, write_csv)
 from evgrid.env import CouplingEnv
+from evgrid.nn import load_params, save_params
 from evgrid.scenario import load_scenario
 from evgrid.srl import save_checkpoint
 
@@ -167,8 +168,12 @@ def test_sweep_axis_validation(tiny_cfg):
         apply_sweep_value(tiny_cfg, "ev_fraction", 1.5)
     with pytest.raises(ValueError):
         apply_sweep_value(tiny_cfg, "compliance_rate", -0.1)
-    with pytest.raises(ValueError):
-        apply_sweep_value(tiny_cfg, "decoder_length", 0)
+    for value in (0, 2.5, -1.0):
+        with pytest.raises(HarnessError, match=re.escape(
+                f"decoder_length {value:g} is not an integer >= 1")):
+            apply_sweep_value(tiny_cfg, "decoder_length", value)
+    assert apply_sweep_value(tiny_cfg, "decoder_length", 3.0) \
+        .predictor.dec_len == 3
 
 
 def test_sweep_changes_config_hash(tiny_cfg):
@@ -257,14 +262,39 @@ def last_error(capsys):
 
 
 def test_eval_rejects_another_methods_checkpoint(train_run, scenario_path,
-                                                 tmp_path, capsys):
-    rc = main(["eval", "--scenario", str(scenario_path), "--method", "dqn",
-               "--checkpoint", str(train_run / "checkpoint_ppo_s0.bin"),
-               "--seeds", "0", "--out", str(tmp_path / "ev")])
-    assert rc == 1
-    payload = last_error(capsys)
-    assert payload["type"] == "ValueError"
-    assert payload["message"] == "checkpoint has no parameter 'q.w0'"
+                                                 tiny_cfg, tmp_path, capsys):
+    ppo = train_run / "checkpoint_ppo_s0.bin"
+    opsrl = tmp_path / "opsrl.bin"
+    save_checkpoint(opsrl, *build_agent(tiny_cfg, CouplingEnv(tiny_cfg),
+                                        "opsrl"))
+    entries = load_params(ppo)
+    untagged = tmp_path / "untagged.bin"
+    save_params(untagged, {k: v for k, v in entries.items()
+                           if k not in ("meta.method", "meta.state_dim",
+                                        "meta.action_dim", "meta.pad_width")})
+    extra = tmp_path / "extra.bin"
+    save_params(extra, {**entries, "junk.w0": np.zeros(2)})
+
+    def tagged(method, pad=0):
+        return f"'{method}' (state dim 42, action dim 2, pad width {pad})"
+
+    for method, checkpoint, message in (
+            ("dqn", ppo, f"checkpoint was saved for {tagged('ppo')}, "
+                         f"not {tagged('dqn')}"),
+            ("ppolag", opsrl, f"checkpoint was saved for {tagged('opsrl', 4)}"
+                              f", not {tagged('ppolag', 4)}"),
+            ("reinforce", ppo, f"checkpoint was saved for {tagged('ppo')}, "
+                               f"not {tagged('reinforce')}"),
+            ("ppo", untagged, "checkpoint predates method tags; "
+                              "train it again"),
+            ("ppo", extra, "checkpoint has entries the target does not use: "
+                           "junk.w0")):
+        rc = main(["eval", "--scenario", str(scenario_path), "--method",
+                   method, "--checkpoint", str(checkpoint), "--seeds", "0",
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 1, (method, checkpoint.name)
+        assert last_error(capsys) == {"type": "ValueError",
+                                      "message": message}
 
 
 def test_manifest_provenance(train_run, tiny_cfg):
@@ -299,6 +329,29 @@ def test_report_from_run(train_run):
         assert (train_run / name).exists()
 
 
+def test_report_curve_mean_is_per_column(tmp_path):
+    # From 8 seeds up, np.mean(rows, axis=0) can differ in the last bit
+    # from per-column means; the report keeps the per-column ones.
+    rng = np.random.default_rng(31)
+    header = ["epoch", "mean_ttt", "mean_cvv", "lambda", "predictor_loss"]
+    curves = {}
+    for seed in range(9):
+        rows = [[e, *(rng.lognormal(s, 1.0) for s in (8.0, -3.0, -1.0, 0.0))]
+                for e in range(3)]
+        curves[seed] = rows
+        write_csv(tmp_path / f"training_curve_ppo_s{seed}.csv", header,
+                  [(e, *map(repr, vals)) for e, *vals in rows])
+    run_report(tmp_path)
+    want = []
+    for e in range(3):
+        vals = [curves[seed][e][1:] for seed in range(9)]
+        want.append(("ppo", e, *(repr(float(np.mean([v[j] for v in vals])))
+                                 for j in range(4))))
+    write_csv(tmp_path / "want" / "report.csv", ["method", *header], want)
+    assert (tmp_path / "report_training_curve.csv").read_bytes() \
+        == (tmp_path / "want" / "report.csv").read_bytes()
+
+
 def test_report_missing_dir(tmp_path):
     with pytest.raises(ValueError, match="artifacts"):
         run_report(tmp_path)  # exists but empty
@@ -326,11 +379,13 @@ def test_main_sweep_and_errors(scenario_path, tmp_path, capsys):
     assert rc == 1
     assert last_error(capsys)["type"] == "HarnessError"
 
-    for values, seeds, message in (
-            ("1/0", "1", "sweep value '1/0' divides by zero"),
-            ("1/6", "0,,x", "--seeds '0,,x': a seed is empty")):
+    for axis, values, seeds, message in (
+            ("ev_fraction", "1/0", "1", "sweep value '1/0' divides by zero"),
+            ("ev_fraction", "1/6", "0,,x", "--seeds '0,,x': a seed is empty"),
+            ("decoder_length", "2.5", "0",
+             "decoder_length 2.5 is not an integer >= 1")):
         rc = main(["sweep", "--scenario", str(scenario_path), "--method",
-                   "greedy", "--sweep-axis", "ev_fraction", "--sweep-values",
+                   "greedy", "--sweep-axis", axis, "--sweep-values",
                    values, "--seeds", seeds, "--out", str(tmp_path / "z")])
         assert rc == 1
         assert last_error(capsys) == {"type": "HarnessError",

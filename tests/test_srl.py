@@ -417,9 +417,8 @@ def test_train_curve_and_eval_roundtrip(tiny_cfg, tmp_path):
     path = tmp_path / "ck.bin"
     save_checkpoint(path, res.agent, res.predictor)
 
-    agent2 = LagrangePPOAgent(res.agent.state_dim, res.agent.n_actions,
-                              tiny_cfg.training, np.random.default_rng(99))
-    pred2 = OnlinePredictor(tiny_cfg, 77)
+    agent2, pred2 = build_agent(tiny_cfg, CouplingEnv(tiny_cfg), "opsrl",
+                                seed=77)
     load_checkpoint(path, agent2, pred2)
     assert agent2.lam == res.agent.lam
     assert pred2.model.converged == res.predictor.model.converged

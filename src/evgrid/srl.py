@@ -703,8 +703,7 @@ def load_checkpoint(path, agent, predictor: OnlinePredictor | None = None):
     loaded = load_params(path)
     if "meta.method" not in loaded:
         raise ValueError("checkpoint predates method tags; train it again")
-    tag = {k: float(loaded[f"meta.{k}"][0]) if f"meta.{k}" in loaded
-           else float("nan") for k in agent.tag}
+    tag = {k: float(loaded.get(f"meta.{k}", [np.nan])[0]) for k in agent.tag}
     if tag != agent.tag:
         raise ValueError(f"checkpoint was saved for {_tag_text(tag)}, "
                          f"not {_tag_text(agent.tag)}")

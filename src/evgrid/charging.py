@@ -13,7 +13,10 @@ Charging advances in fixed ticks; a vehicle finishes on the tick its state
 of charge reaches the target (no clamping, so the energy ledger stays exact:
 capacity * (soc_end - soc_start) == charged_kwh - driven_kwh). The
 environment does not step idle stations (nothing charging, nothing
-queued): ``update_charging`` would change nothing there.
+queued): ``update_charging`` would change nothing there. Across a quiet
+stretch, in which no EV reaches its target and so no queue head moves up,
+``coast`` repeats each charger's per-tick float operations (``soc += dsoc``,
+``charged_kwh += kwh``) and ``quiet_ticks`` bounds how long that holds.
 """
 
 from __future__ import annotations
@@ -120,6 +123,34 @@ class ChargingStation:
         while self.queue and len(self.charging) < self.piles:
             self._start(self.queue.popleft(), t_end)
         return finished
+
+    def quiet_ticks(self, dt: float, setpoint_kw: float,
+                    battery: BatteryParams) -> int:
+        """Ticks of ``update_charging`` before any charging EV could reach
+        its target, with a one-tick margin against float rounding."""
+        gap = math.inf
+        for veh in self.charging:
+            g = veh.soc_target - veh.soc
+            if g < gap:
+                gap = g
+        dsoc = battery.eta * setpoint_kw * dt / 3600.0 / battery.capacity_kwh
+        return int(gap / dsoc) - 1
+
+    def coast(self, k: int, dt: float, setpoint_kw: float,
+              battery: BatteryParams):
+        """k ticks of ``update_charging`` in which no EV reaches its target
+        (as ``quiet_ticks`` bounds), bit for bit."""
+        kwh = battery.eta * setpoint_kw * dt / 3600.0
+        dsoc = kwh / battery.capacity_kwh
+        ticks = range(k)
+        for veh in self.charging:
+            soc = veh.soc
+            charged = veh.charged_kwh
+            for _ in ticks:
+                soc += dsoc
+                charged += kwh
+            veh.soc = soc
+            veh.charged_kwh = charged
 
     def occupancy(self):
         return len(self.queue), len(self.charging)

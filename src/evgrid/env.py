@@ -30,6 +30,16 @@ arrival, and completion timestamps therefore all land on tick boundaries,
 which keeps the per-vehicle travel-time sum exactly equal to the
 tick-counted dual (``EpisodeMetrics.ttt_s == EpisodeMetrics.ttt_tick_s``).
 
+Most ticks are quiet: nothing departs, crosses a node, drains, finishes
+charging or gets sampled, so every link count, speed and setpoint stays as
+it is. ``_coast`` crosses such a stretch in one call, stopping before the
+next departure, droop boundary, minute sample, and any vehicle or charger
+that could reach a node, an empty battery or its target, and the boundary
+tick then runs as above. Each vehicle and charger repeats its per-tick
+float operations across the stretch, so every output is bit for bit what
+tick-by-tick stepping gives; ``EpisodeMetrics.ticks_coasted`` counts the
+ticks crossed this way.
+
 Each minute sample appends one ``minute_log`` row: (t, occupancy per
 station, station features, total kW, setpoint). The station features are
 computed only on rows that close a forecaster demand window and are None
@@ -48,9 +58,9 @@ from .charging import ChargingStation, charging_loads_kw, droop_power
 from .power import average_voltage, solve_power_flow, voltage_deviation
 from .scenario import (RewardParams, ScenarioConfig, build_vehicle,
                        generate_trips, samples_per_window)
-from .traffic import (DRIVE_CS, DRIVE_DEST, DONE, STRANDED, NoPathError,
-                      TrafficSim, path_length_m, record_trip_times,
-                      shortest_path)
+from .traffic import (DRIVE_CS, DRIVE_DEST, DONE, MIN_COAST_TICKS,
+                      STRANDED, NoPathError, TrafficSim, path_length_m,
+                      record_trip_times, shortest_path)
 
 TICK_S = 1.0
 WAIT_NORM_S = 600.0      # queue-wait scale used in station observations
@@ -81,6 +91,8 @@ class EpisodeMetrics:
     n_ev_completed: int
     n_stranded: int
     dt_mean_s: float       # mean caller-reported decision latency
+    ticks: int             # simulated ticks, warm-up included
+    ticks_coasted: int     # of which crossed in quiet stretches
 
 
 def greedy_station(road, stations, origin):
@@ -189,6 +201,7 @@ class CouplingEnv:
         self._cs_index = {cs.cs_id: i for i, cs in enumerate(self.stations)}
         self.sim = TrafficSim(self.road, battery=cfg.battery)
         self._t = 0
+        self._ticks_coasted = 0
         self._mid_tick = False
         self._next_dep = 0
         self._n_loaded = 0
@@ -278,6 +291,8 @@ class CouplingEnv:
             n_ev_completed=n_ev,
             n_stranded=len(self.stranded),
             dt_mean_s=self._decision_s_sum / self._n_steps if self._n_steps else 0.0,
+            ticks=self._t,
+            ticks_coasted=self._ticks_coasted,
         )
 
     # ------------------------------------------------------------------
@@ -316,6 +331,8 @@ class CouplingEnv:
         """Run ticks until a decision is pending (False) or terminal (True)."""
         while True:
             if not self._mid_tick:
+                if self.sim.far:
+                    self._coast()
                 self._tick_pre()
                 self._mid_tick = True
                 if self._pending:
@@ -327,6 +344,46 @@ class CouplingEnv:
             if self._t > self._safety_cap:
                 raise EnvError(f"episode exceeded {self._safety_cap} ticks with "
                                f"{self._n_unfinished} unfinished vehicles")
+
+    def _coast(self):
+        """Cross the quiet ticks from ``_t`` on in one stretch, if there are
+        at least ``MIN_COAST_TICKS`` of them.
+
+        A quiet tick has no droop update or departure before its movement,
+        and no node crossing, route end, drained EV, charge completion
+        (hence no queue promotion) or minute sample after it. The stretch
+        stops before the next departure, droop boundary, minute sample and
+        safety cap; the stations and ``TrafficSim.coast`` bound the rest.
+        Every tick of it would add the same loaded count to the tick dual
+        and the segment counts, and integer-valued float sums are exact, so
+        ``n_loaded * k`` adds what k ticks would.
+        """
+        t = self._t
+        k = min(59 - t % 60, -t % self._droop_every, self._safety_cap - t)
+        if self._next_dep < len(self._vehicles):
+            k = min(k, int(self._vehicles[self._next_dep].depart_s) - t)
+        if k < MIN_COAST_TICKS:
+            return
+        battery = self.cfg.battery
+        setpoint = self._setpoint
+        for cs in self.stations:
+            if cs.charging:
+                k = min(k, cs.quiet_ticks(TICK_S, setpoint, battery))
+                if k < MIN_COAST_TICKS:
+                    return
+        k = self.sim.coast(k, TICK_S)
+        if not k:
+            return
+        for cs in self.stations:
+            if cs.charging:
+                cs.coast(k, TICK_S, setpoint, battery)
+        n_p = self._n_loaded
+        self._ttt_ticks += n_p * k * TICK_S
+        self._last_count = n_p
+        if self._seg_counts is not None:
+            self._seg_counts.extend([n_p] * k)
+        self._t = t + k
+        self._ticks_coasted += k
 
     def _tick_pre(self):
         t = self._t

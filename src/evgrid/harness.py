@@ -7,7 +7,9 @@ CSVs from a finished run directory).
 
 Output conventions: ``metrics.csv`` and ``summary.csv`` carry only
 simulation-derived quantities and are byte-identical across re-runs;
-wall-clock figures live in ``timing.csv``. Every run directory gets a
+wall-clock figures live in ``timing.csv``, next to each episode's simulated
+ticks and how many of them were crossed in quiet stretches (see
+``CouplingEnv._coast``). Every run directory gets a
 ``manifest.json`` with the effective-config hash, seeds, and build info.
 """
 
@@ -52,6 +54,8 @@ class MetricsRecord:
     wct_min: float
     et_s: float
     dt_mean_s: float
+    ticks: int = 0              # of the episode, in timing.csv only
+    ticks_coasted: int = 0
 
     def __post_init__(self):
         for name in ("ttt_s", "cvv", "wct_min", "et_s", "dt_mean_s"):
@@ -120,9 +124,10 @@ def write_metrics(out, records):
     write_csv(Path(out) / "metrics.csv",
               ["method", "seed", "ttt_s", "cvv", "wct_min"], rows)
     write_csv(Path(out) / "timing.csv",
-              ["method", "seed", "et_s", "dt_mean_s"],
-              [(r.method, r.seed, repr(r.et_s), repr(r.dt_mean_s))
-               for r in records])
+              ["method", "seed", "et_s", "dt_mean_s", "ticks",
+               "ticks_coasted"],
+              [(r.method, r.seed, repr(r.et_s), repr(r.dt_mean_s), r.ticks,
+                r.ticks_coasted) for r in records])
 
 
 def write_summary(out, records):
@@ -312,7 +317,8 @@ def run_train(cfg, method, seeds, out, trace=False, progress=None):
                          seeds=(EVAL_SEED_BASE + seed,), trace=trace)
         m = evals[0].metrics
         records.append(MetricsRecord(method, seed, m.ttt_s, m.cvv, m.wct_min,
-                                     et, m.dt_mean_s))
+                                     et, m.dt_mean_s, m.ticks,
+                                     m.ticks_coasted))
         write_eval_artifacts(out, method, seed, evals, trace)
     write_metrics(out, records)
     write_summary(out, records)
@@ -337,7 +343,8 @@ def run_eval(cfg, method, seeds, out, checkpoint=None, compliance=None,
         et = time.perf_counter() - t0
         m = evals[0].metrics
         records.append(MetricsRecord(method, seed, m.ttt_s, m.cvv, m.wct_min,
-                                     et, m.dt_mean_s))
+                                     et, m.dt_mean_s, m.ticks,
+                                     m.ticks_coasted))
         write_eval_artifacts(out, method, seed, evals, trace)
     write_metrics(out, records)
     write_summary(out, records)

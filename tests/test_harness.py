@@ -247,9 +247,10 @@ def test_train_run_artifacts(train_run):
     metrics = (train_run / "metrics.csv").read_text().splitlines()
     assert len(metrics) == 2 and metrics[1].startswith("ppo,0,")
     timing = (train_run / "timing.csv").read_text().splitlines()
-    assert timing[0] == "method,seed,et_s,dt_mean_s"
-    et = float(timing[1].split(",")[2])
-    assert et > 0
+    assert timing[0] == "method,seed,et_s,dt_mean_s,ticks,ticks_coasted"
+    _, _, et, _, ticks, coasted = timing[1].split(",")
+    assert float(et) > 0
+    assert 0 < int(coasted) < int(ticks)
     summary = (train_run / "summary.csv").read_text().splitlines()
     assert summary[0] == "method,metric,n_seeds,mean,std"
     assert len(summary) == 4  # ttt/cvv/wct for one method

@@ -20,9 +20,8 @@ from evgrid.power import (
 )
 
 from oracles import sweep_power_flow, two_bus_grid_search, two_bus_voltage
+from strategies import BASE_KV, BASE_MVA, random_radial
 
-BASE_MVA = 10.0
-BASE_KV = 12.66
 Z_BASE = (BASE_KV * 1e3) ** 2 / (BASE_MVA * 1e6)
 
 
@@ -34,16 +33,6 @@ def _as_tuples(net):
     buses = [(b.bus_id, b.kind, b.p_base_kw, b.q_base_kvar) for b in net.buses]
     lines = [(l.from_bus, l.to_bus, l.r_ohm, l.x_ohm) for l in net.lines]
     return buses, lines
-
-
-def _random_radial(rng, n_buses):
-    buses = [Bus(1, "slack", 0.0, 0.0)]
-    lines = []
-    for i in range(2, n_buses + 1):
-        parent = int(rng.integers(1, i))
-        buses.append(Bus(i, "pq", float(rng.uniform(0, 200)), float(rng.uniform(0, 120))))
-        lines.append(Line(parent, i, float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0))))
-    return PowerNetwork(buses, lines, BASE_MVA, BASE_KV)
 
 
 def _shuffled_radial(rng, n_buses):
@@ -143,7 +132,7 @@ def test_69bus_base_case_against_sweep_oracle():
 def test_small_random_radial_nets_match_oracle():
     rng = np.random.default_rng(7)
     for _ in range(25):
-        net = _random_radial(rng, int(rng.integers(2, 7)))
+        net = random_radial(rng, int(rng.integers(2, 7)))
         sol = solve_power_flow(net)
         oracle = sweep_power_flow(*_as_tuples(net), BASE_MVA, BASE_KV)
         for bid in net.bus_ids:

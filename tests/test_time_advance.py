@@ -1,0 +1,304 @@
+"""Quiet-stretch time advance against a frozen copy of the tick loop it
+replaced, bit for bit.
+
+``FrozenEnv`` runs every tick one by one through frozen copies of
+``CouplingEnv._advance``/``_tick_pre``/``_tick_post``,
+``TrafficSim.step`` and ``ChargingStation.update_charging`` as they were
+before ``CouplingEnv._coast`` existed. A ``CouplingEnv`` and a ``FrozenEnv``
+play the same episode with the same actions; after the reset and after
+every decision their full episode state must agree exactly (floats compared
+through ``repr``, which round-trips every double and tells -0.0 from 0.0):
+vehicles, link counts, stations, ``_t``, ``_ttt_ticks``, ``minute_log``,
+``droop_log``, rewards, costs and observations. Each episode must also
+account for every trip, close the energy ledger and keep every power-flow
+mismatch below the solver's tolerance.
+"""
+
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import evgrid
+from evgrid.env import TICK_S, CouplingEnv, EnvError
+from evgrid.scenario import generate_trips, load_scenario
+from evgrid.traffic import (DRIVE_CS, DRIVE_DEST, V_MIN_MS, Vehicle,
+                            shortest_path)
+
+from strategies import scenarios
+from test_env import BURST
+
+PF_TOL = 1e-8
+
+
+# ---------------------------------------------------------------------------
+# frozen references: the tick loop as it was, one tick per iteration
+# ---------------------------------------------------------------------------
+
+def ref_step(sim, dt=1.0):
+    params = sim.net.link_params
+    counts = sim.counts
+    battery = sim.battery
+    if battery is not None:
+        rho = battery.rho_kwh_per_km
+        capacity = battery.capacity_kwh
+    speeds = {}
+    arrived = []
+    drained = []
+    for veh in sim.driving:
+        route = veh.route
+        idx = veh.route_idx
+        lid = route[idx]
+        memo = speeds.get(lid)
+        if memo is None:
+            length, cap, vf, kjam = params[lid]
+            v = vf * (1.0 - ((counts[lid] - 1) / cap) / kjam)
+            memo = ((v if v > V_MIN_MS else V_MIN_MS) * dt, length)
+            speeds[lid] = memo
+        remaining, length = memo
+        to_end = length - veh.pos_m
+        finished = False
+        if remaining < to_end:
+            veh.pos_m += remaining
+            traveled = remaining
+        else:
+            traveled = 0.0
+            while True:
+                traveled += to_end
+                remaining -= to_end
+                counts[route[idx]] -= 1
+                idx += 1
+                if idx >= len(route):
+                    finished = True
+                    break
+                counts[route[idx]] += 1
+                veh.pos_m = 0.0
+                to_end = params[route[idx]][0]
+                if remaining < to_end:
+                    veh.pos_m += remaining
+                    traveled += remaining
+                    break
+            veh.route_idx = idx
+        if veh.is_ev and battery is not None and traveled > 0.0:
+            kwh = rho * (traveled / 1000.0)
+            veh.driven_kwh += kwh
+            veh.soc -= kwh / capacity
+            if veh.soc <= 0.0 and not finished:
+                drained.append(veh)
+        if finished:
+            arrived.append(veh)
+    if arrived:
+        sim.driving = [veh for veh in sim.driving
+                       if veh.route_idx < len(veh.route)]
+    sim.drained = drained
+    return arrived
+
+
+def ref_update_charging(cs, dt, setpoint_kw, battery, t_end):
+    finished = []
+    kwh = battery.eta * setpoint_kw * dt / 3600.0
+    dsoc = kwh / battery.capacity_kwh
+    for veh in cs.charging:
+        veh.soc += dsoc
+        veh.charged_kwh += kwh
+        if veh.soc >= veh.soc_target:
+            veh.t_charge_end = t_end
+            finished.append(veh)
+    if finished:
+        cs.charging = [veh for veh in cs.charging
+                       if veh.soc < veh.soc_target]
+    while cs.queue and len(cs.charging) < cs.piles:
+        cs._start(cs.queue.popleft(), t_end)
+    return finished
+
+
+class FrozenEnv(CouplingEnv):
+    def _advance(self):
+        while True:
+            if not self._mid_tick:
+                self._tick_pre()
+                self._mid_tick = True
+                if self._pending:
+                    return False
+            self._tick_post()
+            if self._n_unfinished == 0:
+                self._terminal = True
+                return True
+            if self._t > self._safety_cap:
+                raise EnvError(f"episode exceeded {self._safety_cap} ticks with "
+                               f"{self._n_unfinished} unfinished vehicles")
+
+    def _tick_pre(self):
+        t = self._t
+        if t > 0 and t % self._droop_every == 0:
+            self._update_droop()
+        vehicles = self._vehicles
+        while self._next_dep < len(vehicles) and vehicles[self._next_dep].depart_s <= t:
+            self._depart(vehicles[self._next_dep], t)
+            self._next_dep += 1
+
+    def _tick_post(self):
+        t = self._t
+        n_p = self._n_loaded
+        self._ttt_ticks += n_p * TICK_S
+        self._last_count = n_p
+        if self._seg_counts is not None:
+            self._seg_counts.append(n_p)
+        t_end = float(t + 1)
+        arrivals = ref_step(self.sim, TICK_S)
+        if len(arrivals) > 1:
+            arrivals.sort(key=lambda v: v.vid)
+        for veh in arrivals:
+            if veh.phase == DRIVE_CS:
+                self.stations[self._cs_index[veh.cs_id]].submit_arrival(veh, t_end)
+            else:
+                self._finish(veh, t_end)
+        battery = self.cfg.battery
+        for cs in self.stations:
+            if not cs.charging and not cs.queue:
+                continue
+            for veh in ref_update_charging(cs, TICK_S, self._setpoint,
+                                           battery, t_end):
+                if veh.dest == cs.node:
+                    self._finish(veh, t_end)
+                else:
+                    veh.phase = DRIVE_DEST
+                    veh.route = shortest_path(self.road, cs.node, veh.dest,
+                                              self.sim.travel_times())
+                    self.sim.enter_road(veh)
+        if self.sim.drained:
+            self._check_stranded(t_end)
+        self._t = t + 1
+        self._mid_tick = False
+        if self._t % 60 == 0:
+            self._minute_sample()
+
+
+# ---------------------------------------------------------------------------
+# lockstep comparison
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return None if a is None else a.tobytes()
+
+
+def snapshot(env):
+    """Everything an episode's outputs and later ticks can depend on."""
+    sim = env.sim
+    return repr((
+        [[getattr(v, s) for s in Vehicle.__slots__] for v in env._vehicles],
+        sim.counts, [v.vid for v in sim.driving], [v.vid for v in sim.drained],
+        [([v.vid for v in cs.queue], [v.vid for v in cs.charging], cs.pending)
+         for cs in env.stations],
+        env._t, env._mid_tick, env._next_dep, env._n_loaded,
+        env._n_unfinished, env._setpoint, list(env._pending),
+        env._last_count, env._ttt_ticks, env._n_steps, env._terminal,
+        [(t, _bits(occ), _bits(feats), kw, sp)
+         for t, occ, feats, kw, sp in env.minute_log],
+        env.droop_log, env._interval_samples, env.step_rewards,
+        env.step_costs, [v.vid for v in env.completed],
+        [v.vid for v in env.stranded], env.trace,
+    ))
+
+
+def outcome_bits(out):
+    return repr((_bits(out.state), out.reward, out.cost, out.terminal))
+
+
+def run_lockstep(cfg, ep_seed, policy_seed):
+    """Play one episode on both envs with the same random actions,
+    comparing after the reset and after every decision. Returns the
+    coasting env, or None when the scenario has no control request."""
+    new, old = CouplingEnv(cfg, trace=True), FrozenEnv(cfg, trace=True)
+    try:
+        old_state = old.reset(ep_seed)
+    except EnvError as exc:
+        with pytest.raises(EnvError, match=re.escape(str(exc))):
+            new.reset(ep_seed)
+        return None
+    new_state = new.reset(ep_seed)
+    assert new_state.tobytes() == old_state.tobytes()
+    assert snapshot(new) == snapshot(old)
+    rng_new = np.random.default_rng(policy_seed)
+    rng_old = np.random.default_rng(policy_seed)
+    while True:
+        out_new = new.apply_action(int(rng_new.integers(new.action_dim)))
+        out_old = old.apply_action(int(rng_old.integers(old.action_dim)))
+        assert outcome_bits(out_new) == outcome_bits(out_old)
+        assert snapshot(new) == snapshot(old)
+        if out_new.terminal:
+            break
+    m_new, m_old = new.episode_metrics(), old.episode_metrics()
+    assert m_new == replace(m_old, ticks_coasted=m_new.ticks_coasted)
+    assert m_old.ticks_coasted == 0 and m_new.ticks == new._t
+    check_episode(new, cfg, ep_seed)
+    return new
+
+
+def check_episode(env, cfg, ep_seed):
+    m = env.episode_metrics()
+    assert m.n_completed + m.n_stranded == len(generate_trips(cfg, ep_seed))
+    assert m.ttt_s == m.ttt_tick_s
+    cap = cfg.battery.capacity_kwh
+    for veh in env._vehicles:
+        if veh.is_ev:
+            assert cap * (veh.soc - veh.soc_init) == pytest.approx(
+                veh.charged_kwh - veh.driven_kwh, abs=1e-9)
+    for sol in env._pf_cache.values():
+        assert sol.max_mismatch_pu < PF_TOL
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(cfg=scenarios(), ep_seed=st.integers(0, 50),
+       policy_seed=st.integers(0, 50))
+def test_random_scenarios_match_the_tick_loop(cfg, ep_seed, policy_seed):
+    run_lockstep(cfg, ep_seed, policy_seed)
+
+
+@pytest.mark.parametrize("scenario,ep_seed", [("burst", 0), ("reduced", 0),
+                                              ("reduced", 5), ("case_a", 1)])
+def test_bundled_scenarios_match_the_tick_loop(scenario, ep_seed, tmp_path):
+    if scenario == "burst":
+        path = tmp_path / "burst.yaml"
+        path.write_text(BURST)
+    else:
+        path = evgrid.DATA_DIR / f"{scenario}.yaml"
+    env = run_lockstep(load_scenario(path), ep_seed, policy_seed=3)
+    if scenario != "burst":
+        assert env.episode_metrics().ticks_coasted > 0
+
+
+def test_strategy_reaches_the_corners():
+    """Over the examples the oracle test draws, EVs strand, queues form,
+    vehicles cross several nodes in one tick and ticks get coasted."""
+    seen = {"stranded": 0, "queued": 0, "multi_cross": 0, "coasted": 0}
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(cfg=scenarios(), ep_seed=st.integers(0, 50))
+    def probe(cfg, ep_seed):
+        env = CouplingEnv(cfg)
+        shortest = min(ln.length_m for ln in cfg.road_net.links.values())
+        fastest = max(ln.vf_ms for ln in cfg.road_net.links.values())
+        seen["multi_cross"] += 2 * shortest < fastest * TICK_S
+        try:
+            env.reset(ep_seed)
+        except EnvError:
+            return
+        while not env.apply_action(0).terminal:
+            pass
+        m = env.episode_metrics()
+        seen["stranded"] += m.n_stranded > 0
+        seen["queued"] += any(v.t_charge_start is not None
+                              and v.t_charge_start > v.t_cs_arrive
+                              for v in env.completed)
+        seen["coasted"] += m.ticks_coasted > 0
+
+    probe()
+    assert all(n > 0 for n in seen.values()), seen

@@ -1,5 +1,7 @@
 """Road network, routing, and vehicle-stepping tests."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import evgrid
 from evgrid.traffic import (
     DONE,
     DRIVE_DEST,
+    MIN_COAST_TICKS,
     NoPathError,
     RoadLink,
     RoadNetwork,
@@ -348,3 +351,70 @@ def test_step_matches_reference_bit_for_bit():
                 for veh in bad:
                     sim.remove(veh)
         assert n_drained > 0 and n_crossed > 0
+
+
+def _snapshot(sim):
+    return repr(([(v.vid, v.route_idx, v.pos_m, v.soc, v.driven_kwh)
+                  for v in sim.driving], sim.counts))
+
+
+def test_coast_equals_quiet_steps_and_stops_at_most_one_tick_early():
+    """``coast`` leaves the state as many ``step`` calls leave, none of
+    which crosses a node or drains an EV. It stops at its cap or at most one
+    tick before the first step that would, and below ``MIN_COAST_TICKS``
+    it moves nothing."""
+    net = load_road_network(evgrid.DATA_DIR / "nguyen_dupuis")
+    short = RoadNetwork(net.nodes, [
+        RoadLink(ln.link_id, ln.from_node, ln.to_node, ln.length_m / 10.0,
+                 ln.lanes, ln.vf_ms, ln.kjam_m_lane)
+        for ln in net.links.values()])
+    nodes = sorted(short.nodes)
+    coasted = declined = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        sim = TrafficSim(short, _Battery())
+        for vid in range(int(rng.integers(0, 8))):
+            o, d = (int(x) for x in rng.choice(nodes, 2, replace=False))
+            if d not in short.reachable_from(o):
+                continue
+            veh = Vehicle(vid, o, d, 0.0, is_ev=bool(rng.random() < 0.5),
+                          soc=float(rng.uniform(0.0002, 0.01)))
+            veh.route = shortest_path(short, o, d)
+            sim.enter_road(veh)
+            veh.pos_m = float(rng.uniform(0.0, short.links[veh.route[0]].length_m))
+        ref = copy.deepcopy(sim)
+        k_max = int(rng.integers(0, 80))
+        before = _snapshot(sim)
+        k = sim.coast(k_max)
+        states = [_snapshot(ref)]
+        quiet = 0
+        while quiet < k_max:
+            counts = dict(ref.counts)
+            if ref.step(1.0) or ref.drained or ref.counts != counts:
+                break
+            quiet += 1
+            states.append(_snapshot(ref))
+        bound = min(k_max, quiet - 1)
+        if k:
+            coasted += 1
+            assert MIN_COAST_TICKS <= k <= min(k_max, quiet)
+            assert k >= bound
+            assert _snapshot(sim) == states[k]
+            assert sim.drained == []
+        else:
+            declined += 1
+            assert _snapshot(sim) == before
+            assert bound < MIN_COAST_TICKS
+    assert coasted > 20 and declined > 20
+
+
+def test_coast_stops_before_a_vehicle_reaches_its_node_exactly():
+    # a lone car makes exactly 10 m per tick on the 1000 m link: ticks
+    # 1-99 are quiet and tick 100 ends the route, so 99 is the exact bound
+    net = RoadNetwork({1: (0, 0), 2: (1, 0)}, [_link(1, 1, 2)])
+    sim = TrafficSim(net)
+    veh = Vehicle(0, 1, 2, 0.0)
+    veh.route = [1]
+    sim.enter_road(veh)
+    assert sim.coast(500) == 99 and veh.pos_m == 990.0
+    assert sim.step(1.0) == [veh]

@@ -196,14 +196,20 @@ class LSTM:
         cache = (seq.shape, steps, dropout_masks if use_drop else None)
         return outputs, (np.stack(h), np.stack(c)), cache
 
-    def backward(self, cache, grad_outputs, grad_state=None):
-        """BPTT. grad_outputs: (T, batch, hidden); grad_state optional (dh, dc)
-        on the final state. Returns (grads, grad_inputs, (dh0, dc0))."""
+    def backward(self, cache, grad_outputs, grad_state=None, input_grad=True):
+        """BPTT. grad_outputs: (T, batch, hidden), or None when no gradient
+        reaches the outputs; grad_state optional (dh, dc) on the final state.
+        Returns (grads, grad_inputs, (dh0, dc0)); grad_inputs is None unless
+        ``input_grad``, which saves one GEMM per time step.
+
+        None for grad_outputs gives the values an all-zero array gives:
+        adding a zero changes no gradient value, only, in principle, the sign
+        of a zero one, which no Adam step can tell apart."""
         (T, batch, _), steps, masks = cache
         H = self.hidden_dim
         L = self.num_layers
         grads = {k: np.zeros_like(v) for k, v in self._params.items()}
-        grad_inputs = np.zeros((T, batch, self.input_dim))
+        grad_inputs = np.zeros((T, batch, self.input_dim)) if input_grad else None
         if grad_state is not None:
             dh_next = grad_state[0].copy()
             dc_next = grad_state[1].copy()
@@ -211,12 +217,14 @@ class LSTM:
             dh_next = np.zeros((L, batch, H))
             dc_next = np.zeros((L, batch, H))
 
-        grad_outputs = np.asarray(grad_outputs, dtype=float)
+        if grad_outputs is not None:
+            grad_outputs = np.asarray(grad_outputs, dtype=float)
         for t in range(T - 1, -1, -1):
-            dx_up = grad_outputs[t]      # gradient arriving at top layer's h_t
+            # gradient arriving at the top layer's h_t
+            dx_up = None if grad_outputs is None else grad_outputs[t]
             for layer in range(L - 1, -1, -1):
                 x, hp, cp, s, i, f, g, o, cn, tc = steps[t * L + layer]
-                dh = dx_up + dh_next[layer]
+                dh = dh_next[layer] if dx_up is None else dx_up + dh_next[layer]
                 dc = dc_next[layer] + dh * o * (1.0 - tc * tc)
                 do = dh * tc
                 di = dc * g
@@ -231,10 +239,11 @@ class LSTM:
                 grads[f"b{layer}"] += dz.sum(axis=0)
                 dh_next[layer] = dz @ self._params[f"wh{layer}"].T
                 dc_next[layer] = dc * f
-                dx = dz @ self._params[f"wx{layer}"].T
                 if layer == 0:
-                    grad_inputs[t] = dx
+                    if input_grad:
+                        grad_inputs[t] = dz @ self._params["wx0"].T
                 else:
+                    dx = dz @ self._params[f"wx{layer}"].T
                     if masks is not None:
                         dx = dx * masks[layer - 1, t]
                     dx_up = dx

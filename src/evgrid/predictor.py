@@ -200,9 +200,9 @@ class Seq2SeqForecaster:
             dflat = (2.0 * diff / diff.size).reshape(ld * b, -1)
             head_grads, dout = self.head.backward(head_cache, dflat)
             dec_grads, _, dstate0 = self.decoder.backward(
-                dec_cache, dout.reshape(ld, b, hid))
+                dec_cache, dout.reshape(ld, b, hid), input_grad=False)
             enc_grads, _, _ = self.encoder.backward(
-                enc_cache, np.zeros((enc_x.shape[0], b, hid)), grad_state=dstate0)
+                enc_cache, None, grad_state=dstate0, input_grad=False)
             self.optimizer.step(params, prefixed(enc=enc_grads, dec=dec_grads,
                                                  head=head_grads))
         mean_loss = float(losses.mean())

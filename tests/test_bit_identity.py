@@ -238,6 +238,16 @@ def _assert_lstm_matches(layers, hidden, batch, data_seed, scale):
         assert all(same_bits(grads[k], r_grads[k]) for k in grads)
         assert same_bits(gin, r_gin)
         assert same_bits(dh0, r_dh0) and same_bits(dc0, r_dc0)
+        # no input gradient, and None for an all-zero output gradient
+        for g_out, r_g_out in ((grad_out, grad_out),
+                               (None, np.zeros_like(grad_out))):
+            grads, gin, (dh0, dc0) = net.backward(cache, g_out, grad_state=gs,
+                                                  input_grad=False)
+            r_grads, _, (r_dh0, r_dc0) = ref_lstm_backward(
+                net, r_cache, r_g_out, grad_state=gs)
+            assert gin is None
+            assert all(same_bits(grads[k], r_grads[k]) for k in grads)
+            assert same_bits(dh0, r_dh0) and same_bits(dc0, r_dc0)
 
 
 @pytest.mark.parametrize("layers,hidden,batch", [(1, 32, 1), (1, 32, 32)])

@@ -352,10 +352,12 @@ def run_eval(cfg, method, seeds, out, checkpoint=None, compliance=None,
 
 
 def run_sweep(cfg, method, axis, values, seeds, out, trace=False):
+    """One run per axis value. Every value's config is built, and so
+    checked, before the first run starts."""
     out = Path(out)
     combined = []
-    for value in values:
-        sub_cfg = apply_sweep_value(cfg, axis, value)
+    sub_cfgs = [apply_sweep_value(cfg, axis, value) for value in values]
+    for value, sub_cfg in zip(values, sub_cfgs):
         sub_out = out / f"{axis}_{value:g}"
         if method == "greedy":
             recs = run_eval(sub_cfg, method, seeds, sub_out, trace=trace)

@@ -384,6 +384,8 @@ def test_main_sweep_and_errors(scenario_path, tmp_path, capsys):
             ("ev_fraction", "1/0", "1", "sweep value '1/0' divides by zero"),
             ("ev_fraction", "1/6", "0,,x", "--seeds '0,,x': a seed is empty"),
             ("decoder_length", "2.5", "0",
+             "decoder_length 2.5 is not an integer >= 1"),
+            ("decoder_length", "2,2.5", "0",
              "decoder_length 2.5 is not an integer >= 1")):
         rc = main(["sweep", "--scenario", str(scenario_path), "--method",
                    "greedy", "--sweep-axis", axis, "--sweep-values",
@@ -391,6 +393,8 @@ def test_main_sweep_and_errors(scenario_path, tmp_path, capsys):
         assert rc == 1
         assert last_error(capsys) == {"type": "HarnessError",
                                       "message": message}
+    # a bad value fails the sweep before any value runs
+    assert not (tmp_path / "z").exists()
 
     rc = main(["sweep", "--scenario", str(scenario_path), "--method",
                "greedy", "--sweep-axis", "controller_interval",

@@ -45,14 +45,14 @@ import numpy as np
 V_MIN_MS = 1.0
 
 # Shortest quiet stretch worth a coast. Measured warm, in greedy episodes
-# of the bundled scenarios (2 vCPUs, Python 3.11.7): stepping a quiet tick
-# costs 2.6-6.6 us + 0.36-0.63 us per driving vehicle + 0.10-0.11 us per
-# charging EV; a coast costs 7.6-10.7 us + 0.91-1.02 us per vehicle +
-# 0.22-0.38 us per charging EV for its horizon passes, then 0.06-0.08 us
-# per vehicle and 0.05 us per charging EV for each tick it crosses. Coasting
-# k ticks beats stepping them from k = 1.6-3.0, over fleets of 0-60 driving
-# and 0-60 charging EVs, so 3 is the shortest stretch it wins at every
-# fleet size.
+# of the bundled scenarios on an otherwise idle host (2 vCPUs, Python
+# 3.11.7): stepping a quiet tick costs 2.0-5.5 us + 0.44-0.80 us per
+# driving vehicle + 0.12-0.16 us per charging EV; a coast costs 6.3-14.6 us
+# + 0.72-0.91 us per vehicle + 0.20-0.39 us per charging EV for its horizon
+# passes, then 0.04-0.06 us per vehicle and per charging EV for each tick it
+# crosses. Coasting k ticks breaks even at k = 1.5-3.1 over fleets of 0-60
+# driving and 0-60 charging EVs, so from 3 ticks on it is at least even at
+# every fleet size, while 2-tick stretches lose on small fleets.
 MIN_COAST_TICKS = 3
 
 

@@ -70,6 +70,14 @@ def droop_power(v_avg: float, params: DroopParams) -> float:
     return slope * (v_avg - params.v_ref1) + params.p_min_kw
 
 
+def tick_energy(dt: float, setpoint_kw: float, battery: BatteryParams):
+    """(kWh, state-of-charge gain) of one charging EV over one tick.
+    ``update_charging``, ``quiet_ticks`` and ``coast`` all read it, so a
+    coast stays bit for bit a run of ticks."""
+    kwh = battery.eta * setpoint_kw * dt / 3600.0
+    return kwh, kwh / battery.capacity_kwh
+
+
 class ChargingStation:
     """One station: queue + piles at a road node, drawing at a feeder bus."""
 
@@ -109,8 +117,7 @@ class ChargingStation:
         the next tick). Returns the finished vehicles in pile order.
         """
         finished = []
-        kwh = battery.eta * setpoint_kw * dt / 3600.0
-        dsoc = kwh / battery.capacity_kwh
+        kwh, dsoc = tick_energy(dt, setpoint_kw, battery)
         for veh in self.charging:
             veh.soc += dsoc
             veh.charged_kwh += kwh
@@ -133,15 +140,13 @@ class ChargingStation:
             g = veh.soc_target - veh.soc
             if g < gap:
                 gap = g
-        dsoc = battery.eta * setpoint_kw * dt / 3600.0 / battery.capacity_kwh
-        return int(gap / dsoc) - 1
+        return int(gap / tick_energy(dt, setpoint_kw, battery)[1]) - 1
 
     def coast(self, k: int, dt: float, setpoint_kw: float,
               battery: BatteryParams):
         """k ticks of ``update_charging`` in which no EV reaches its target
         (as ``quiet_ticks`` bounds), bit for bit."""
-        kwh = battery.eta * setpoint_kw * dt / 3600.0
-        dsoc = kwh / battery.capacity_kwh
+        kwh, dsoc = tick_energy(dt, setpoint_kw, battery)
         ticks = range(k)
         for veh in self.charging:
             soc = veh.soc

@@ -54,8 +54,8 @@ class MetricsRecord:
     wct_min: float
     et_s: float
     dt_mean_s: float
-    ticks: int = 0              # of the episode, in timing.csv only
-    ticks_coasted: int = 0
+    ticks: int                  # of the episode, in timing.csv only
+    ticks_coasted: int
 
     def __post_init__(self):
         for name in ("ttt_s", "cvv", "wct_min", "et_s", "dt_mean_s"):

@@ -196,11 +196,12 @@ class LSTM:
         cache = (seq.shape, steps, dropout_masks if use_drop else None)
         return outputs, (np.stack(h), np.stack(c)), cache
 
-    def backward(self, cache, grad_outputs, grad_state=None, input_grad=True):
+    def backward(self, cache, grad_outputs, grad_state=None):
         """BPTT. grad_outputs: (T, batch, hidden), or None when no gradient
         reaches the outputs; grad_state optional (dh, dc) on the final state.
-        Returns (grads, grad_inputs, (dh0, dc0)); grad_inputs is None unless
-        ``input_grad``, which saves one GEMM per time step.
+        Returns (grads, (dh0, dc0)). No gradient with respect to the input
+        sequence is formed: the inputs are data, never a trained quantity,
+        and the layer-0 product it would take is a sixth of a call.
 
         None for grad_outputs gives the values an all-zero array gives:
         adding a zero changes no gradient value, only, in principle, the sign
@@ -209,7 +210,6 @@ class LSTM:
         H = self.hidden_dim
         L = self.num_layers
         grads = {k: np.zeros_like(v) for k, v in self._params.items()}
-        grad_inputs = np.zeros((T, batch, self.input_dim)) if input_grad else None
         if grad_state is not None:
             dh_next = grad_state[0].copy()
             dc_next = grad_state[1].copy()
@@ -239,15 +239,12 @@ class LSTM:
                 grads[f"b{layer}"] += dz.sum(axis=0)
                 dh_next[layer] = dz @ self._params[f"wh{layer}"].T
                 dc_next[layer] = dc * f
-                if layer == 0:
-                    if input_grad:
-                        grad_inputs[t] = dz @ self._params["wx0"].T
-                else:
+                if layer > 0:
                     dx = dz @ self._params[f"wx{layer}"].T
                     if masks is not None:
                         dx = dx * masks[layer - 1, t]
                     dx_up = dx
-        return grads, grad_inputs, (dh_next, dc_next)
+        return grads, (dh_next, dc_next)
 
 
 def _sigmoid(x):

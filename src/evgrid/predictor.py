@@ -199,10 +199,10 @@ class Seq2SeqForecaster:
 
             dflat = (2.0 * diff / diff.size).reshape(ld * b, -1)
             head_grads, dout = self.head.backward(head_cache, dflat)
-            dec_grads, _, dstate0 = self.decoder.backward(
-                dec_cache, dout.reshape(ld, b, hid), input_grad=False)
-            enc_grads, _, _ = self.encoder.backward(
-                enc_cache, None, grad_state=dstate0, input_grad=False)
+            dec_grads, dstate0 = self.decoder.backward(
+                dec_cache, dout.reshape(ld, b, hid))
+            enc_grads, _ = self.encoder.backward(
+                enc_cache, None, grad_state=dstate0)
             self.optimizer.step(params, prefixed(enc=enc_grads, dec=dec_grads,
                                                  head=head_grads))
         mean_loss = float(losses.mean())

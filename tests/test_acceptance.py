@@ -175,7 +175,7 @@ def test_c03_gradients_match_finite_differences(capsys):
         seq = rng.normal(size=(T, batch, d_in))
         proj = rng.normal(size=(T, batch, hidden))
         out, (h, c), cache = net.forward(seq)
-        grads, _, _ = net.backward(cache, proj)
+        grads, _ = net.backward(cache, proj)
         params = net.param_dict()
         for name in params:
             def loss(vec, name=name):

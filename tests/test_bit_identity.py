@@ -231,21 +231,13 @@ def _assert_lstm_matches(layers, hidden, batch, data_seed, scale):
         r_out, (r_h, r_c), r_cache = ref_lstm_forward(net, seq, **kw)
         assert same_bits(out, r_out)
         assert same_bits(h, r_h) and same_bits(c, r_c)
-        grads, gin, (dh0, dc0) = net.backward(cache, grad_out, grad_state=gs)
-        r_grads, r_gin, (r_dh0, r_dc0) = ref_lstm_backward(
-            net, r_cache, grad_out, grad_state=gs)
-        assert grads.keys() == r_grads.keys()
-        assert all(same_bits(grads[k], r_grads[k]) for k in grads)
-        assert same_bits(gin, r_gin)
-        assert same_bits(dh0, r_dh0) and same_bits(dc0, r_dc0)
-        # no input gradient, and None for an all-zero output gradient
+        # None stands for an all-zero output gradient
         for g_out, r_g_out in ((grad_out, grad_out),
                                (None, np.zeros_like(grad_out))):
-            grads, gin, (dh0, dc0) = net.backward(cache, g_out, grad_state=gs,
-                                                  input_grad=False)
+            grads, (dh0, dc0) = net.backward(cache, g_out, grad_state=gs)
             r_grads, _, (r_dh0, r_dc0) = ref_lstm_backward(
                 net, r_cache, r_g_out, grad_state=gs)
-            assert gin is None
+            assert grads.keys() == r_grads.keys()
             assert all(same_bits(grads[k], r_grads[k]) for k in grads)
             assert same_bits(dh0, r_dh0) and same_bits(dc0, r_dc0)
 

@@ -102,14 +102,14 @@ def train_run(scenario_path, tmp_path_factory):
 
 
 def test_metrics_record_validation():
-    r = MetricsRecord("ppo", 0, np.float64(3.0), 0.1, 2.0, 1.0, 0.01)
+    r = MetricsRecord("ppo", 0, np.float64(3.0), 0.1, 2.0, 1.0, 0.01, 8000, 6000)
     assert type(r.ttt_s) is float and r.ttt_s == 3.0
     with pytest.raises(ValueError):
-        MetricsRecord("ppo", 0, -1.0, 0.1, 2.0, 1.0, 0.01)
+        MetricsRecord("ppo", 0, -1.0, 0.1, 2.0, 1.0, 0.01, 8000, 6000)
     with pytest.raises(ValueError):
-        MetricsRecord("ppo", 0, float("nan"), 0.1, 2.0, 1.0, 0.01)
+        MetricsRecord("ppo", 0, float("nan"), 0.1, 2.0, 1.0, 0.01, 8000, 6000)
     with pytest.raises(ValueError):
-        MetricsRecord("ppo", 0, 3.0, 0.1, 2.0, float("inf"), 0.01)
+        MetricsRecord("ppo", 0, 3.0, 0.1, 2.0, float("inf"), 0.01, 8000, 6000)
 
 
 def test_percentile98_matches_sort_oracle():

@@ -76,7 +76,7 @@ def _check_lstm_grads(net, seq, proj, masks=None, tol=1e-6):
     out, (h, c), cache = net.forward(seq, training=training, dropout_masks=masks)
     ph = np.ones_like(h) * 0.3
     pc = np.ones_like(c) * -0.2
-    grads, gin, _ = net.backward(cache, proj, grad_state=(ph, pc))
+    grads, (dh0, dc0) = net.backward(cache, proj, grad_state=(ph, pc))
     params = net.param_dict()
 
     def total(o, hh, cc):
@@ -92,12 +92,17 @@ def _check_lstm_grads(net, seq, proj, masks=None, tol=1e-6):
         num = finite_difference_grad(loss, params[name].ravel())
         assert rel_grad_error(grads[name], num) < tol, name
 
-    def loss_in(vec):
-        o, (hh, cc), _ = net.forward(vec.reshape(seq.shape),
-                                     training=training, dropout_masks=masks)
-        return total(o, hh, cc)
-    num_in = finite_difference_grad(loss_in, seq.ravel())
-    assert rel_grad_error(gin, num_in) < tol
+    # the initial-state gradient carries the decoder's loss into the encoder
+    zeros = np.zeros_like(h)
+    for k, grad in ((0, dh0), (1, dc0)):
+        def loss_state(vec, k=k):
+            state = [zeros, zeros]
+            state[k] = vec.reshape(zeros.shape)
+            o, (hh, cc), _ = net.forward(seq, state=state, training=training,
+                                         dropout_masks=masks)
+            return total(o, hh, cc)
+        num = finite_difference_grad(loss_state, zeros.ravel())
+        assert rel_grad_error(grad, num) < tol, ("dh0", "dc0")[k]
 
 
 def test_lstm_gradients_match_finite_differences():

@@ -157,12 +157,6 @@ class ChargingStation:
             veh.soc = soc
             veh.charged_kwh = charged
 
-    def occupancy(self):
-        return len(self.queue), len(self.charging)
-
-    def charging_load_kw(self, setpoint_kw: float) -> float:
-        return setpoint_kw * len(self.charging)
-
     def state_features(self, t: float) -> np.ndarray:
         """Raw 9-feature summary (counts, SoC stats, waiting stats, pending).
 
@@ -200,5 +194,5 @@ def charging_loads_kw(stations, setpoint_kw: float):
     """Aggregate active-power draw per feeder bus, in kW."""
     out = {}
     for cs in stations:
-        out[cs.bus] = out.get(cs.bus, 0.0) + cs.charging_load_kw(setpoint_kw)
+        out[cs.bus] = out.get(cs.bus, 0.0) + setpoint_kw * len(cs.charging)
     return out

@@ -44,6 +44,11 @@ Each minute sample appends one ``minute_log`` row: (t, occupancy per
 station, station features, total kW, setpoint). The station features are
 computed only on rows that close a forecaster demand window and are None
 on the others (see ``_minute_sample``).
+
+Each decision appends one ``trace`` row, the episode's only per-decision
+record: (step, applied station, reward, cost, elapsed ticks, vehicle id,
+whether the driver followed the recommendation). The driver follows with
+probability ``cfg.compliance_rate``.
 """
 
 from __future__ import annotations
@@ -76,7 +81,6 @@ class StepOutcome:
     reward: float
     cost: float
     terminal: bool
-    decision_s: float             # caller-measured decision wall clock, echoed
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,6 @@ class EpisodeMetrics:
     ttt_tick_s: float      # the same total counted per tick; equal exactly
     cvv: float             # summed per-step voltage deviation cost
     wct_min: float         # mean EV wait+charge minutes (0 when no EV finished)
-    wct_defined: bool
     n_steps: int
     n_completed: int
     n_ev_completed: int
@@ -112,15 +115,14 @@ def greedy_station(road, stations, origin):
     return best
 
 
-def segment_reward(counts, last_count, final, rp: RewardParams,
-                   dt: float = TICK_S) -> float:
+def segment_reward(counts, last_count, final, rp: RewardParams) -> float:
     """Reward for one decision segment from its per-tick loaded counts.
 
     Zero-length segments (simultaneous requests) pass counts=[] and fall
     back on the most recent counted tick.
     """
     if final:
-        r_t = rp.w2 * float(sum(counts)) * dt
+        r_t = rp.w2 * float(sum(counts)) * TICK_S
     elif counts:
         r_t = float(sum(counts)) / len(counts)
     else:
@@ -152,12 +154,10 @@ def segment_cost(samples, solve, v_ref: float = 1.0) -> float:
 class CouplingEnv:
     """Episodic environment; one instance may be reset for many episodes."""
 
-    def __init__(self, cfg: ScenarioConfig, trace: bool = False):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.road = cfg.road_net
         self.power = cfg.power_net
-        self.compliance_rate = cfg.compliance_rate
-        self.trace_enabled = trace
         if cfg.droop.interval_s != int(cfg.droop.interval_s):
             raise EnvError("droop interval must be a whole number of seconds")
         self._droop_every = int(cfg.droop.interval_s)
@@ -218,11 +218,8 @@ class CouplingEnv:
         self.droop_log = []     # (t, v_avg, setpoint kW, occupancy tuple)
         self.completed = []
         self.stranded = []
-        self.step_rewards = []
-        self.step_costs = []
-        self.trace = []         # (step, action, reward, cost, elapsed_s, vid, followed)
+        self.trace = []         # rows as in the module docstring
         self._decision_s_sum = 0.0
-        self._n_steps = 0
         self._terminal = False
         self._safety_cap = int(cfg.horizon_s) + 86400
         if self._advance():
@@ -238,7 +235,7 @@ class CouplingEnv:
                            f"[0, {self.action_dim})")
         vid = self._pending.popleft()
         veh = self._vehicles[vid]
-        followed = bool(self._compliance_rng.random() < self.compliance_rate)
+        followed = bool(self._compliance_rng.random() < self.cfg.compliance_rate)
         applied = idx if followed else self.greedy_station(veh.origin)
         t0 = self._t
         self._assign(veh, applied, t0)
@@ -253,20 +250,11 @@ class CouplingEnv:
         cost = segment_cost(self._seg_samples, self._solve, self.cfg.reward.v_ref)
         self._seg_counts = None
         self._seg_samples = None
-        self.step_rewards.append(reward)
-        self.step_costs.append(cost)
         self._decision_s_sum += decision_s
-        if self.trace_enabled:
-            self.trace.append((self._n_steps, applied, reward, cost,
-                               self._t - t0, vid, followed))
-        self._n_steps += 1
+        self.trace.append((len(self.trace), applied, reward, cost,
+                           self._t - t0, vid, followed))
         state = None if terminal else self._state()
-        return StepOutcome(state, reward, cost, terminal, decision_s)
-
-    def set_compliance(self, rate: float):
-        if not 0.0 <= rate <= 1.0:
-            raise EnvError("compliance rate must lie in [0, 1]")
-        self.compliance_rate = float(rate)
+        return StepOutcome(state, reward, cost, terminal)
 
     def episode_metrics(self) -> EpisodeMetrics:
         if not self._terminal:
@@ -274,6 +262,7 @@ class CouplingEnv:
         ttt = 0.0
         wct_s = 0.0
         n_ev = 0
+        n_steps = len(self.trace)
         for veh in self.completed:
             times = record_trip_times(veh)
             ttt += times.tt_total
@@ -283,14 +272,13 @@ class CouplingEnv:
         return EpisodeMetrics(
             ttt_s=ttt,
             ttt_tick_s=self._ttt_ticks,
-            cvv=float(sum(self.step_costs)),
+            cvv=float(sum(row[3] for row in self.trace)),
             wct_min=(wct_s / n_ev / 60.0) if n_ev else 0.0,
-            wct_defined=n_ev > 0,
-            n_steps=self._n_steps,
+            n_steps=n_steps,
             n_completed=len(self.completed),
             n_ev_completed=n_ev,
             n_stranded=len(self.stranded),
-            dt_mean_s=self._decision_s_sum / self._n_steps if self._n_steps else 0.0,
+            dt_mean_s=self._decision_s_sum / n_steps if n_steps else 0.0,
             ticks=self._t,
             ticks_coasted=self._ticks_coasted,
         )

@@ -11,6 +11,12 @@ wall-clock figures live in ``timing.csv``, next to each episode's simulated
 ticks and how many of them were crossed in quiet stretches (see
 ``CouplingEnv._coast``). Every run directory gets a
 ``manifest.json`` with the effective-config hash, seeds, and build info.
+
+Every run setting lives in the ``ScenarioConfig`` a verb receives:
+``--compliance`` is written into its ``compliance_rate`` (as the
+``compliance_rate`` sweep axis does), so the config hash covers it.
+``--trace`` only chooses whether ``write_eval_artifacts`` writes the
+decision log (``CouplingEnv.trace``, always recorded) to ``trace_*.csv``.
 """
 
 from __future__ import annotations
@@ -153,7 +159,8 @@ def write_curve(out, method, seed, curve):
 
 
 def write_eval_artifacts(out, method, seed, records, trace):
-    """Per-episode minute, droop, and step CSVs backing the report verb."""
+    """Per-episode minute, droop, and step CSVs backing the report verb,
+    plus the decision-log CSV when ``trace`` is set."""
     out = Path(out)
     minute_rows, droop_rows, step_rows, trace_rows = [], [], [], []
     n_cs = None
@@ -167,10 +174,10 @@ def write_eval_artifacts(out, method, seed, records, trace):
             droop_rows.append((i, rec.seed, repr(float(t)), repr(float(v_avg)),
                                repr(float(setpoint)),
                                *[repr(float(o)) for o in occ]))
-        for k, (r, c) in enumerate(zip(rec.rewards, rec.costs)):
-            step_rows.append((i, rec.seed, k, repr(float(r)), repr(float(c))))
-        if trace and rec.trace is not None:
-            for step, action, r, c, elapsed, vid, followed in rec.trace:
+        for step, action, r, c, elapsed, vid, followed in rec.trace:
+            step_rows.append((i, rec.seed, step, repr(float(r)),
+                              repr(float(c))))
+            if trace:
                 trace_rows.append((i, rec.seed, step, action, repr(float(r)),
                                    repr(float(c)), repr(float(elapsed)), vid,
                                    int(followed)))
@@ -301,6 +308,12 @@ def _load_cfg(args):
 # Verbs
 # ---------------------------------------------------------------------------
 
+def _record(method, seed, m, et_s):
+    """The MetricsRecord of one evaluated episode's EpisodeMetrics ``m``."""
+    return MetricsRecord(method, seed, m.ttt_s, m.cvv, m.wct_min, et_s,
+                         m.dt_mean_s, m.ticks, m.ticks_coasted)
+
+
 def run_train(cfg, method, seeds, out, trace=False, progress=None):
     """Train per seed, then evaluate each checkpoint once for the metrics
     table. Returns the MetricsRecords."""
@@ -314,19 +327,15 @@ def run_train(cfg, method, seeds, out, trace=False, progress=None):
         save_checkpoint(out / f"checkpoint_{method}_s{seed}.bin",
                         res.agent, res.predictor)
         evals = evaluate(cfg, method, res.agent, res.predictor,
-                         seeds=(EVAL_SEED_BASE + seed,), trace=trace)
-        m = evals[0].metrics
-        records.append(MetricsRecord(method, seed, m.ttt_s, m.cvv, m.wct_min,
-                                     et, m.dt_mean_s, m.ticks,
-                                     m.ticks_coasted))
+                         seeds=(EVAL_SEED_BASE + seed,))
+        records.append(_record(method, seed, evals[0].metrics, et))
         write_eval_artifacts(out, method, seed, evals, trace)
     write_metrics(out, records)
     write_summary(out, records)
     return records
 
 
-def run_eval(cfg, method, seeds, out, checkpoint=None, compliance=None,
-             trace=False):
+def run_eval(cfg, method, seeds, out, checkpoint=None, trace=False):
     out = Path(out)
     agent = predictor = None
     if method != "greedy":
@@ -338,13 +347,9 @@ def run_eval(cfg, method, seeds, out, checkpoint=None, compliance=None,
     records = []
     for seed in seeds:
         t0 = time.perf_counter()
-        evals = evaluate(cfg, method, agent, predictor, seeds=(seed,),
-                         compliance=compliance, trace=trace)
+        evals = evaluate(cfg, method, agent, predictor, seeds=(seed,))
         et = time.perf_counter() - t0
-        m = evals[0].metrics
-        records.append(MetricsRecord(method, seed, m.ttt_s, m.cvv, m.wct_min,
-                                     et, m.dt_mean_s, m.ticks,
-                                     m.ticks_coasted))
+        records.append(_record(method, seed, evals[0].metrics, et))
         write_eval_artifacts(out, method, seed, evals, trace)
     write_metrics(out, records)
     write_summary(out, records)
@@ -502,8 +507,7 @@ def main(argv=None) -> int:
                       progress=progress)
         elif args.mode == "eval":
             run_eval(cfg, args.method, seeds, args.out,
-                     checkpoint=args.checkpoint, compliance=args.compliance,
-                     trace=args.trace)
+                     checkpoint=args.checkpoint, trace=args.trace)
         else:
             values = _parse_values(args.sweep_values)
             run_sweep(cfg, args.method, args.sweep_axis, values, seeds,

@@ -171,10 +171,10 @@ class Seq2SeqForecaster:
             x = y[None, :, :]
         return preds
 
-    def train_step(self, buffer: PredictorBuffer, iters=None, batch=None) -> float:
+    def train_step(self, buffer: PredictorBuffer, iters=None) -> float:
         """Teacher-forced Adam updates on sampled minibatches; mean loss."""
         iters = self.cfg.iters_per_step if iters is None else iters
-        batch = self.cfg.batch if batch is None else batch
+        batch = self.cfg.batch
         if len(buffer) < batch:
             raise ValueError(f"buffer holds {len(buffer)} pairs, need {batch}")
         params = self.param_dict()
@@ -239,10 +239,6 @@ class OnlinePredictor:
         self.history = DemandHistory(p.window_s, p.sample_s)
         self.train_log = []      # (buffer size at trigger, mean loss)
         self._memo = None
-
-    @property
-    def converged(self) -> bool:
-        return self.model.converged
 
     def start_episode(self):
         self.history = DemandHistory(self.pcfg.window_s, self.pcfg.sample_s)

@@ -628,40 +628,37 @@ def train(cfg: ScenarioConfig, method: str, seed: int, epochs=None,
 class EvalEpisode:
     seed: int
     metrics: EpisodeMetrics
-    rewards: np.ndarray
-    costs: np.ndarray
     minute_log: list
     droop_log: list
-    trace: list | None
+    trace: list                 # CouplingEnv.trace rows, one per decision
 
 
 def evaluate(cfg: ScenarioConfig, method: str, agent=None, predictor=None,
-             seeds=(0,), compliance=None, trace=False):
+             seeds=(0,)):
     """Deterministic greedy-action rollouts; returns one record per seed.
 
-    The predictor, when present, keeps forecasting but never trains during
-    evaluation.
+    Every setting comes from ``cfg`` (driver compliance included) and the
+    state layout from the agent's ``tag``. The predictor, when present,
+    keeps forecasting but never trains during evaluation.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
     if method != "greedy" and agent is None:
         raise ValueError(f"method '{method}' needs a trained agent")
-    env = CouplingEnv(cfg, trace=trace)
-    if compliance is not None:
-        env.set_compliance(compliance)
-    pad = pad_width(cfg) if method in AUGMENTED else 0
+    env = CouplingEnv(cfg)
     if predictor is not None:
         predictor.model.converged = True      # freeze learning, keep predicting
     # A bound method is the cheapest callable for the ~2 us greedy decision
     # the timer covers; functools.partial measured ~10% slower.
-    policy = MethodType(greedy_action, env) if method == "greedy" \
-        else agent.act_greedy
+    if method == "greedy":
+        policy, pad = MethodType(greedy_action, env), 0
+    else:
+        policy, pad = agent.act_greedy, agent.tag["pad_width"]
     records = []
     for es in seeds:
         ep = rollout(env, policy, int(es), predictor, pad)
-        records.append(EvalEpisode(int(es), ep.metrics, ep.rewards, ep.costs,
-                                   list(env.minute_log), list(env.droop_log),
-                                   list(env.trace) if trace else None))
+        records.append(EvalEpisode(int(es), ep.metrics, list(env.minute_log),
+                                   list(env.droop_log), list(env.trace)))
     return records
 
 

@@ -161,10 +161,6 @@ def link_speed(link: RoadLink, others: float) -> float:
     return v if v > V_MIN_MS else V_MIN_MS
 
 
-def link_travel_time(link: RoadLink, others: float) -> float:
-    return link.length_m / link_speed(link, others)
-
-
 def shortest_path(net: RoadNetwork, origin: int, dest: int, travel_times=None):
     """Link-id sequence of the minimum-cost origin->dest path.
 
@@ -288,7 +284,8 @@ class TrafficSim:
     def travel_times(self):
         """Current planning costs: each link as seen by an entering vehicle.
 
-        Inlines link_travel_time on the precomputed link parameters."""
+        Inlines ``length_m / link_speed`` on the precomputed link
+        parameters."""
         counts = self.counts
         out = {}
         for lid, (length, cap, vf, kjam) in self.net.link_params.items():

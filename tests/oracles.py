@@ -155,15 +155,6 @@ def gae_double_sum(signal, values, gamma, lam):
     return out
 
 
-def discounted_returns(signal, gamma):
-    out = [0.0] * len(signal)
-    acc = 0.0
-    for t in range(len(signal) - 1, -1, -1):
-        acc = signal[t] + gamma * acc
-        out[t] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # numerics
 # ---------------------------------------------------------------------------

@@ -15,11 +15,16 @@ the corners of the simulator that the bundled scenarios rarely touch:
 The drawn values are a handful of sizes and one numpy seed, from which the
 networks and parameters follow, so ``derandomize=True`` examples stay cheap
 to generate and to replay.
+
+``NO_SHRINK`` is the phase list for tests whose examples run whole
+episodes: shrinking replays them and can take minutes, so without it a
+failure reports the first failing example in seconds, unminimised.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import Phase
 from hypothesis import strategies as st
 
 from evgrid.charging import BatteryParams, DroopParams
@@ -30,6 +35,7 @@ from evgrid.traffic import RoadLink, RoadNetwork
 
 BASE_MVA = 10.0
 BASE_KV = 12.66
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
 def random_radial(rng, n_buses):

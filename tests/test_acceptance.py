@@ -15,7 +15,7 @@ import pytest
 import evgrid
 from evgrid.charging import BatteryParams, ChargingStation, DroopParams, droop_power
 from evgrid.env import CouplingEnv, greedy_station
-from evgrid.harness import build_agent, run_eval
+from evgrid.harness import apply_sweep_value, build_agent, run_eval
 from evgrid.nn import LSTM, DenseNet
 from evgrid.power import load_power_network, min_voltage, solve_power_flow
 from evgrid.predictor import (PredictorBuffer, DemandHistory,
@@ -393,7 +393,8 @@ def test_c11_determinism_and_compliance_zero(capsys, tiny_cfg, tmp_path):
                   == (b / "metrics.csv").read_bytes())
 
     c0, gr = tmp_path / "c0", tmp_path / "gr"
-    run_eval(tiny_cfg, "ppo", [4], c0, checkpoint=ckpt, compliance=0.0)
+    run_eval(apply_sweep_value(tiny_cfg, "compliance_rate", 0.0), "ppo", [4],
+             c0, checkpoint=ckpt)
     run_eval(tiny_cfg, "greedy", [4], gr)
     payload_same = all(
         (c0 / f"{stem}_ppo_s4.csv").read_bytes()

@@ -59,7 +59,7 @@ def test_arrival_starts_charging_when_pile_free():
     assert v.phase == CHARGING
     assert v.t_cs_arrive == 100.0 and v.t_charge_start == 100.0
     assert cs.pending == 0
-    assert cs.occupancy() == (0, 1)
+    assert (len(cs.queue), len(cs.charging)) == (0, 1)
 
 
 def test_fifo_queue_and_promotion_order():

@@ -1,6 +1,7 @@
 """Environment tests: rewards, costs, duality, compliance, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,19 +218,17 @@ def test_reward_and_cost_bounds(tiny_cfg):
 def test_determinism(tiny_cfg):
     runs = []
     for _ in range(2):
-        env = CouplingEnv(tiny_cfg, trace=True)
+        env = CouplingEnv(tiny_cfg)
         outs, metrics = run_episode(env, 12, random_policy(np.random.default_rng(7)))
-        runs.append((tuple(env.step_rewards), tuple(env.step_costs),
-                     metrics, tuple(r[:5] for r in env.trace)))
+        runs.append((metrics, tuple(env.trace)))
     assert runs[0] == runs[1]
 
 
 def test_compliance_zero_matches_greedy(tiny_cfg):
-    defect = CouplingEnv(tiny_cfg, trace=True)
-    defect.set_compliance(0.0)
+    defect = CouplingEnv(replace(tiny_cfg, compliance_rate=0.0))
     _, m_defect = run_episode(defect, 4, random_policy(np.random.default_rng(9)))
 
-    greedy = CouplingEnv(tiny_cfg, trace=True)
+    greedy = CouplingEnv(tiny_cfg)
     _, m_greedy = run_episode(greedy, 4, greedy_policy)
 
     assert m_defect == m_greedy
@@ -241,20 +240,17 @@ def test_compliance_zero_matches_greedy(tiny_cfg):
 def test_compliance_pattern_deterministic(tiny_cfg):
     patterns = []
     for _ in range(2):
-        env = CouplingEnv(tiny_cfg, trace=True)
-        env.set_compliance(0.5)
+        env = CouplingEnv(replace(tiny_cfg, compliance_rate=0.5))
         run_episode(env, 6, lambda s, e: 0)
         patterns.append([r[6] for r in env.trace])
     assert patterns[0] == patterns[1]
-    with pytest.raises(EnvError):
-        CouplingEnv(tiny_cfg).set_compliance(1.5)
 
 
 def test_simultaneous_requests_zero_length_segments(tmp_path):
     p = tmp_path / "burst.yaml"
     p.write_text(BURST)
     cfg = load_scenario(p)
-    env = CouplingEnv(cfg, trace=True)
+    env = CouplingEnv(cfg)
     outs, metrics = run_episode(env, 0, lambda s, e: 0)
     elapsed = [r[4] for r in env.trace]
     assert 0 in elapsed

@@ -1,24 +1,30 @@
-"""CLI runner tests: determinism of written artifacts, sweep-axis
-validation, manifest provenance, percentile oracle, and exit codes."""
+"""CLI runner tests: determinism of written artifacts, also on random
+scenarios, checkpoint round-trips, sweep-axis validation, manifest
+provenance, percentile oracle, and exit codes."""
 
 import json
 import re
+import tempfile
 from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evgrid import DATA_DIR
 from evgrid.harness import (HarnessError, MetricsRecord, _parse_values,
                             apply_sweep_value, build_agent, config_hash, main,
                             percentile98, resolve_scenario, resolve_seeds,
                             run_eval, run_report, write_csv)
-from evgrid.env import CouplingEnv
+from evgrid.env import CouplingEnv, EnvError
 from evgrid.nn import load_params, save_params
 from evgrid.scenario import load_scenario
-from evgrid.srl import save_checkpoint
+from evgrid.srl import load_checkpoint, rollout, save_checkpoint
+
+from strategies import NO_SHRINK, scenarios
 
 TINY = """
 name: tinyharness
@@ -221,13 +227,50 @@ def test_eval_rerun_byte_identical(tiny_cfg, tmp_path):
     assert header == "method,seed,ttt_s,cvv,wct_min"
 
 
+@settings(derandomize=True, max_examples=20, deadline=None,
+          phases=NO_SHRINK)
+@given(cfg=scenarios(), seed=st.integers(0, 50))
+def test_random_scenarios_rerun_and_round_trip(cfg, seed):
+    """Per random scenario: a greedy rerun writes the same bytes, and a
+    ppo checkpoint loaded into an agent built with another seed has the
+    same parameters, bit for bit, and the same greedy actions."""
+    env = CouplingEnv(cfg)
+    try:
+        env.reset(seed)
+    except EnvError:
+        return                      # no control-phase charging request
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "a", Path(tmp) / "b"
+        run_eval(cfg, "greedy", [seed], a, trace=True)
+        run_eval(cfg, "greedy", [seed], b, trace=True)
+        names = sorted(p.name for p in a.glob("*.csv"))
+        assert names == sorted(p.name for p in b.glob("*.csv"))
+        assert "trace_greedy_s%d.csv" % seed in names
+        for name in names:
+            if name != "timing.csv":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+        agent, _ = build_agent(cfg, env, "ppo", seed=seed)
+        other, _ = build_agent(cfg, env, "ppo", seed=seed + 1)
+        path = Path(tmp) / "ppo.bin"
+        save_checkpoint(path, agent)
+        load_checkpoint(path, other)
+    want, got = agent.param_dict(), other.param_dict()
+    assert list(want) == list(got)
+    for key in want:
+        assert np.array_equal(want[key].view(np.int64),
+                              got[key].view(np.int64)), key
+    ep = rollout(env, agent.act_greedy, seed)
+    assert [other.act_greedy(s) for s in ep.states] == ep.actions.tolist()
+
+
 def test_compliance_zero_matches_greedy(tiny_cfg, tmp_path):
     env = CouplingEnv(tiny_cfg)
     agent, predictor = build_agent(tiny_cfg, env, "ppo")
     ckpt = tmp_path / "fresh.bin"
     save_checkpoint(ckpt, agent, predictor)
-    run_eval(tiny_cfg, "ppo", [4], tmp_path / "agent", checkpoint=ckpt,
-             compliance=0.0)
+    run_eval(apply_sweep_value(tiny_cfg, "compliance_rate", 0.0), "ppo", [4],
+             tmp_path / "agent", checkpoint=ckpt)
     run_eval(tiny_cfg, "greedy", [4], tmp_path / "greedy")
     got = (tmp_path / "agent" / "metrics.csv").read_text()
     want = (tmp_path / "greedy" / "metrics.csv").read_text()

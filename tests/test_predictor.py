@@ -241,7 +241,7 @@ def test_online_predictor_trigger_and_freeze(pred_cfg):
     # trigger fires at every multiple of train_every once past min_buffer
     expect = [n for n in range(8, 28, 4)]
     got = [n for n, _ in op.train_log]
-    if not op.converged:
+    if not op.model.converged:
         assert got == expect
     else:
         assert got == expect[:len(got)]

@@ -1,5 +1,6 @@
 """Learning-stack tests: GAE, clip math, multiplier, agents, rollouts."""
 
+from dataclasses import replace
 from functools import partial
 from types import MethodType
 
@@ -16,6 +17,8 @@ from evgrid.srl import (DQNAgent, EpisodeData, LagrangePPOAgent,
                         evaluate, greedy_action, lagrangian_update,
                         load_checkpoint, pad_width, ppo_update, rollout,
                         save_checkpoint, train)
+
+from oracles import gae_double_sum
 
 TINY = """\
 name: tiny
@@ -45,13 +48,6 @@ def tiny_cfg(tmp_path_factory):
     p = tmp_path_factory.mktemp("scn") / "tiny.yaml"
     p.write_text(TINY)
     return load_scenario(p)
-
-
-def gae_double_sum(rewards, values, gamma, lam):
-    T = len(rewards)
-    deltas = [rewards[t] + gamma * values[t + 1] - values[t] for t in range(T)]
-    return np.array([sum((gamma * lam) ** k * deltas[t + k]
-                         for k in range(T - t)) for t in range(T)])
 
 
 def test_gae_matches_double_sum_oracle():
@@ -436,11 +432,11 @@ def test_train_curve_and_eval_roundtrip(tiny_cfg, tmp_path):
 
 
 def test_eval_compliance_zero_matches_greedy(tiny_cfg):
-    greedy = evaluate(tiny_cfg, "greedy", seeds=(5,), trace=True)
+    greedy = evaluate(tiny_cfg, "greedy", seeds=(5,))
 
     res = train(tiny_cfg, "ppo", seed=2, epochs=1, episodes_per_epoch=2)
-    forced = evaluate(tiny_cfg, "ppo", res.agent, seeds=(5,), compliance=0.0,
-                      trace=True)
+    forced = evaluate(replace(tiny_cfg, compliance_rate=0.0), "ppo", res.agent,
+                      seeds=(5,))
     assert core_metrics(forced[0].metrics) == core_metrics(greedy[0].metrics)
     applied_a = [row[1] for row in greedy[0].trace]
     applied_b = [row[1] for row in forced[0].trace]

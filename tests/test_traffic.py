@@ -16,7 +16,6 @@ from evgrid.traffic import (
     TrafficSim,
     Vehicle,
     link_speed,
-    link_travel_time,
     load_road_network,
     path_length_m,
     record_trip_times,
@@ -61,7 +60,7 @@ def test_link_speed_and_travel_time():
     ln = _link(1, 1, 2, length=1000.0, vf=10.0, kjam=0.1)
     assert link_speed(ln, 0) == 10.0
     # half jam density: 50 others on 1000 m at kjam 0.1/m
-    assert link_travel_time(ln, 50) == pytest.approx(200.0)
+    assert ln.length_m / link_speed(ln, 50) == pytest.approx(200.0)
     # floor at 1 m/s even past jam density
     assert link_speed(ln, 1000) == 1.0
 

@@ -245,7 +245,7 @@ def test_random_scenarios_rerun_and_round_trip(cfg, seed):
         run_eval(cfg, "greedy", [seed], b, trace=True)
         names = sorted(p.name for p in a.glob("*.csv"))
         assert names == sorted(p.name for p in b.glob("*.csv"))
-        assert "trace_greedy_s%d.csv" % seed in names
+        assert f"trace_greedy_s{seed}.csv" in names
         for name in names:
             if name != "timing.csv":
                 assert (a / name).read_bytes() == (b / name).read_bytes(), name

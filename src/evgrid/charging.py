@@ -11,12 +11,17 @@ picks uniformly for all stations:
 
 Charging advances in fixed ticks; a vehicle finishes on the tick its state
 of charge reaches the target (no clamping, so the energy ledger stays exact:
-capacity * (soc_end - soc_start) == charged_kwh - driven_kwh). The
-environment does not step idle stations (nothing charging, nothing
-queued): ``update_charging`` would change nothing there. Across a quiet
-stretch, in which no EV reaches its target and so no queue head moves up,
-``coast`` repeats each charger's per-tick float operations (``soc += dsoc``,
-``charged_kwh += kwh``) and ``quiet_ticks`` bounds how long that holds.
+capacity * (soc_end - soc_start) == charged_kwh - driven_kwh).
+
+The environment steps a station only from its ``due`` tick. Between
+changes of its charging set or of the setpoint, every tick of
+``update_charging`` only adds one shared (kWh, SoC) gain to each charging
+EV, so ``plan`` bounds, once per change, the ticks before any EV could
+reach its target (a one-tick margin included) and the station is *parked*
+until then: ``sync`` replays the skipped ticks lazily, one float operation
+per tick (``soc += dsoc``, ``charged_kwh += kwh``), bit for bit. Once due,
+a station is stepped every tick until its next completion re-plans it. An
+idle station (nothing charging, hence nothing queued) is never due.
 """
 
 from __future__ import annotations
@@ -72,8 +77,8 @@ def droop_power(v_avg: float, params: DroopParams) -> float:
 
 def tick_energy(dt: float, setpoint_kw: float, battery: BatteryParams):
     """(kWh, state-of-charge gain) of one charging EV over one tick.
-    ``update_charging``, ``quiet_ticks`` and ``coast`` all read it, so a
-    coast stays bit for bit a run of ticks."""
+    ``update_charging`` and ``plan`` both read it, so a parked station's
+    replay stays bit for bit a run of ticks."""
     kwh = battery.eta * setpoint_kw * dt / 3600.0
     return kwh, kwh / battery.capacity_kwh
 
@@ -91,6 +96,11 @@ class ChargingStation:
         self.queue = deque()
         self.charging = []
         self.pending = 0            # EVs assigned and en route
+        # lazy charging, set up by plan: the charging EVs carry every tick
+        # before ``synced``, and from ``due`` on the station is stepped
+        self.synced = 0
+        self.due = math.inf
+        self._gain = None           # tick_energy at the planned setpoint
 
     def submit_arrival(self, veh: Vehicle, t: float):
         """Vehicle reached the station node at time t."""
@@ -107,6 +117,13 @@ class ChargingStation:
         veh.t_charge_start = t
         veh.phase = CHARGING
         self.charging.append(veh)
+        if self._gain is not None and self.due > self.synced:
+            # parked, synced to now: the others' bound holds at the same
+            # gain, so the newcomer's own bound is all that can come first
+            due = self.synced + int((veh.soc_target - veh.soc)
+                                    / self._gain[1]) - 1
+            if due < self.due:
+                self.due = due
 
     def update_charging(self, dt: float, setpoint_kw: float,
                         battery: BatteryParams, t_end: float):
@@ -131,31 +148,45 @@ class ChargingStation:
             self._start(self.queue.popleft(), t_end)
         return finished
 
-    def quiet_ticks(self, dt: float, setpoint_kw: float,
-                    battery: BatteryParams) -> int:
-        """Ticks of ``update_charging`` before any charging EV could reach
-        its target, with a one-tick margin against float rounding."""
+    def plan(self, tick: int, dt: float, setpoint_kw: float,
+             battery: BatteryParams):
+        """Charge lazily from ``tick`` on (the EVs carry every tick before
+        it) and set ``due`` to the first tick that must run
+        ``update_charging``: the ticks before any charging EV could reach
+        its target at this setpoint, with a one-tick margin against float
+        rounding. Called once per change of the charging set or of the
+        setpoint; ``_start`` updates the bound for an arrival."""
+        self._gain = tick_energy(dt, setpoint_kw, battery)
+        self.synced = tick
         gap = math.inf
         for veh in self.charging:
             g = veh.soc_target - veh.soc
             if g < gap:
                 gap = g
-        return int(gap / tick_energy(dt, setpoint_kw, battery)[1]) - 1
+        self.due = tick + int(gap / self._gain[1]) - 1 if self.charging \
+            else math.inf
 
-    def coast(self, k: int, dt: float, setpoint_kw: float,
-              battery: BatteryParams):
-        """k ticks of ``update_charging`` in which no EV reaches its target
-        (as ``quiet_ticks`` bounds), bit for bit."""
-        kwh, dsoc = tick_energy(dt, setpoint_kw, battery)
-        ticks = range(k)
-        for veh in self.charging:
-            soc = veh.soc
-            charged = veh.charged_kwh
-            for _ in ticks:
-                soc += dsoc
-                charged += kwh
-            veh.soc = soc
-            veh.charged_kwh = charged
+    def sync(self, tick: int):
+        """Replay the charging of the ticks before ``tick`` that a parked
+        station skipped (those before ``due``; from there on it is
+        stepped), one float operation per tick as ``update_charging`` makes
+        it, so the state is bit for bit what stepping every tick would
+        leave. A station never planned has nothing to replay."""
+        n = min(tick, self.due) - self.synced
+        if n <= 0:
+            return
+        if self._gain is not None:
+            kwh, dsoc = self._gain
+            ticks = range(n)
+            for veh in self.charging:
+                soc = veh.soc
+                charged = veh.charged_kwh
+                for _ in ticks:
+                    soc += dsoc
+                    charged += kwh
+                veh.soc = soc
+                veh.charged_kwh = charged
+        self.synced += n
 
     def state_features(self, t: float) -> np.ndarray:
         """Raw 9-feature summary (counts, SoC stats, waiting stats, pending).

@@ -30,15 +30,17 @@ arrival, and completion timestamps therefore all land on tick boundaries,
 which keeps the per-vehicle travel-time sum exactly equal to the
 tick-counted dual (``EpisodeMetrics.ttt_s == EpisodeMetrics.ttt_tick_s``).
 
-Most ticks are quiet: nothing departs, crosses a node, drains, finishes
-charging or gets sampled, so every link count, speed and setpoint stays as
-it is. ``_coast`` crosses such a stretch in one call, stopping before the
-next departure, droop boundary, minute sample, and any vehicle or charger
-that could reach a node, an empty battery or its target, and the boundary
-tick then runs as above. Each vehicle and charger repeats its per-tick
-float operations across the stretch, so every output is bit for bit what
-tick-by-tick stepping gives; ``EpisodeMetrics.ticks_coasted`` counts the
-ticks crossed this way.
+Most vehicles and chargers spend most ticks far from any event, so the
+per-tick passes skip them: ``TrafficSim`` parks vehicles far from their
+link's end and a ``ChargingStation`` is stepped only from its ``due`` tick
+(see their module docstrings); both replay the skipped ticks lazily, bit
+for bit. Whenever no vehicle is active and no station is due, ``_skip``
+jumps straight to the next departure, minute sample, droop boundary,
+vehicle wake or station due tick, and that tick then runs as above. Every
+output is bit for bit what stepping every tick gives: before ``_advance``
+returns, every parked vehicle and station is synced.
+``EpisodeMetrics.ticks_coasted`` counts the ticks crossed without a
+per-tick pass.
 
 Each minute sample appends one ``minute_log`` row: (t, occupancy per
 station, station features, total kW, setpoint). The station features are
@@ -63,9 +65,9 @@ from .charging import ChargingStation, charging_loads_kw, droop_power
 from .power import average_voltage, solve_power_flow, voltage_deviation
 from .scenario import (RewardParams, ScenarioConfig, build_vehicle,
                        generate_trips, samples_per_window)
-from .traffic import (DRIVE_CS, DRIVE_DEST, DONE, MIN_COAST_TICKS,
-                      STRANDED, NoPathError, TrafficSim, path_length_m,
-                      record_trip_times, shortest_path)
+from .traffic import (DRIVE_CS, DRIVE_DEST, DONE, STRANDED, NoPathError,
+                      TrafficSim, path_length_m, record_trip_times,
+                      shortest_path)
 
 TICK_S = 1.0
 WAIT_NORM_S = 600.0      # queue-wait scale used in station observations
@@ -95,7 +97,7 @@ class EpisodeMetrics:
     n_stranded: int
     dt_mean_s: float       # mean caller-reported decision latency
     ticks: int             # simulated ticks, warm-up included
-    ticks_coasted: int     # of which crossed in quiet stretches
+    ticks_coasted: int     # of which crossed without a per-tick pass
 
 
 def greedy_station(road, stations, origin):
@@ -302,6 +304,7 @@ class CouplingEnv:
         waits by WAIT_NORM_S, concatenated in station order."""
         out = np.empty(9 * len(self.stations))
         for i, cs in enumerate(self.stations):
+            cs.sync(self._t)
             f = cs.state_features(float(self._t))
             f[0] /= cs.piles
             f[1] /= cs.piles
@@ -316,55 +319,49 @@ class CouplingEnv:
     # ------------------------------------------------------------------
 
     def _advance(self) -> bool:
-        """Run ticks until a decision is pending (False) or terminal (True)."""
+        """Run ticks until a decision is pending (False) or terminal (True),
+        then sync every parked vehicle and station."""
         while True:
             if not self._mid_tick:
-                if self.sim.far:
-                    self._coast()
+                if not self.sim.active:
+                    self._skip()
                 self._tick_pre()
                 self._mid_tick = True
                 if self._pending:
+                    self._sync()
                     return False
             self._tick_post()
             if self._n_unfinished == 0:
                 self._terminal = True
+                self._sync()
                 return True
             if self._t > self._safety_cap:
                 raise EnvError(f"episode exceeded {self._safety_cap} ticks with "
                                f"{self._n_unfinished} unfinished vehicles")
 
-    def _coast(self):
-        """Cross the quiet ticks from ``_t`` on in one stretch, if there are
-        at least ``MIN_COAST_TICKS`` of them.
+    def _skip(self):
+        """Cross the ticks from ``_t`` on that need no per-tick pass.
 
-        A quiet tick has no droop update or departure before its movement,
-        and no node crossing, route end, drained EV, charge completion
-        (hence no queue promotion) or minute sample after it. The stretch
-        stops before the next departure, droop boundary, minute sample and
-        safety cap; the stations and ``TrafficSim.coast`` bound the rest.
-        Every tick of it would add the same loaded count to the tick dual
-        and the segment counts, and integer-valued float sums are exact, so
-        ``n_loaded * k`` adds what k ticks would.
+        While no vehicle is active and no station is due, a tick moves and
+        charges only parked vehicles and stations, which replay it lazily.
+        The jump stops at the next departure, droop boundary, minute
+        sample, vehicle wake, station due tick and safety cap. Every tick
+        of it would add the same loaded count to the tick dual and the
+        segment counts, and integer-valued float sums are exact, so
+        ``n_loaded * k`` adds what k ticks would. Call it only while no
+        vehicle is active.
         """
         t = self._t
-        k = min(59 - t % 60, -t % self._droop_every, self._safety_cap - t)
+        k = min(59 - t % 60, -t % self._droop_every, self._safety_cap - t,
+                self.sim.next_wake() - t)
+        for cs in self.stations:
+            if cs.due - t < k:
+                k = cs.due - t
         if self._next_dep < len(self._vehicles):
             k = min(k, int(self._vehicles[self._next_dep].depart_s) - t)
-        if k < MIN_COAST_TICKS:
+        if k <= 0:
             return
-        battery = self.cfg.battery
-        setpoint = self._setpoint
-        for cs in self.stations:
-            if cs.charging:
-                k = min(k, cs.quiet_ticks(TICK_S, setpoint, battery))
-                if k < MIN_COAST_TICKS:
-                    return
-        k = self.sim.coast(k, TICK_S)
-        if not k:
-            return
-        for cs in self.stations:
-            if cs.charging:
-                cs.coast(k, TICK_S, setpoint, battery)
+        self.sim.idle(k)
         n_p = self._n_loaded
         self._ttt_ticks += n_p * k * TICK_S
         self._last_count = n_p
@@ -373,10 +370,22 @@ class CouplingEnv:
         self._t = t + k
         self._ticks_coasted += k
 
+    def _sync(self):
+        self.sim.sync()
+        for cs in self.stations:
+            cs.sync(self._t)
+
     def _tick_pre(self):
         t = self._t
-        if t > 0 and t % self._droop_every == 0:
-            self._update_droop()
+        if t % self._droop_every == 0:
+            setpoint = None
+            if t > 0:
+                setpoint = self._setpoint
+                self._update_droop()
+            if self._setpoint != setpoint:      # first tick or a new setpoint
+                for cs in self.stations:
+                    cs.sync(t)
+                    cs.plan(t, TICK_S, self._setpoint, self.cfg.battery)
         vehicles = self._vehicles
         while self._next_dep < len(vehicles) and vehicles[self._next_dep].depart_s <= t:
             self._depart(vehicles[self._next_dep], t)
@@ -395,14 +404,22 @@ class CouplingEnv:
             arrivals.sort(key=lambda v: v.vid)
         for veh in arrivals:
             if veh.phase == DRIVE_CS:
-                self.stations[self._cs_index[veh.cs_id]].submit_arrival(veh, t_end)
+                cs = self.stations[self._cs_index[veh.cs_id]]
+                cs.sync(t)
+                cs.submit_arrival(veh, t_end)
             else:
                 self._finish(veh, t_end)
         battery = self.cfg.battery
+        setpoint = self._setpoint
         for cs in self.stations:
-            if not cs.charging and not cs.queue:
-                continue        # idle: update_charging would change nothing
-            for veh in cs.update_charging(TICK_S, self._setpoint, battery, t_end):
+            if cs.due > t:
+                continue        # idle, or parked until its due tick
+            cs.sync(t)
+            finished = cs.update_charging(TICK_S, setpoint, battery, t_end)
+            if not finished:
+                continue
+            cs.plan(t + 1, TICK_S, setpoint, battery)
+            for veh in finished:
                 if veh.dest == cs.node:
                     self._finish(veh, t_end)
                 else:
@@ -434,6 +451,7 @@ class CouplingEnv:
         veh.cs_id = st.cs_id
         st.pending += 1
         if veh.origin == st.node:
+            st.sync(t)
             st.submit_arrival(veh, float(t))
         else:
             veh.phase = DRIVE_CS

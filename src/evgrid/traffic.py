@@ -20,23 +20,29 @@ order-independent (speeds snapshotted at tick start), which will move
 outputs. ``step`` also reports, in ``drained``, the EVs still on the road
 whose state of charge it drained to zero or below.
 
-Most ticks are quiet: no vehicle crosses a node, so every link count and
-speed stays fixed (the lazy memo only matters on ticks with crossings) and
-vehicles do not interact. ``TrafficSim.coast`` moves the fleet across such
-a stretch in one call. It bounds the ticks before any vehicle could reach
-its link's end or drain its battery, then repeats each vehicle's per-tick
-float operations (``pos_m += d``, ``driven_kwh += kwh``,
-``soc -= kwh / capacity``) that many times, so the state is bit for bit
-what as many ``step`` calls leave. ``pos_m + k * d`` would not be. ``step``
-also sets ``far`` when every vehicle that stayed on its link ended the tick
-more than ``MIN_COAST_TICKS`` ticks of travel, plus the one-tick margin,
-from the link's end: a hint, free inside the compare ``step`` makes anyway,
-that a coast can succeed.
+Most vehicles spend most ticks far from their link's end, where a tick
+only adds the link's distance per tick to their position (and spends its
+energy). ``step`` therefore *parks* such a vehicle: it leaves the per-tick
+loop until the tick it could first reach its link's end or drain its
+battery (a one-tick margin included), and ``step`` moves only the
+*active* ones, in ``driving`` order, with unchanged per-vehicle code. A
+parked vehicle's skipped ticks are replayed lazily, one float operation
+per tick as ``step`` makes them (``pos_m += d``, ``driven_kwh += kwh``,
+``soc -= kwh / capacity``; ``pos_m + k * d`` would not be bit for bit),
+when it wakes, when its link's count changes (the distance per tick
+changes from the next tick on) and on ``sync``, so its state is bit for bit
+what stepping every tick would leave. Before each tick, the vehicles on
+any link an active vehicle could enter during the tick are woken, because
+such an entry can change the link's speed for that tick (see
+``_wake_for_tick``). Between syncs, a parked vehicle's fields lag behind:
+read them after ``sync``.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,16 +50,11 @@ import numpy as np
 
 V_MIN_MS = 1.0
 
-# Shortest quiet stretch worth a coast. Measured warm, in greedy episodes
-# of the bundled scenarios on an otherwise idle host (2 vCPUs, Python
-# 3.11.7): stepping a quiet tick costs 2.0-5.5 us + 0.44-0.80 us per
-# driving vehicle + 0.12-0.16 us per charging EV; a coast costs 6.3-14.6 us
-# + 0.72-0.91 us per vehicle + 0.20-0.39 us per charging EV for its horizon
-# passes, then 0.04-0.06 us per vehicle and per charging EV for each tick it
-# crosses. Coasting k ticks breaks even at k = 1.5-3.1 over fleets of 0-60
-# driving and 0-60 charging EVs, so from 3 ticks on it is at least even at
-# every fleet size, while 2-tick stretches lose on small fleets.
-MIN_COAST_TICKS = 3
+# Fewest ticks a vehicle must be able to skip to be parked (see
+# ``TrafficSim._park``).
+MIN_PARK_TICKS = 3
+# Distance before its link's end that a parked vehicle's horizon keeps free.
+PARK_MARGIN_M = 1e-3
 
 
 class NoPathError(ValueError):
@@ -261,6 +262,23 @@ def record_trip_times(veh: Vehicle) -> TripTimes:
     return TripTimes(tt_drive, tt_wait, tt_charge, veh.t_done - veh.depart_s)
 
 
+class _Speed:
+    """One stretch of a link's distance per tick, as its parked vehicles
+    see it: from tick ``start`` until the ``next`` stretch starts, each of
+    them moves ``d`` metres and an EV spends ``kwh`` (``dsoc`` of its
+    charge) per tick."""
+
+    __slots__ = ("start", "d", "kwh", "dsoc", "next")
+
+
+class _Parked:
+    """A vehicle that ``TrafficSim.step`` skips until tick ``wake``. Its
+    fields carry every tick before ``synced``, which falls in the link
+    stretch ``speed``; ``seq`` is its place in ``driving`` order."""
+
+    __slots__ = ("veh", "seq", "lid", "speed", "synced", "wake")
+
+
 class TrafficSim:
     """Moves driving vehicles in fixed ticks and tracks per-link counts."""
 
@@ -270,7 +288,15 @@ class TrafficSim:
         self.counts = {lid: 0 for lid in net.links}
         self.driving = []
         self.drained = []               # set by step, in driving order
-        self.far = True                 # set by step, see the module docstring
+        self.now = 0                    # ticks stepped or idled so far
+        self.active = []                # (seq, vehicle) that step moves, by seq
+        self._parked = {}               # vehicle -> _Parked
+        self._parked_on = {lid: {} for lid in net.links}
+        self._speed = {}                # lid -> its latest _Speed, while parked on
+        self._wakes = []                # heap of (wake tick, token, _Parked)
+        self._seq = 0                   # entries so far, for driving order
+        self._tokens = 0                # heap tie-break, never compares records
+        self._dt = None                 # tick length, fixed by the first step
 
     def enter_road(self, veh: Vehicle):
         """Start driving veh along veh.route (must be non-empty)."""
@@ -278,8 +304,14 @@ class TrafficSim:
             raise ValueError(f"vehicle {veh.vid} has an empty route")
         veh.route_idx = 0
         veh.pos_m = 0.0
-        self.counts[veh.route[0]] += 1
+        lid = veh.route[0]
+        self.counts[lid] += 1
         self.driving.append(veh)
+        self._seq += 1
+        if lid in self._speed:
+            self._new_speed(lid, self.now, self.counts[lid])
+        if self._dt is None or not self._park(self._seq, veh):
+            self.active.append((self._seq, veh))
 
     def travel_times(self):
         """Current planning costs: each link as seen by an entering vehicle.
@@ -296,7 +328,15 @@ class TrafficSim:
     def remove(self, veh: Vehicle):
         """Take a driving vehicle off the network (stranded-battery case)."""
         self.driving.remove(veh)
-        self.counts[veh.route[veh.route_idx]] -= 1
+        lid = veh.route[veh.route_idx]
+        self.counts[lid] -= 1
+        rec = self._parked.get(veh)
+        if rec is None:
+            self.active = [e for e in self.active if e[1] is not veh]
+        else:
+            self._unpark(rec)
+        if lid in self._speed:
+            self._new_speed(lid, self.now, self.counts[lid])
 
     def density_vector(self):
         """Normalized densities over links, sorted by link id, clipped to 1."""
@@ -307,46 +347,69 @@ class TrafficSim:
             out[i] = min((self.counts[lid] / cap) / kjam, 1.0)
         return out
 
-    def _tick_distance(self, lid, dt):
-        """Distance a vehicle on link ``lid`` covers in one tick at the
-        link's current count: ``link_speed(links[lid], counts[lid] - 1) * dt``
-        on the precomputed link parameters. ``coast`` moves vehicles by it
-        and ``step`` by an inlined copy, so a coast stays bit for bit a run
-        of steps."""
+    def _tick_distance(self, lid, count, dt):
+        """Distance a vehicle covers in one tick on link ``lid`` holding
+        ``count`` vehicles: ``link_speed(links[lid], count - 1) * dt`` on the
+        precomputed link parameters. Parked vehicles move by it and
+        ``step`` by an inlined copy, so parking stays bit for bit a run of
+        steps."""
         length, cap, vf, kjam = self.net.link_params[lid]
-        v = vf * (1.0 - ((self.counts[lid] - 1) / cap) / kjam)
+        v = vf * (1.0 - ((count - 1) / cap) / kjam)
         return (v if v > V_MIN_MS else V_MIN_MS) * dt
 
     def step(self, dt: float = 1.0):
         """Advance one tick. Returns vehicles whose route finished this tick
         and sets ``drained`` to the EVs still driving with SoC <= 0."""
+        if dt != self._dt:
+            if self._dt is not None:
+                raise ValueError(f"step with dt {dt} after steps with dt "
+                                 f"{self._dt}: parked vehicles move by one "
+                                 f"tick length")
+            self._dt = dt
+        wakes = self._wakes
+        if wakes and wakes[0][0] <= self.now:
+            self._wake_due()
+        if not self.active:
+            self.now += 1
+            self.drained = []
+            return []
         params = self.net.link_params
         counts = self.counts
         battery = self.battery
         if battery is not None:
             rho = battery.rho_kwh_per_km
             capacity = battery.capacity_kwh
-        # lid -> (distance per tick, link length, distance beyond which a
-        # vehicle is far from the link's end in the sense of ``far``)
+        parked_on = self._parked_on
+        # lid -> (distance per tick, link length, distance from the link's
+        # end beyond which a vehicle can park)
         speeds = {}
         arrived = []
         drained = []
-        far = True
-        for veh in self.driving:
+        settled = []                    # far from their link's end
+        log = []                        # (lid, seq, +1 or -1) per count change
+        fixed = {}                      # lid -> count that fixed its speed
+        for entry in self.active:
+            seq, veh = entry
             route = veh.route
             idx = veh.route_idx
             lid = route[idx]
             memo = speeds.get(lid)
             if memo is None:
-                # _tick_distance(lid, dt), inlined: the call made a case_a
-                # step 14% slower (25.9 -> 29.5 us, medians of 10 rounds over
-                # the fleets at its greedy decisions; 2 vCPUs, Python
-                # 3.11.7). test_coast_equals_quiet_steps_... in
-                # test_traffic.py fails if the two copies part.
+                count = counts[lid]
+                if parked_on[lid]:
+                    if log:
+                        count = self._first_count(lid, seq, log)
+                    fixed[lid] = count
+                # _tick_distance(lid, count, dt), inlined: the call made a
+                # case_a step 14% slower (25.9 -> 29.5 us, medians of 10
+                # rounds over the fleets at its greedy decisions; 2 vCPUs,
+                # Python 3.11.7). test_parked_fleets_match_steps_bit_for_bit
+                # in test_traffic.py fails if the two copies part.
                 length, cap, vf, kjam = params[lid]
-                v = vf * (1.0 - ((counts[lid] - 1) / cap) / kjam)
+                v = vf * (1.0 - ((count - 1) / cap) / kjam)
                 d = (v if v > V_MIN_MS else V_MIN_MS) * dt
-                memo = (d, length, (MIN_COAST_TICKS + 2) * d)
+                memo = (d, length, (MIN_PARK_TICKS + 2)
+                        * (vf if vf > V_MIN_MS else V_MIN_MS) * dt)
                 speeds[lid] = memo
             remaining, length, reach = memo
             to_end = length - veh.pos_m
@@ -354,26 +417,29 @@ class TrafficSim:
             if reach < to_end:              # stays on its link, far from its end
                 veh.pos_m += remaining
                 traveled = remaining
+                settled.append(entry)
             elif remaining < to_end:        # stays on its link
                 veh.pos_m += remaining
                 traveled = remaining
-                far = False
             else:                           # crosses one or more nodes
                 traveled = 0.0
                 while True:
                     traveled += to_end
                     remaining -= to_end
                     counts[route[idx]] -= 1
+                    log.append((route[idx], seq, -1))
                     idx += 1
                     if idx >= len(route):
                         finished = True
                         break
                     counts[route[idx]] += 1
+                    log.append((route[idx], seq, 1))
                     veh.pos_m = 0.0
                     to_end = params[route[idx]][0]
                     if remaining < to_end:
                         veh.pos_m += remaining
                         traveled += remaining
+                        settled.append(entry)   # parks if far from the end
                         break
                 veh.route_idx = idx
             if veh.is_ev and battery is not None and traveled > 0.0:
@@ -384,73 +450,197 @@ class TrafficSim:
                     drained.append(veh)
             if finished:
                 arrived.append(veh)
+        self.now += 1
         if arrived:
             self.driving = [veh for veh in self.driving
                             if veh.route_idx < len(veh.route)]
+        if log:
+            self._settle_speeds(fixed, log)
+        if settled or arrived:
+            parked = self._parked
+            for seq, veh in settled:
+                self._park(seq, veh)
+            self.active = [e for e in self.active
+                           if e[1] not in parked
+                           and e[1].route_idx < len(e[1].route)]
         self.drained = drained
-        self.far = far
         return arrived
 
-    def coast(self, k_max: int, dt: float = 1.0) -> int:
-        """Advance up to ``k_max`` quiet ticks in one call; return how many.
+    def idle(self, k: int):
+        """Let ``k`` ticks pass in which no vehicle is active: every driving
+        vehicle is parked past them (``k <= next_wake() - now``), so nothing
+        crosses a node or drains, no count changes, and the parked vehicles
+        carry the ticks when they next sync."""
+        self.now += k
+        self.drained = []
 
-        The count is ``k_max`` capped at the ticks every driving vehicle can
-        make without reaching its link's end or, for an EV, draining to
-        SoC <= 0, each bound taken with a one-tick margin so that float
-        rounding (~1e-13 m over a stretch, against at least ``V_MIN_MS``
-        per tick) cannot matter. Below ``MIN_COAST_TICKS`` nothing moves and
-        0 is returned. Otherwise each vehicle repeats its per-tick float
-        operations, so the state is bit for bit what that many ``step``
-        calls would leave, none of which would cross a node or drain an EV.
-        """
-        if k_max < MIN_COAST_TICKS:
-            return 0
-        params = self.net.link_params
+    def next_wake(self):
+        """The first tick a parked vehicle must be stepped (inf if none)."""
+        wakes = self._wakes
+        while wakes:
+            wake, _, rec = wakes[0]
+            if self._parked.get(rec.veh) is rec:
+                return wake
+            heapq.heappop(wakes)        # removed from the road since
+        return math.inf
+
+    def sync(self):
+        """Bring every parked vehicle's position and energy up to ``now``,
+        bit for bit what stepping every tick would have left."""
+        now = self.now
+        for rec in self._parked.values():
+            if rec.synced != now:
+                self._catch_up(rec, now)
+
+    # ------------------------------------------------------------------
+    # parking
+    # ------------------------------------------------------------------
+
+    def _park(self, seq, veh):
+        """Park ``veh`` until the first tick it could reach its link's end
+        or, for an EV, drain to SoC <= 0, if that is at least
+        ``MIN_PARK_TICKS`` ticks away.
+
+        The bounds assume free flow, the fastest any count allows, so that
+        no later change of the link's count can bring them forward. The
+        link's end is kept ``PARK_MARGIN_M`` away, far beyond the float
+        rounding of a replay (~1e-9 m over 10^4 ticks on a 1 km link), and
+        the battery bound keeps a one-tick margin."""
+        lid = veh.route[veh.route_idx]
+        length, _, vf, _ = self.net.link_params[lid]
+        d_max = (vf if vf > V_MIN_MS else V_MIN_MS) * self._dt
+        n = math.ceil((length - veh.pos_m - PARK_MARGIN_M) / d_max) - 1
         battery = self.battery
-        rho = capacity = 0.0
+        if veh.is_ev and battery is not None:
+            dsoc_max = (battery.rho_kwh_per_km * (d_max / 1000.0)
+                        / battery.capacity_kwh)
+            if dsoc_max > 0.0:
+                n = min(n, int(veh.soc / dsoc_max) - 1)
+            elif veh.soc <= 0.0:
+                return False            # step flags it drained every tick
+        if n < MIN_PARK_TICKS:
+            return False
+        now = self.now
+        speed = self._speed.get(lid)
+        if speed is None:
+            speed = self._speed[lid] = self._stretch(
+                now, self._tick_distance(lid, self.counts[lid], self._dt))
+        rec = _Parked()
+        rec.veh, rec.seq, rec.lid, rec.speed = veh, seq, lid, speed
+        rec.synced = now
+        rec.wake = now + n
+        self._parked[veh] = rec
+        self._parked_on[lid][veh] = rec
+        self._tokens += 1
+        heapq.heappush(self._wakes, (rec.wake, self._tokens, rec))
+        return True
+
+    def _unpark(self, rec):
+        """Take ``rec`` off the parked vehicles, its fields synced to now."""
+        if rec.synced != self.now:
+            self._catch_up(rec, self.now)
+        del self._parked[rec.veh]
+        on = self._parked_on[rec.lid]
+        del on[rec.veh]
+        if not on:
+            del self._speed[rec.lid]
+
+    def _wake_due(self):
+        """Wake the parked vehicles whose horizon ends at this tick."""
+        now = self.now
+        parked = self._parked
+        wakes = self._wakes
+        while wakes and wakes[0][0] <= now:
+            rec = heapq.heappop(wakes)[2]
+            if parked.get(rec.veh) is rec:
+                self._unpark(rec)
+                bisect.insort(self.active, (rec.seq, rec.veh))
+
+    def _stretch(self, start, d):
+        speed = _Speed()
+        speed.start = start
+        speed.d = d
+        speed.kwh = speed.dsoc = None
+        battery = self.battery
         if battery is not None:
-            rho = battery.rho_kwh_per_km
-            capacity = battery.capacity_kwh
-        speeds = {}         # lid -> (distance per tick, link length)
-        plan = []
-        k = k_max
-        for veh in self.driving:
-            lid = veh.route[veh.route_idx]
-            memo = speeds.get(lid)
-            if memo is None:
-                memo = (self._tick_distance(lid, dt), params[lid][0])
-                speeds[lid] = memo
-            d, length = memo
-            n = int((length - veh.pos_m) / d) - 1
-            if n < k:
-                if n < MIN_COAST_TICKS:
-                    return 0
-                k = n
-            if veh.is_ev and battery is not None:
-                kwh = rho * (d / 1000.0)
-                dsoc = kwh / capacity
-                if dsoc > 0.0:
-                    n = int(veh.soc / dsoc) - 1
-                    if n < k:
-                        if n < MIN_COAST_TICKS:
-                            return 0
-                        k = n
-                plan.append((veh, d, kwh, dsoc))
-            else:
-                plan.append((veh, d, None, None))
-        ticks = range(k)
-        for veh, d, kwh, dsoc in plan:
-            pos = veh.pos_m
+            speed.kwh = kwh = battery.rho_kwh_per_km * (d / 1000.0)
+            speed.dsoc = kwh / battery.capacity_kwh
+        speed.next = None
+        return speed
+
+    def _new_speed(self, lid, start, count):
+        """From tick ``start`` on, the parked vehicles on ``lid`` move as at
+        ``count`` vehicles."""
+        last = self._speed[lid]
+        d = self._tick_distance(lid, count, self._dt)
+        if d != last.d:
+            last.next = self._speed[lid] = self._stretch(start, d)
+
+    def _first_count(self, lid, seq, log):
+        """Link ``lid``'s count when ``step`` reached, in this tick, the
+        first vehicle that began the tick on it, if that is a parked
+        vehicle ahead of ``seq`` in ``driving`` order; else its count now.
+
+        That count fixes the link's speed for the tick. Exits never change
+        it (the vehicles leaving began the tick there, so not ahead of the
+        first), entries by crossers ahead of it do; ``log`` holds the
+        tick's changes so far."""
+        first = min(rec.seq for rec in self._parked_on[lid].values())
+        count = self.counts[lid]
+        if first < seq:
+            for changed, by, delta in log:
+                if changed == lid and by > first:
+                    count -= delta
+        return count
+
+    def _settle_speeds(self, fixed, log):
+        """After a tick with crossings: the parked vehicles on each link
+        whose count changed moved, in that tick, at the count that fixed
+        the link's speed (``fixed``, else the one at its first parked
+        vehicle), and from now on move at the new count."""
+        now = self.now
+        entered = {changed for changed, _, delta in log if delta > 0}
+        for lid in {changed for changed, _, _ in log}:
+            if lid in self._speed:
+                if lid in entered:          # exits alone never change it
+                    count = fixed.get(lid)
+                    if count is None:
+                        count = self._first_count(lid, math.inf, log)
+                    self._new_speed(lid, now - 1, count)
+                self._new_speed(lid, now, self.counts[lid])
+
+    def _catch_up(self, rec, now):
+        """Replay the ticks ``rec`` skipped, one float operation per tick
+        as ``step`` makes them, stretch by stretch of its link's speed:
+        ``pos_m + k * d`` would not be bit for bit."""
+        veh = rec.veh
+        ev = veh.is_ev and self.battery is not None
+        speed = rec.speed
+        t = rec.synced
+        pos = veh.pos_m
+        if ev:
+            driven = veh.driven_kwh
+            soc = veh.soc
+        while True:
+            nxt = speed.next
+            end = now if nxt is None else nxt.start
+            ticks = range(end - t)
+            d = speed.d
             for _ in ticks:
                 pos += d
-            veh.pos_m = pos
-            if kwh is not None:
-                driven = veh.driven_kwh
-                soc = veh.soc
+            if ev:
+                kwh = speed.kwh
+                dsoc = speed.dsoc
                 for _ in ticks:
                     driven += kwh
                     soc -= dsoc
-                veh.driven_kwh = driven
-                veh.soc = soc
-        self.drained = []
-        return k
+            if end == now:
+                break
+            t = end
+            speed = nxt
+        veh.pos_m = pos
+        if ev:
+            veh.driven_kwh = driven
+            veh.soc = soc
+        rec.speed = speed
+        rec.synced = now

@@ -9,7 +9,6 @@ import evgrid
 from evgrid.traffic import (
     DONE,
     DRIVE_DEST,
-    MIN_COAST_TICKS,
     NoPathError,
     RoadLink,
     RoadNetwork,
@@ -304,15 +303,19 @@ def _vehicle_state(v):
     return (v.vid, v.route_idx, v.pos_m, v.soc, v.driven_kwh)
 
 
+def _shortened(factor):
+    net = load_road_network(evgrid.DATA_DIR / "nguyen_dupuis")
+    return RoadNetwork(net.nodes, [
+        RoadLink(ln.link_id, ln.from_node, ln.to_node, ln.length_m / factor,
+                 ln.lanes, ln.vf_ms, ln.kjam_m_lane)
+        for ln in net.links.values()])
+
+
 def test_step_matches_reference_bit_for_bit():
     """Random departures with short links (several crossings per tick) and
     small batteries (EVs drain to zero en route): every position, SoC,
     count, arrival and drained EV equals the reference step exactly."""
-    net = load_road_network(evgrid.DATA_DIR / "nguyen_dupuis")
-    short = RoadNetwork(net.nodes, [
-        RoadLink(ln.link_id, ln.from_node, ln.to_node, ln.length_m / 150.0,
-                 ln.lanes, ln.vf_ms, ln.kjam_m_lane)
-        for ln in net.links.values()])
+    short = _shortened(150.0)
     for seed in range(4):
         rng = np.random.default_rng(seed)
         fast, ref = TrafficSim(short, _Battery()), TrafficSim(short, _Battery())
@@ -335,6 +338,7 @@ def test_step_matches_reference_bit_for_bit():
                 vid += 1
             before = {v.vid: v.route_idx for v in fast.driving}
             arrived = fast.step(1.0)
+            fast.sync()
             want_arrived, want_drained = _reference_step(ref, 1.0)
             assert ([_vehicle_state(v) for v in arrived]
                     == [_vehicle_state(v) for v in want_arrived])
@@ -357,63 +361,84 @@ def _snapshot(sim):
                   for v in sim.driving], sim.counts))
 
 
-def test_coast_equals_quiet_steps_and_stops_at_most_one_tick_early():
-    """``coast`` leaves the state as many ``step`` calls leave, none of
-    which crosses a node or drains an EV. It stops at its cap or at most one
-    tick before the first step that would, and below ``MIN_COAST_TICKS``
-    it moves nothing."""
-    net = load_road_network(evgrid.DATA_DIR / "nguyen_dupuis")
-    short = RoadNetwork(net.nodes, [
-        RoadLink(ln.link_id, ln.from_node, ln.to_node, ln.length_m / 10.0,
-                 ln.lanes, ln.vf_ms, ln.kjam_m_lane)
-        for ln in net.links.values()])
+def test_parked_fleets_match_steps_bit_for_bit():
+    """200 random fleets on 10x-shortened links, with departures on the
+    way and drained EVs taken off: after every tick the parking simulator,
+    synced, equals the reference step (every vehicle moved every tick) bit
+    for bit, while parked and active vehicles share the road."""
+    short = _shortened(10.0)
     nodes = sorted(short.nodes)
-    coasted = declined = 0
+    mixed = parked_ticks = entries = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
         sim = TrafficSim(short, _Battery())
-        for vid in range(int(rng.integers(0, 8))):
+        vid = 0
+
+        def depart(sims, tick):
+            nonlocal vid
             o, d = (int(x) for x in rng.choice(nodes, 2, replace=False))
             if d not in short.reachable_from(o):
-                continue
-            veh = Vehicle(vid, o, d, 0.0, is_ev=bool(rng.random() < 0.5),
-                          soc=float(rng.uniform(0.0002, 0.01)))
-            veh.route = shortest_path(short, o, d)
-            sim.enter_road(veh)
-            veh.pos_m = float(rng.uniform(0.0, short.links[veh.route[0]].length_m))
+                return
+            is_ev = bool(rng.random() < 0.5)
+            soc = float(rng.uniform(0.0002, 0.01))
+            route = shortest_path(short, o, d, sims[0].travel_times())
+            for one in sims:
+                veh = Vehicle(vid, o, d, float(tick), is_ev=is_ev, soc=soc)
+                veh.route = list(route)
+                one.enter_road(veh)
+            vid += 1
+
+        for _ in range(int(rng.integers(0, 16))):
+            depart([sim], 0)
+            veh = sim.driving[-1] if sim.driving else None
+            if veh is not None and veh.vid == vid - 1:
+                veh.pos_m = float(rng.uniform(
+                    0.0, short.links[veh.route[0]].length_m))
         ref = copy.deepcopy(sim)
-        k_max = int(rng.integers(0, 80))
-        before = _snapshot(sim)
-        k = sim.coast(k_max)
-        states = [_snapshot(ref)]
-        quiet = 0
-        while quiet < k_max:
-            counts = dict(ref.counts)
-            if ref.step(1.0) or ref.drained or ref.counts != counts:
-                break
-            quiet += 1
-            states.append(_snapshot(ref))
-        bound = min(k_max, quiet - 1)
-        if k:
-            coasted += 1
-            assert MIN_COAST_TICKS <= k <= min(k_max, quiet)
-            assert k >= bound
-            assert _snapshot(sim) == states[k]
-            assert sim.drained == []
-        else:
-            declined += 1
-            assert _snapshot(sim) == before
-            assert bound < MIN_COAST_TICKS
-    assert coasted > 20 and declined > 20
+        for tick in range(int(rng.integers(1, 120))):
+            if rng.random() < 0.4:
+                depart([sim, ref], tick)
+            active = {veh: veh.route_idx for _, veh in sim.active}
+            parked_on = {veh.route[veh.route_idx] for veh in sim.driving
+                         if veh not in active}
+            parked_ticks += len(sim.driving) - len(active)
+            mixed += bool(parked_on) and bool(active)
+            arrived = sim.step(1.0)
+            want_arrived, want_drained = _reference_step(ref, 1.0)
+            entries += sum(veh.route_idx > idx
+                           and veh.route_idx < len(veh.route)
+                           and veh.route[veh.route_idx] in parked_on
+                           for veh, idx in active.items())
+            sim.sync()
+            assert ([_vehicle_state(v) for v in arrived]
+                    == [_vehicle_state(v) for v in want_arrived])
+            assert _snapshot(sim) == _snapshot(ref)
+            assert ([v.vid for v in sim.drained]
+                    == [v.vid for v in want_drained])
+            for veh in sim.drained:
+                sim.remove(veh)
+            for veh in want_drained:
+                ref.remove(veh)
+    assert parked_ticks > 20000 and mixed > 500 and entries > 50, (
+        parked_ticks, mixed, entries)
 
 
-def test_coast_stops_before_a_vehicle_reaches_its_node_exactly():
+def test_lone_car_parks_until_the_tick_it_reaches_its_node():
     # a lone car makes exactly 10 m per tick on the 1000 m link: ticks
-    # 1-99 are quiet and tick 100 ends the route, so 99 is the exact bound
+    # 1-99 leave it short of the node and tick 100 ends the route
     net = RoadNetwork({1: (0, 0), 2: (1, 0)}, [_link(1, 1, 2)])
-    sim = TrafficSim(net)
-    veh = Vehicle(0, 1, 2, 0.0)
-    veh.route = [1]
-    sim.enter_road(veh)
-    assert sim.coast(500) == 99 and veh.pos_m == 990.0
-    assert sim.step(1.0) == [veh]
+    for idle in (False, True):
+        sim = TrafficSim(net)
+        veh = Vehicle(0, 1, 2, 0.0)
+        veh.route = [1]
+        sim.enter_road(veh)
+        assert sim.step(1.0) == [] and not sim.active
+        assert sim.next_wake() == 99        # wakes for tick 100, not before
+        if idle:
+            sim.idle(98)
+        else:
+            for _ in range(98):
+                assert sim.step(1.0) == []
+        sim.sync()
+        assert veh.pos_m == 990.0 and sim.now == 99
+        assert sim.step(1.0) == [veh]

@@ -90,7 +90,7 @@ class EpisodeMetrics:
     ttt_s: float           # per-vehicle travel time sum (drive + wait + charge)
     ttt_tick_s: float      # the same total counted per tick; equal exactly
     cvv: float             # summed per-step voltage deviation cost
-    wct_min: float         # mean EV wait+charge minutes (0 when no EV finished)
+    wct_min: float | None  # mean EV wait+charge minutes (None: no EV finished)
     n_steps: int
     n_completed: int
     n_ev_completed: int
@@ -275,7 +275,7 @@ class CouplingEnv:
             ttt_s=ttt,
             ttt_tick_s=self._ttt_ticks,
             cvv=float(sum(row[3] for row in self.trace)),
-            wct_min=(wct_s / n_ev / 60.0) if n_ev else 0.0,
+            wct_min=(wct_s / n_ev / 60.0) if n_ev else None,
             n_steps=n_steps,
             n_completed=len(self.completed),
             n_ev_completed=n_ev,
@@ -371,21 +371,22 @@ class CouplingEnv:
         self._ticks_coasted += k
 
     def _sync(self):
+        """Bring every parked vehicle and station up to ``_t``."""
         self.sim.sync()
         for cs in self.stations:
             cs.sync(self._t)
 
     def _tick_pre(self):
         t = self._t
-        if t % self._droop_every == 0:
-            setpoint = None
-            if t > 0:
-                setpoint = self._setpoint
-                self._update_droop()
-            if self._setpoint != setpoint:      # first tick or a new setpoint
-                for cs in self.stations:
-                    cs.sync(t)
-                    cs.plan(t, TICK_S, self._setpoint, self.cfg.battery)
+        replan = t == 0             # stations charge lazily from the start
+        if t > 0 and t % self._droop_every == 0:
+            setpoint = self._setpoint
+            self._update_droop()
+            replan = self._setpoint != setpoint
+        if replan:
+            for cs in self.stations:
+                cs.sync(t)
+                cs.plan(t, TICK_S, self._setpoint, self.cfg.battery)
         vehicles = self._vehicles
         while self._next_dep < len(vehicles) and vehicles[self._next_dep].depart_s <= t:
             self._depart(vehicles[self._next_dep], t)

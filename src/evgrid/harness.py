@@ -8,9 +8,12 @@ CSVs from a finished run directory).
 Output conventions: ``metrics.csv`` and ``summary.csv`` carry only
 simulation-derived quantities and are byte-identical across re-runs;
 wall-clock figures live in ``timing.csv``, next to each episode's simulated
-ticks and how many of them were crossed in quiet stretches (see
-``CouplingEnv._coast``). Every run directory gets a
+ticks and how many of them were crossed without a per-tick pass (see
+``CouplingEnv._skip``). Every run directory gets a
 ``manifest.json`` with the effective-config hash, seeds, and build info.
+An episode in which no EV finished charging has no mean wait+charge time:
+its ``wct_min`` field is empty, and ``summary.csv`` and ``report`` average
+that metric over the episodes that define it and count those.
 
 Every run setting lives in the ``ScenarioConfig`` a verb receives:
 ``--compliance`` is written into its ``compliance_rate`` (as the
@@ -57,7 +60,7 @@ class MetricsRecord:
     seed: int
     ttt_s: float
     cvv: float
-    wct_min: float
+    wct_min: float | None       # None when no EV finished
     et_s: float
     dt_mean_s: float
     ticks: int                  # of the episode, in timing.csv only
@@ -65,6 +68,8 @@ class MetricsRecord:
 
     def __post_init__(self):
         for name in ("ttt_s", "cvv", "wct_min", "et_s", "dt_mean_s"):
+            if name == "wct_min" and self.wct_min is None:
+                continue
             v = float(getattr(self, name))
             if not np.isfinite(v) or v < 0:
                 raise HarnessError(f"{name} must be finite and >= 0, got {v}")
@@ -124,8 +129,13 @@ def write_manifest(out, cfg, args_dict, seeds, sweep=None):
     return path
 
 
+def field(value) -> str:
+    """A metric's CSV field: its repr, or empty when it is undefined."""
+    return "" if value is None else repr(value)
+
+
 def write_metrics(out, records):
-    rows = [(r.method, r.seed, repr(r.ttt_s), repr(r.cvv), repr(r.wct_min))
+    rows = [(r.method, r.seed, repr(r.ttt_s), repr(r.cvv), field(r.wct_min))
             for r in records]
     write_csv(Path(out) / "metrics.csv",
               ["method", "seed", "ttt_s", "cvv", "wct_min"], rows)
@@ -136,17 +146,34 @@ def write_metrics(out, records):
                 r.ticks_coasted) for r in records])
 
 
+METRICS = ("ttt_s", "cvv", "wct_min")
+
+
+def summary_rows(values):
+    """(method, metric, n, mean, std) rows from {(method, metric): [value
+    or None]}, by method and then in insertion order: mean and population
+    std over the values that are defined, n counts them, and mean and std
+    are empty when there are none."""
+    rows = []
+    for (method, metric), vals in sorted(values.items(),
+                                         key=lambda kv: kv[0][0]):
+        vals = np.array([v for v in vals if v is not None])
+        stats = (repr(float(vals.mean())), repr(float(vals.std()))) \
+            if vals.size else ("", "")
+        rows.append((method, metric, vals.size, *stats))
+    return rows
+
+
 def write_summary(out, records):
     """Mean and population std per method over seeds, one row per metric."""
-    rows = []
-    for method in sorted({r.method for r in records}):
-        sel = [r for r in records if r.method == method]
-        for metric in ("ttt_s", "cvv", "wct_min"):
-            vals = np.array([getattr(r, metric) for r in sel])
-            rows.append((method, metric, len(sel),
-                         repr(float(vals.mean())), repr(float(vals.std()))))
+    values = {}
+    for r in records:
+        for metric in METRICS:
+            values.setdefault((r.method, metric), []).append(
+                getattr(r, metric))
     write_csv(Path(out) / "summary.csv",
-              ["method", "metric", "n_seeds", "mean", "std"], rows)
+              ["method", "metric", "n_seeds", "mean", "std"],
+              summary_rows(values))
 
 
 def write_curve(out, method, seed, curve):
@@ -371,7 +398,7 @@ def run_sweep(cfg, method, axis, values, seeds, out, trace=False):
         write_manifest(sub_out, sub_cfg, {"axis": axis, "value": value},
                        seeds)
         combined.extend((axis, repr(float(value)), r.method, r.seed,
-                         repr(r.ttt_s), repr(r.cvv), repr(r.wct_min))
+                         repr(r.ttt_s), repr(r.cvv), field(r.wct_min))
                         for r in recs)
     write_csv(out / "sweep_summary.csv",
               ["axis", "value", "method", "seed", "ttt_s", "cvv", "wct_min"],
@@ -389,6 +416,18 @@ def run_report(out):
     steps = sorted(out.glob("steps_*.csv"))
     if not (curves or minutes or steps):
         raise HarnessError(f"no run artifacts found under {out}")
+
+    if (out / "metrics.csv").exists():
+        header, rows = read_csv(out / "metrics.csv")
+        values = {}
+        for row in rows:
+            for metric in METRICS:
+                text = row[header.index(metric)]
+                values.setdefault((row[0], metric), []).append(
+                    float(text) if text else None)
+        write_csv(out / "report_metrics.csv",
+                  ["method", "metric", "n_defined", "mean", "std"],
+                  summary_rows(values))
 
     if curves:
         by_key = {}

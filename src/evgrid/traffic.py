@@ -23,19 +23,24 @@ whose state of charge it drained to zero or below.
 Most vehicles spend most ticks far from their link's end, where a tick
 only adds the link's distance per tick to their position (and spends its
 energy). ``step`` therefore *parks* such a vehicle: it leaves the per-tick
-loop until the tick it could first reach its link's end or drain its
-battery (a one-tick margin included), and ``step`` moves only the
-*active* ones, in ``driving`` order, with unchanged per-vehicle code. A
-parked vehicle's skipped ticks are replayed lazily, one float operation
-per tick as ``step`` makes them (``pos_m += d``, ``driven_kwh += kwh``,
+loop until the first tick it could reach its link's end or drain its
+battery at free flow (with a margin), and ``step`` moves only the *active*
+ones, in ``driving`` order, with unchanged per-vehicle code. A parked
+vehicle's skipped ticks are replayed lazily, one float operation per tick
+as ``step`` makes them (``pos_m += d``, ``driven_kwh += kwh``,
 ``soc -= kwh / capacity``; ``pos_m + k * d`` would not be bit for bit),
-when it wakes, when its link's count changes (the distance per tick
-changes from the next tick on) and on ``sync``, so its state is bit for bit
-what stepping every tick would leave. Before each tick, the vehicles on
-any link an active vehicle could enter during the tick are woken, because
-such an entry can change the link's speed for that tick (see
-``_wake_for_tick``). Between syncs, a parked vehicle's fields lag behind:
-read them after ``sync``.
+when it wakes and on ``sync``, so its state is then bit for bit what
+stepping every tick would leave; in between, its fields lag behind.
+
+The replay follows each link's history of distances per tick, a new
+stretch from every tick the link's count changes. The lazy memo above
+makes one case subtle: a link's speed for a tick is fixed by the first
+vehicle, in ``driving`` order, that began the tick on it. Exits never
+change it (the vehicles leaving began the tick there, so they come after
+the first one), entries by earlier crossers do. When that first vehicle
+is parked, ``step`` takes the link's count at its place in the order from
+the tick's log of count changes, both for active vehicles on the link and
+for the parked ones' stretch for that tick.
 """
 
 from __future__ import annotations
@@ -51,7 +56,10 @@ import numpy as np
 V_MIN_MS = 1.0
 
 # Fewest ticks a vehicle must be able to skip to be parked (see
-# ``TrafficSim._park``).
+# ``TrafficSim._park``). Parking and waking one vehicle cost as much as
+# stepping it for a few ticks (3-7 us together, against 0.4-0.8 us per
+# vehicle-tick; 2 vCPUs, Python 3.11.7); on greedy case_a, 1, 2 and 5
+# measured within the host's noise (+-5%) of 3.
 MIN_PARK_TICKS = 3
 # Distance before its link's end that a parked vehicle's horizon keeps free.
 PARK_MARGIN_M = 1e-3
@@ -292,10 +300,12 @@ class TrafficSim:
         self.active = []                # (seq, vehicle) that step moves, by seq
         self._parked = {}               # vehicle -> _Parked
         self._parked_on = {lid: {} for lid in net.links}
-        self._speed = {}                # lid -> its latest _Speed, while parked on
-        self._wakes = []                # heap of (wake tick, token, _Parked)
+        self._speed = {}                # lid -> latest _Speed, while any parked
+        # heap of (wake tick, seq, _Parked); each entry pops by its wake
+        # tick, so it holds at most the parked vehicles and those removed
+        # (stranded) while parked
+        self._wakes = []
         self._seq = 0                   # entries so far, for driving order
-        self._tokens = 0                # heap tie-break, never compares records
         self._dt = None                 # tick length, fixed by the first step
 
     def enter_road(self, veh: Vehicle):
@@ -350,9 +360,8 @@ class TrafficSim:
     def _tick_distance(self, lid, count, dt):
         """Distance a vehicle covers in one tick on link ``lid`` holding
         ``count`` vehicles: ``link_speed(links[lid], count - 1) * dt`` on the
-        precomputed link parameters. Parked vehicles move by it and
-        ``step`` by an inlined copy, so parking stays bit for bit a run of
-        steps."""
+        precomputed link parameters. ``step`` and parked vehicles both move
+        by it."""
         length, cap, vf, kjam = self.net.link_params[lid]
         v = vf * (1.0 - ((count - 1) / cap) / kjam)
         return (v if v > V_MIN_MS else V_MIN_MS) * dt
@@ -400,15 +409,9 @@ class TrafficSim:
                     if log:
                         count = self._first_count(lid, seq, log)
                     fixed[lid] = count
-                # _tick_distance(lid, count, dt), inlined: the call made a
-                # case_a step 14% slower (25.9 -> 29.5 us, medians of 10
-                # rounds over the fleets at its greedy decisions; 2 vCPUs,
-                # Python 3.11.7). test_parked_fleets_match_steps_bit_for_bit
-                # in test_traffic.py fails if the two copies part.
-                length, cap, vf, kjam = params[lid]
-                v = vf * (1.0 - ((count - 1) / cap) / kjam)
-                d = (v if v > V_MIN_MS else V_MIN_MS) * dt
-                memo = (d, length, (MIN_PARK_TICKS + 2)
+                length, _, vf, _ = params[lid]
+                memo = (self._tick_distance(lid, count, dt), length,
+                        (MIN_PARK_TICKS + 2)
                         * (vf if vf > V_MIN_MS else V_MIN_MS) * dt)
                 speeds[lid] = memo
             remaining, length, reach = memo
@@ -487,10 +490,7 @@ class TrafficSim:
     def sync(self):
         """Bring every parked vehicle's position and energy up to ``now``,
         bit for bit what stepping every tick would have left."""
-        now = self.now
-        for rec in self._parked.values():
-            if rec.synced != now:
-                self._catch_up(rec, now)
+        self._replay(self._parked.values(), self.now)
 
     # ------------------------------------------------------------------
     # parking
@@ -531,14 +531,12 @@ class TrafficSim:
         rec.wake = now + n
         self._parked[veh] = rec
         self._parked_on[lid][veh] = rec
-        self._tokens += 1
-        heapq.heappush(self._wakes, (rec.wake, self._tokens, rec))
+        heapq.heappush(self._wakes, (rec.wake, seq, rec))
         return True
 
     def _unpark(self, rec):
         """Take ``rec`` off the parked vehicles, its fields synced to now."""
-        if rec.synced != self.now:
-            self._catch_up(rec, self.now)
+        self._replay((rec,), self.now)
         del self._parked[rec.veh]
         on = self._parked_on[rec.lid]
         del on[rec.veh]
@@ -609,38 +607,42 @@ class TrafficSim:
                     self._new_speed(lid, now - 1, count)
                 self._new_speed(lid, now, self.counts[lid])
 
-    def _catch_up(self, rec, now):
-        """Replay the ticks ``rec`` skipped, one float operation per tick
-        as ``step`` makes them, stretch by stretch of its link's speed:
-        ``pos_m + k * d`` would not be bit for bit."""
-        veh = rec.veh
-        ev = veh.is_ev and self.battery is not None
-        speed = rec.speed
-        t = rec.synced
-        pos = veh.pos_m
-        if ev:
-            driven = veh.driven_kwh
-            soc = veh.soc
-        while True:
-            nxt = speed.next
-            end = now if nxt is None else nxt.start
-            ticks = range(end - t)
-            d = speed.d
-            for _ in ticks:
-                pos += d
+    @staticmethod
+    def _replay(recs, now):
+        """Replay the ticks each parked record skipped before ``now``, one
+        float operation per tick as ``step`` makes them, stretch by stretch
+        of its link's speed: ``pos_m + k * d`` would not be bit for bit."""
+        for rec in recs:
+            t = rec.synced
+            if t == now:
+                continue
+            veh = rec.veh
+            speed = rec.speed
+            ev = veh.is_ev and speed.kwh is not None
+            pos = veh.pos_m
             if ev:
-                kwh = speed.kwh
-                dsoc = speed.dsoc
+                driven = veh.driven_kwh
+                soc = veh.soc
+            while True:
+                nxt = speed.next
+                end = now if nxt is None else nxt.start
+                ticks = range(end - t)
+                d = speed.d
                 for _ in ticks:
-                    driven += kwh
-                    soc -= dsoc
-            if end == now:
-                break
-            t = end
-            speed = nxt
-        veh.pos_m = pos
-        if ev:
-            veh.driven_kwh = driven
-            veh.soc = soc
-        rec.speed = speed
-        rec.synced = now
+                    pos += d
+                if ev:
+                    kwh = speed.kwh
+                    dsoc = speed.dsoc
+                    for _ in ticks:
+                        driven += kwh
+                        soc -= dsoc
+                if end == now:
+                    break
+                t = end
+                speed = nxt
+            veh.pos_m = pos
+            if ev:
+                veh.driven_kwh = driven
+                veh.soc = soc
+            rec.speed = speed
+            rec.synced = now

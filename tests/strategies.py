@@ -10,7 +10,8 @@ the corners of the simulator that the bundled scenarios rarely touch:
 * 1-4 stations with 1-3 piles each, on random nodes and non-slack buses;
 * tiny batteries, so that EVs strand, and sometimes a zero consumption;
 * demand high enough to form queues at the piles;
-* droop intervals that are, and are not, multiples of the minute sample.
+* droop intervals that are, and are not, multiples of the minute sample,
+  and, for half the feeders, a droop band where their voltages sit.
 
 The drawn values are a handful of sizes and one numpy seed, from which the
 networks and parameters follow, so ``derandomize=True`` examples stay cheap
@@ -90,9 +91,15 @@ def scenarios(draw):
     battery = BatteryParams(
         capacity_kwh=float(10 ** rng.uniform(-2, 0)),
         rho_kwh_per_km=draw(st.sampled_from([0.0, 0.15, 0.3])))
-    droop = DroopParams(interval_s=float(draw(st.sampled_from([30, 45, 60, 90, 600]))))
+    interval_s = float(draw(st.sampled_from([30, 45, 60, 90, 600])))
+    seed = int(rng.integers(0, 1000))
+    # half the feeders get a droop band just under 1 pu, where their bus
+    # voltages sit, so that the setpoint moves
+    band = {} if rng.random() < 0.5 else {
+        "v_ref1": float(rng.uniform(0.99, 0.999)), "v_ref2": 1.0}
+    droop = DroopParams(interval_s=interval_s, **band)
     return ScenarioConfig(
-        name="random", seed=int(rng.integers(0, 1000)), road_net=road,
+        name="random", seed=seed, road_net=road,
         power_net=power, stations=stations, demand=demand, battery=battery,
         droop=droop, reward=RewardParams(),
         predictor=PredictorConfig(enc_len=1, dec_len=1, window_s=60.0,

@@ -375,3 +375,22 @@ def test_greedy_memo_matches_greedy_station(scenario):
     for origin, idx in expected.items():
         assert env.greedy_station(origin) == idx
         assert greedy_station(env.road, env.stations, origin) == idx
+
+
+# every EV starts at node 1, away from both stations, with ~20-40 m of range
+STRANDED = TINY.replace(
+    "  ev_fraction: 0.5\n",
+    "  ev_fraction: 1.0\n  od_mode: table\n  od_table: [[1, 2]]\n") \
+    + "battery:\n  capacity_kwh: 0.01\n"
+
+
+def test_all_stranded_episode_has_no_wait_time(tmp_path):
+    """No EV finishes charging, so the mean wait+charge time is undefined
+    (None), not a zero wait."""
+    p = tmp_path / "stranded.yaml"
+    p.write_text(STRANDED)
+    cfg = load_scenario(p)
+    _, metrics = run_episode(CouplingEnv(cfg), 0, lambda s, e: 0)
+    assert metrics.n_completed == 0 and metrics.n_ev_completed == 0
+    assert metrics.n_stranded == len(generate_trips(cfg, 0)) > 0
+    assert metrics.wct_min is None

@@ -18,13 +18,15 @@ from evgrid import DATA_DIR
 from evgrid.harness import (HarnessError, MetricsRecord, _parse_values,
                             apply_sweep_value, build_agent, config_hash, main,
                             percentile98, resolve_scenario, resolve_seeds,
-                            run_eval, run_report, write_csv)
+                            run_eval, run_report, write_csv, write_metrics,
+                            write_summary)
 from evgrid.env import CouplingEnv, EnvError
 from evgrid.nn import load_params, save_params
 from evgrid.scenario import load_scenario
 from evgrid.srl import load_checkpoint, rollout, save_checkpoint
 
 from strategies import NO_SHRINK, scenarios
+from test_env import STRANDED
 
 TINY = """
 name: tinyharness
@@ -116,6 +118,44 @@ def test_metrics_record_validation():
         MetricsRecord("ppo", 0, float("nan"), 0.1, 2.0, 1.0, 0.01, 8000, 6000)
     with pytest.raises(ValueError):
         MetricsRecord("ppo", 0, 3.0, 0.1, 2.0, float("inf"), 0.01, 8000, 6000)
+    assert MetricsRecord("ppo", 0, 3.0, 0.1, None, 1.0, 0.01, 80, 60).wct_min \
+        is None
+
+
+def test_all_stranded_wait_time_is_an_empty_field(tmp_path):
+    """An episode in which no EV finished charging writes an empty
+    ``wct_min``; summary.csv and report count no defined episode."""
+    p = tmp_path / "stranded.yaml"
+    p.write_text(STRANDED)
+    out = tmp_path / "run"
+    run_eval(load_scenario(p), "greedy", [0], out)
+    row = (out / "metrics.csv").read_text().splitlines()[1]
+    assert row.startswith("greedy,0,") and row.endswith(",")
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[3] == "greedy,wct_min,0,,"
+    run_report(out)
+    report = (out / "report_metrics.csv").read_text().splitlines()
+    assert report[0] == "method,metric,n_defined,mean,std"
+    assert report[3] == "greedy,wct_min,0,,"
+
+
+def test_summary_and_report_average_the_defined_wait_times(tmp_path):
+    records = [MetricsRecord("ppo", seed, 100.0 + seed, 0.5, wct, 1.0, 0.01,
+                             80, 60)
+               for seed, wct in enumerate((3.0, None, 5.0))]
+    write_metrics(tmp_path, records)
+    write_summary(tmp_path, records)
+    assert (tmp_path / "metrics.csv").read_text().splitlines()[2] \
+        == "ppo,1,101.0,0.5,"
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert summary[1:] == ["ppo,ttt_s,3,101.0,0.816496580927726",
+                           "ppo,cvv,3,0.5,0.0", "ppo,wct_min,2,4.0,1.0"]
+    write_csv(tmp_path / "steps_ppo_s0.csv",
+              ["episode", "ep_seed", "step", "reward", "cost"],
+              [(0, 0, 0, "0.0", "0.1")])
+    run_report(tmp_path)
+    report = (tmp_path / "report_metrics.csv").read_text().splitlines()
+    assert report[1:] == summary[1:]
 
 
 def test_percentile98_matches_sort_oracle():

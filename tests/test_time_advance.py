@@ -1,10 +1,10 @@
-"""Quiet-stretch time advance against a frozen copy of the tick loop it
-replaced, bit for bit.
+"""Next-event time advance (parked vehicles and stations, skipped ticks)
+against a frozen copy of the tick loop it replaced, bit for bit.
 
 ``FrozenEnv`` runs every tick one by one through frozen copies of
 ``CouplingEnv._advance``/``_tick_pre``/``_tick_post``,
 ``TrafficSim.step`` and ``ChargingStation.update_charging`` as they were
-before ``CouplingEnv._coast`` existed. A ``CouplingEnv`` and a ``FrozenEnv``
+before any tick was skipped. A ``CouplingEnv`` and a ``FrozenEnv``
 play the same episode with the same actions; after the reset and after
 every decision their full episode state must agree exactly (floats compared
 through ``repr``, which round-trips every double and tells -0.0 from 0.0):
@@ -23,10 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evgrid
+from evgrid.charging import ChargingStation
 from evgrid.env import TICK_S, CouplingEnv, EnvError
 from evgrid.scenario import generate_trips, load_scenario
-from evgrid.traffic import (DRIVE_CS, DRIVE_DEST, V_MIN_MS, Vehicle,
-                            shortest_path)
+from evgrid.traffic import (DRIVE_CS, DRIVE_DEST, V_MIN_MS, TrafficSim,
+                            Vehicle, shortest_path)
 
 from strategies import NO_SHRINK, scenarios
 from test_env import BURST
@@ -207,10 +208,21 @@ def outcome_bits(out):
     return repr((_bits(out.state), out.reward, out.cost, out.terminal))
 
 
-def run_lockstep(cfg, ep_seed, policy_seed):
-    """Play one episode on both envs with the same random actions,
-    comparing after the reset and after every decision. Returns the
-    coasting env, or None when the scenario has no control request."""
+def greedy(env, rng):
+    return env.greedy_station(env.pending_vehicle.origin)
+
+
+def random_action(env, rng):
+    return int(rng.integers(env.action_dim))
+
+
+def run_lockstep(cfg, ep_seed, policy_seed, policy=random_action,
+                 peaks=None):
+    """Play one episode on both envs with the same actions (``policy``,
+    random by default), comparing after the reset and after every
+    decision; ``peaks``, if given, collects the most EVs charging at one
+    station at each decision. Returns the new env, or None when the
+    scenario has no control request."""
     new, old = CouplingEnv(cfg), FrozenEnv(cfg)
     try:
         old_state = old.reset(ep_seed)
@@ -224,10 +236,12 @@ def run_lockstep(cfg, ep_seed, policy_seed):
     rng_new = np.random.default_rng(policy_seed)
     rng_old = np.random.default_rng(policy_seed)
     while True:
-        out_new = new.apply_action(int(rng_new.integers(new.action_dim)))
-        out_old = old.apply_action(int(rng_old.integers(old.action_dim)))
+        out_new = new.apply_action(policy(new, rng_new))
+        out_old = old.apply_action(policy(old, rng_old))
         assert outcome_bits(out_new) == outcome_bits(out_old)
         assert snapshot(new) == snapshot(old)
+        if peaks is not None:
+            peaks.append(max(len(cs.charging) for cs in new.stations))
         if out_new.terminal:
             break
     m_new, m_old = new.episode_metrics(), old.episode_metrics()
@@ -275,10 +289,98 @@ def test_bundled_scenarios_match_the_tick_loop(scenario, ep_seed, tmp_path):
         assert env.episode_metrics().ticks_coasted > 0
 
 
-def test_strategy_reaches_the_corners():
+def test_greedy_case_a_matches_the_tick_loop():
+    """Greedy sends every EV to the nearest station, so on case_a one
+    station charges 30-60 EVs at once: the regime of the benchmark's
+    greedy workload."""
+    peaks = []
+    run_lockstep(load_scenario(evgrid.DATA_DIR / "case_a.yaml"), 0,
+                 policy_seed=0, policy=greedy, peaks=peaks)
+    assert max(peaks) >= 30
+
+
+def test_station_horizon_is_walked_once_per_change(monkeypatch):
+    """On greedy case_a, seed 0, ``ChargingStation.plan`` (the walk over
+    the charging EVs that bounds the next completion) runs at most once
+    per change of the station's charging set or of the setpoint."""
+    version = {}            # station -> changes so far
+    planned = {}            # station -> version at its last plan
+    plans = []
+    start, update = ChargingStation._start, ChargingStation.update_charging
+    plan, droop = ChargingStation.plan, CouplingEnv._update_droop
+
+    def bump(cs):
+        version[cs] = version.get(cs, 0) + 1
+
+    def start_(self, veh, t):
+        bump(self)
+        start(self, veh, t)
+
+    def update_(self, *args):
+        finished = update(self, *args)
+        if finished:
+            bump(self)
+        return finished
+
+    def droop_(self):
+        setpoint = self._setpoint
+        droop(self)
+        if self._setpoint != setpoint:
+            for cs in self.stations:
+                bump(cs)
+
+    def plan_(self, *args):
+        v = version.get(self, 0)
+        assert planned.get(self, -1) < v, "planned twice without a change"
+        planned[self] = v
+        plans.append(len(self.charging))
+        plan(self, *args)
+
+    monkeypatch.setattr(ChargingStation, "_start", start_)
+    monkeypatch.setattr(ChargingStation, "update_charging", update_)
+    monkeypatch.setattr(ChargingStation, "plan", plan_)
+    monkeypatch.setattr(CouplingEnv, "_update_droop", droop_)
+    env = CouplingEnv(load_scenario(evgrid.DATA_DIR / "case_a.yaml"))
+    env.reset(0)
+    while not env.apply_action(greedy(env, None)).terminal:
+        pass
+    assert max(plans) >= 30 and len(plans) < sum(version.values())
+
+
+def test_strategy_reaches_the_corners(monkeypatch):
     """Over the examples the oracle test draws, EVs strand, queues form,
-    vehicles cross several nodes in one tick and ticks get coasted."""
-    seen = {"stranded": 0, "queued": 0, "multi_cross": 0, "coasted": 0}
+    vehicles cross several nodes in one tick, ticks get skipped, crossers
+    enter links with parked vehicles both ahead of and behind them in
+    ``driving`` order, vehicles depart onto links with parked vehicles,
+    and the setpoint changes under parked chargers."""
+    seen = {"stranded": 0, "queued": 0, "multi_cross": 0, "coasted": 0,
+            "cross_between_parked": 0, "enter_onto_parked": 0,
+            "droop_over_parked": 0}
+    settle, enter = TrafficSim._settle_speeds, TrafficSim.enter_road
+    droop = CouplingEnv._update_droop
+
+    def settle_(self, fixed, log):
+        for lid, by, delta in log:
+            seqs = [rec.seq for rec in self._parked_on[lid].values()]
+            seen["cross_between_parked"] += (
+                delta > 0 and min(seqs, default=by) < by < max(seqs,
+                                                               default=by))
+        settle(self, fixed, log)
+
+    def enter_(self, veh):
+        seen["enter_onto_parked"] += bool(self._parked_on[veh.route[0]])
+        enter(self, veh)
+
+    def droop_(self):
+        parked = [cs for cs in self.stations if cs.charging
+                  and cs.due > self._t]
+        setpoint = self._setpoint
+        droop(self)
+        seen["droop_over_parked"] += bool(parked) and self._setpoint != setpoint
+
+    monkeypatch.setattr(TrafficSim, "_settle_speeds", settle_)
+    monkeypatch.setattr(TrafficSim, "enter_road", enter_)
+    monkeypatch.setattr(CouplingEnv, "_update_droop", droop_)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(cfg=scenarios(), ep_seed=st.integers(0, 50))

@@ -1,6 +1,7 @@
 """Road network, routing, and vehicle-stepping tests."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -442,3 +443,27 @@ def test_lone_car_parks_until_the_tick_it_reaches_its_node():
         sim.sync()
         assert veh.pos_m == 990.0 and sim.now == 99
         assert sim.step(1.0) == [veh]
+
+
+def test_remove_takes_a_parked_vehicle_off_with_its_ticks():
+    net = RoadNetwork({1: (0, 0), 2: (1, 0)}, [_link(1, 1, 2)])
+    sim, ref = TrafficSim(net, battery=_Battery()), None
+    for veh in (Vehicle(0, 1, 2, 0.0, is_ev=True, soc=0.5),
+                Vehicle(1, 1, 2, 0.0)):
+        veh.route = [1]
+        sim.enter_road(veh)
+        if ref is None:
+            sim.step(1.0)
+            ref = copy.deepcopy(sim)
+        else:
+            ref.enter_road(copy.deepcopy(veh))
+    assert not sim.active                   # the second parks at once
+    sim.idle(5)
+    for _ in range(5):
+        _reference_step(ref, 1.0)
+    a, b = sim.driving
+    sim.remove(a)
+    assert _vehicle_state(a) == _vehicle_state(ref.driving[0])
+    assert sim.counts[1] == 1 and sim.driving == [b]
+    sim.remove(b)
+    assert b.pos_m == ref.driving[1].pos_m and sim.next_wake() == math.inf

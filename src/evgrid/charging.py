@@ -163,8 +163,8 @@ class ChargingStation:
             g = veh.soc_target - veh.soc
             if g < gap:
                 gap = g
-        self.due = tick + int(gap / self._gain[1]) - 1 if self.charging \
-            else math.inf
+        self.due = (tick + int(gap / self._gain[1]) - 1 if self.charging
+                    else math.inf)
 
     def sync(self, tick: int):
         """Replay the charging of the ticks before ``tick`` that a parked

@@ -280,11 +280,11 @@ class _Speed:
 
 
 class _Parked:
-    """A vehicle that ``TrafficSim.step`` skips until tick ``wake``. Its
+    """A vehicle that ``TrafficSim.step`` skips until its wake tick. Its
     fields carry every tick before ``synced``, which falls in the link
     stretch ``speed``; ``seq`` is its place in ``driving`` order."""
 
-    __slots__ = ("veh", "seq", "lid", "speed", "synced", "wake")
+    __slots__ = ("veh", "seq", "lid", "speed", "synced")
 
 
 class TrafficSim:
@@ -528,10 +528,9 @@ class TrafficSim:
         rec = _Parked()
         rec.veh, rec.seq, rec.lid, rec.speed = veh, seq, lid, speed
         rec.synced = now
-        rec.wake = now + n
         self._parked[veh] = rec
         self._parked_on[lid][veh] = rec
-        heapq.heappush(self._wakes, (rec.wake, seq, rec))
+        heapq.heappush(self._wakes, (now + n, seq, rec))
         return True
 
     def _unpark(self, rec):

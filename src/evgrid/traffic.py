@@ -309,7 +309,9 @@ class TrafficSim:
         self._dt = None                 # tick length, fixed by the first step
 
     def enter_road(self, veh: Vehicle):
-        """Start driving veh along veh.route (must be non-empty)."""
+        """Start driving veh along veh.route (must be non-empty). Once a
+        ``step`` has fixed the tick length, a vehicle far from its first
+        link's end is parked at once."""
         if not veh.route:
             raise ValueError(f"vehicle {veh.vid} has an empty route")
         veh.route_idx = 0

@@ -353,10 +353,8 @@ class CouplingEnv:
         """
         t = self._t
         k = min(59 - t % 60, -t % self._droop_every, self._safety_cap - t,
-                self.sim.next_wake() - t)
-        for cs in self.stations:
-            if cs.due - t < k:
-                k = cs.due - t
+                self.sim.next_wake() - t,
+                min(cs.due for cs in self.stations) - t)
         if self._next_dep < len(self._vehicles):
             k = min(k, int(self._vehicles[self._next_dep].depart_s) - t)
         if k <= 0:

@@ -419,13 +419,11 @@ class TrafficSim:
             remaining, length, reach = memo
             to_end = length - veh.pos_m
             finished = False
-            if reach < to_end:              # stays on its link, far from its end
+            if remaining < to_end:          # stays on its link
                 veh.pos_m += remaining
                 traveled = remaining
-                settled.append(entry)
-            elif remaining < to_end:        # stays on its link
-                veh.pos_m += remaining
-                traveled = remaining
+                if reach < to_end:          # far from its end
+                    settled.append(entry)
             else:                           # crosses one or more nodes
                 traveled = 0.0
                 while True:

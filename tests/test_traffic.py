@@ -376,10 +376,11 @@ def test_parked_fleets_match_steps_bit_for_bit():
         vid = 0
 
         def depart(sims, tick):
+            """Enter one random trip on every sim; the last copy, or None."""
             nonlocal vid
             o, d = (int(x) for x in rng.choice(nodes, 2, replace=False))
             if d not in short.reachable_from(o):
-                return
+                return None
             is_ev = bool(rng.random() < 0.5)
             soc = float(rng.uniform(0.0002, 0.01))
             route = shortest_path(short, o, d, sims[0].travel_times())
@@ -388,11 +389,11 @@ def test_parked_fleets_match_steps_bit_for_bit():
                 veh.route = list(route)
                 one.enter_road(veh)
             vid += 1
+            return veh
 
         for _ in range(int(rng.integers(0, 16))):
-            depart([sim], 0)
-            veh = sim.driving[-1] if sim.driving else None
-            if veh is not None and veh.vid == vid - 1:
+            veh = depart([sim], 0)
+            if veh is not None:
                 veh.pos_m = float(rng.uniform(
                     0.0, short.links[veh.route[0]].length_m))
         ref = copy.deepcopy(sim)

@@ -23,7 +23,7 @@ Trip generation is fully deterministic given a seed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +147,16 @@ class Trip:
     soc_init: float = 1.0
 
 
+def _as_int(value, key, path):
+    """``value`` as an int if it is integral (8 or 8.0); any other value of
+    the int field ``key`` is a ScenarioError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ScenarioError(f"{path}: '{key}' must be an integer, got {value!r}")
+
+
 def _take(doc, key, cls, path):
     sub = doc.get(key, {})
     if not isinstance(sub, dict):
@@ -157,8 +167,11 @@ def _take(doc, key, cls, path):
     if extra:
         raise ScenarioError(f"{path}: unknown keys in '{key}': {sorted(extra)}")
     coerced = dict(sub)
+    ints = {f.name for f in fields(cls) if f.type in (int, "int")}
     for k, v in coerced.items():
-        if isinstance(v, list):
+        if k in ints:
+            coerced[k] = _as_int(v, f"{key}.{k}", path)
+        elif isinstance(v, list):
             coerced[k] = tuple(tuple(x) if isinstance(x, list) else x for x in v)
     try:
         return cls(**coerced)
@@ -201,9 +214,9 @@ def load_scenario(path) -> ScenarioConfig:
     stations = []
     for i, entry in enumerate(raw_stations):
         try:
-            st = StationSpec(int(entry["cs_id"]), int(entry["node"]),
-                             int(entry["bus"]), int(entry["piles"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            st = StationSpec(*(_as_int(entry[k], f"stations[{i}].{k}", path)
+                               for k in ("cs_id", "node", "bus", "piles")))
+        except (KeyError, TypeError) as exc:
             raise ScenarioError(f"{path}: stations[{i}]: {exc}") from exc
         if st.node not in road.nodes:
             raise ScenarioError(f"{path}: stations[{i}]: node {st.node} "
@@ -258,10 +271,14 @@ def load_scenario(path) -> ScenarioConfig:
     compliance = float(doc.get("compliance_rate", 1.0))
     if not (0.0 <= compliance <= 1.0):
         raise ScenarioError(f"{path}: compliance_rate must be in [0, 1]")
+    seeds = doc.get("seeds", [0, 1, 2])
+    if not isinstance(seeds, list):
+        raise ScenarioError(f"{path}: 'seeds' must be a list of integers, "
+                            f"got {seeds!r}")
 
     cfg = ScenarioConfig(
         name=str(doc.get("name", path.stem)),
-        seed=int(doc.get("seed", 0)),
+        seed=_as_int(doc.get("seed", 0), "seed", path),
         road_net=road,
         power_net=power,
         stations=tuple(stations),
@@ -272,7 +289,7 @@ def load_scenario(path) -> ScenarioConfig:
         predictor=predictor,
         training=training,
         compliance_rate=compliance,
-        seeds=tuple(int(s) for s in doc.get("seeds", (0, 1, 2))),
+        seeds=tuple(_as_int(s, "seeds", path) for s in seeds),
         source=doc,
     )
     _validate_od(cfg, path)

@@ -10,15 +10,16 @@ tie-break: among equal-cost paths the lexicographically smallest link-id
 sequence wins.
 
 Movement advances in fixed ticks; distance left over after crossing a node
-carries onto the next route link within the same tick. Within a tick,
-``TrafficSim.step`` memoises each link's speed lazily: the first vehicle it
-moves on a link fixes that link's speed for the tick from the link's count
-at that moment. A vehicle that crossed onto the link earlier in the same
-tick is already in that count, so results depend on the order of
-``TrafficSim.driving``. This is kept on purpose until tick semantics become
-order-independent (speeds snapshotted at tick start), which will move
-outputs. ``step`` also reports, in ``drained``, the EVs still on the road
-whose state of charge it drained to zero or below.
+carries onto the next route link within the same tick. ``TrafficSim.step``
+moves vehicles in ``TrafficSim.driving`` order and memoises each link's
+speed lazily: the first vehicle, in that order, that began the tick on a
+link fixes the link's speed for the tick from its count at that moment. A
+vehicle that crossed onto the link earlier in the same tick is in that
+count, so results depend on the order of ``driving``. This is kept on
+purpose until tick semantics become order-independent (speeds snapshotted
+at tick start), which will move outputs. ``step`` also reports, in
+``drained``, the EVs still on the road whose state of charge it drained to
+zero or below.
 
 Most vehicles spend most ticks far from their link's end, where a tick
 only adds the link's distance per tick to their position (and spends its
@@ -33,14 +34,14 @@ when it wakes and on ``sync``, so its state is then bit for bit what
 stepping every tick would leave; in between, its fields lag behind.
 
 The replay follows each link's history of distances per tick, a new
-stretch from every tick the link's count changes. The lazy memo above
-makes one case subtle: a link's speed for a tick is fixed by the first
-vehicle, in ``driving`` order, that began the tick on it. Exits never
-change it (the vehicles leaving began the tick there, so they come after
-the first one), entries by earlier crossers do. When that first vehicle
-is parked, ``step`` takes the link's count at its place in the order from
-the tick's log of count changes, both for active vehicles on the link and
-for the parked ones' stretch for that tick.
+stretch from every tick the link's count changes. When the vehicle that
+fixes a link's speed for a tick is parked, the loop never reaches it, so
+the rule is kept where a crosser enters a link: if no speed is fixed there
+yet and a vehicle parked there comes before the crosser, the speed is
+fixed from the count before the crosser joins. Exits need nothing (the
+vehicles leaving began the tick there, after the first one). The parked
+vehicles move, in that tick, at the fixed speed, or at the new count if
+none was fixed (only crossers ahead of them entered).
 """
 
 from __future__ import annotations
@@ -321,7 +322,8 @@ class TrafficSim:
         self.driving.append(veh)
         self._seq += 1
         if lid in self._speed:
-            self._new_speed(lid, self.now, self.counts[lid])
+            self._new_speed(lid, self.now,
+                            self._memo(lid, self.counts[lid], self._dt)[0])
         if self._dt is None or not self._park(self._seq, veh):
             self.active.append((self._seq, veh))
 
@@ -348,7 +350,8 @@ class TrafficSim:
         else:
             self._unpark(rec)
         if lid in self._speed:
-            self._new_speed(lid, self.now, self.counts[lid])
+            self._new_speed(lid, self.now,
+                            self._memo(lid, self.counts[lid], self._dt)[0])
 
     def density_vector(self):
         """Normalized densities over links, sorted by link id, clipped to 1."""
@@ -359,18 +362,25 @@ class TrafficSim:
             out[i] = min((self.counts[lid] / cap) / kjam, 1.0)
         return out
 
-    def _tick_distance(self, lid, count, dt):
-        """Distance a vehicle covers in one tick on link ``lid`` holding
-        ``count`` vehicles: ``link_speed(links[lid], count - 1) * dt`` on the
-        precomputed link parameters. ``step`` and parked vehicles both move
-        by it."""
+    def _memo(self, lid, count, dt):
+        """``step``'s memo for link ``lid`` holding ``count`` vehicles: the
+        distance a vehicle covers in one tick there (``link_speed(links[lid],
+        count - 1) * dt`` on the precomputed link parameters; parked vehicles
+        move by it too), the link's length, and the distance from its end
+        beyond which a vehicle can park."""
         length, cap, vf, kjam = self.net.link_params[lid]
         v = vf * (1.0 - ((count - 1) / cap) / kjam)
-        return (v if v > V_MIN_MS else V_MIN_MS) * dt
+        return ((v if v > V_MIN_MS else V_MIN_MS) * dt, length,
+                (MIN_PARK_TICKS + 2)
+                * (vf if vf > V_MIN_MS else V_MIN_MS) * dt)
 
     def step(self, dt: float = 1.0):
         """Advance one tick. Returns vehicles whose route finished this tick
-        and sets ``drained`` to the EVs still driving with SoC <= 0."""
+        and sets ``drained`` to the EVs still driving with SoC <= 0.
+
+        The first vehicle, in ``driving`` order, that began the tick on a
+        link fixes its speed for the tick; for a parked one, the first
+        crosser behind it to enter the link does (see the module docstring)."""
         if dt != self._dt:
             if self._dt is not None:
                 raise ValueError(f"step with dt {dt} after steps with dt "
@@ -391,14 +401,11 @@ class TrafficSim:
             rho = battery.rho_kwh_per_km
             capacity = battery.capacity_kwh
         parked_on = self._parked_on
-        # lid -> (distance per tick, link length, distance from the link's
-        # end beyond which a vehicle can park)
-        speeds = {}
+        speeds = {}                     # lid -> memo for the tick (_memo)
         arrived = []
         drained = []
         settled = []                    # far from their link's end
-        log = []                        # (lid, seq, +1 or -1) per count change
-        fixed = {}                      # lid -> count that fixed its speed
+        changed = set()                 # links whose count changed
         for entry in self.active:
             seq, veh = entry
             route = veh.route
@@ -406,16 +413,7 @@ class TrafficSim:
             lid = route[idx]
             memo = speeds.get(lid)
             if memo is None:
-                count = counts[lid]
-                if parked_on[lid]:
-                    if log:
-                        count = self._first_count(lid, seq, log)
-                    fixed[lid] = count
-                length, _, vf, _ = params[lid]
-                memo = (self._tick_distance(lid, count, dt), length,
-                        (MIN_PARK_TICKS + 2)
-                        * (vf if vf > V_MIN_MS else V_MIN_MS) * dt)
-                speeds[lid] = memo
+                memo = speeds[lid] = self._memo(lid, counts[lid], dt)
             remaining, length, reach = memo
             to_end = length - veh.pos_m
             finished = False
@@ -429,16 +427,22 @@ class TrafficSim:
                 while True:
                     traveled += to_end
                     remaining -= to_end
-                    counts[route[idx]] -= 1
-                    log.append((route[idx], seq, -1))
+                    counts[lid] -= 1
+                    changed.add(lid)
                     idx += 1
                     if idx >= len(route):
                         finished = True
                         break
-                    counts[route[idx]] += 1
-                    log.append((route[idx], seq, 1))
+                    lid = route[idx]
+                    # A vehicle parked on the link ahead of this crosser
+                    # would have fixed its speed before the crosser joined.
+                    if (lid not in speeds and parked_on[lid]
+                            and self._parked_ahead(lid, seq)):
+                        speeds[lid] = self._memo(lid, counts[lid], dt)
+                    counts[lid] += 1
+                    changed.add(lid)
                     veh.pos_m = 0.0
-                    to_end = params[route[idx]][0]
+                    to_end = params[lid][0]
                     if remaining < to_end:
                         veh.pos_m += remaining
                         traveled += remaining
@@ -457,8 +461,8 @@ class TrafficSim:
         if arrived:
             self.driving = [veh for veh in self.driving
                             if veh.route_idx < len(veh.route)]
-        if log:
-            self._settle_speeds(fixed, log)
+        if changed:
+            self._settle_speeds(speeds, changed)
         if settled or arrived:
             parked = self._parked
             for seq, veh in settled:
@@ -524,7 +528,7 @@ class TrafficSim:
         speed = self._speed.get(lid)
         if speed is None:
             speed = self._speed[lid] = self._stretch(
-                now, self._tick_distance(lid, self.counts[lid], self._dt))
+                now, self._memo(lid, self.counts[lid], self._dt)[0])
         rec = _Parked()
         rec.veh, rec.seq, rec.lid, rec.speed = veh, seq, lid, speed
         rec.synced = now
@@ -565,46 +569,31 @@ class TrafficSim:
         speed.next = None
         return speed
 
-    def _new_speed(self, lid, start, count):
-        """From tick ``start`` on, the parked vehicles on ``lid`` move as at
-        ``count`` vehicles."""
+    def _new_speed(self, lid, start, d):
+        """From tick ``start`` on, the parked vehicles on ``lid`` move ``d``
+        metres per tick."""
         last = self._speed[lid]
-        d = self._tick_distance(lid, count, self._dt)
         if d != last.d:
             last.next = self._speed[lid] = self._stretch(start, d)
 
-    def _first_count(self, lid, seq, log):
-        """Link ``lid``'s count when ``step`` reached, in this tick, the
-        first vehicle that began the tick on it, if that is a parked
-        vehicle ahead of ``seq`` in ``driving`` order; else its count now.
+    def _parked_ahead(self, lid, seq):
+        """Whether a vehicle parked on ``lid`` comes before ``seq`` in
+        ``driving`` order."""
+        return any(rec.seq < seq for rec in self._parked_on[lid].values())
 
-        That count fixes the link's speed for the tick. Exits never change
-        it (the vehicles leaving began the tick there, so not ahead of the
-        first), entries by crossers ahead of it do; ``log`` holds the
-        tick's changes so far."""
-        first = min(rec.seq for rec in self._parked_on[lid].values())
-        count = self.counts[lid]
-        if first < seq:
-            for changed, by, delta in log:
-                if changed == lid and by > first:
-                    count -= delta
-        return count
-
-    def _settle_speeds(self, fixed, log):
+    def _settle_speeds(self, speeds, changed):
         """After a tick with crossings: the parked vehicles on each link
-        whose count changed moved, in that tick, at the count that fixed
-        the link's speed (``fixed``, else the one at its first parked
-        vehicle), and from now on move at the new count."""
+        whose count changed moved, in that tick, at the link's memo in
+        ``speeds`` (fixed by the first vehicle to begin the tick there), or
+        at the new count if no vehicle fixed one (only crossers ahead of
+        them entered), and from now on move at the new count."""
         now = self.now
-        entered = {changed for changed, _, delta in log if delta > 0}
-        for lid in {changed for changed, _, _ in log}:
+        for lid in changed:
             if lid in self._speed:
-                if lid in entered:          # exits alone never change it
-                    count = fixed.get(lid)
-                    if count is None:
-                        count = self._first_count(lid, math.inf, log)
-                    self._new_speed(lid, now - 1, count)
-                self._new_speed(lid, now, self.counts[lid])
+                d = self._memo(lid, self.counts[lid], self._dt)[0]
+                memo = speeds.get(lid)
+                self._new_speed(lid, now - 1, d if memo is None else memo[0])
+                self._new_speed(lid, now, d)
 
     @staticmethod
     def _replay(recs, now):

@@ -16,6 +16,9 @@ every pinned run. To regenerate (after checking that the outputs are
 meant to move), run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints the first difference of every CSV it changes, and how many
+changed, before it overwrites them.
 """
 
 import json
@@ -90,6 +93,21 @@ def first_difference(a: Path, b: Path):
     return f"golden has {len(la)} lines, now {len(lb)}"
 
 
+def drift(root):
+    """One line per CSV that differs between tests/golden/ and ``root``,
+    naming its first difference."""
+    root = Path(root)
+    lines = []
+    for name in sorted(set(csv_files(GOLDEN)) | set(csv_files(root))):
+        gold, new = GOLDEN / name, root / name
+        if not gold.exists() or not new.exists():
+            side = "golden" if gold.exists() else "new"
+            lines.append(f"{name}: only in {side}")
+        elif gold.read_bytes() != new.read_bytes():
+            lines.append(f"{name}: {first_difference(gold, new)}")
+    return lines
+
+
 def test_golden_outputs_are_byte_identical(tmp_path):
     made = json.loads((GOLDEN / "manifest.json").read_text())
     now = versions()
@@ -104,11 +122,7 @@ def test_golden_outputs_are_byte_identical(tmp_path):
 
     generate(tmp_path)
     assert csv_files(tmp_path) == csv_files(GOLDEN)
-    diffs = []
-    for name in csv_files(GOLDEN):
-        gold, new = GOLDEN / name, tmp_path / name
-        if gold.read_bytes() != new.read_bytes():
-            diffs.append(f"{name}: {first_difference(gold, new)}")
+    diffs = drift(tmp_path)
     assert not diffs, ("outputs moved from tests/golden/ (regenerate with "
                        f"`{REGENERATE}` only if that is intended):\n"
                        + "\n".join(diffs))
@@ -117,6 +131,10 @@ def test_golden_outputs_are_byte_identical(tmp_path):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         generate(tmp)
+        diffs = drift(tmp)
+        for line in diffs:
+            print(line)
+        print(f"{len(diffs)} changed files")
         shutil.rmtree(GOLDEN, ignore_errors=True)
         shutil.copytree(tmp, GOLDEN)
     manifest = {**versions(), "runs": RUNS, "regenerate": REGENERATE}

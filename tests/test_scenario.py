@@ -98,6 +98,31 @@ def test_parameter_validation(tmp_path):
         load_scenario(_write(tmp_path, bad))
 
 
+def test_integer_fields_take_integral_values_only(tmp_path):
+    text = (MINIMAL.replace("seed: 3", "seed: 3.0")
+            .replace("piles: 4", "piles: 4.0")
+            + "seeds: [0, 1.0]\npredictor:\n  enc_len: 4.0\n"
+              "training:\n  epochs: 2.0\n")
+    cfg = load_scenario(_write(tmp_path, text))
+    got = (cfg.seed, cfg.stations[0].piles, *cfg.seeds,
+           cfg.predictor.enc_len, cfg.training.epochs)
+    assert got == (3, 4, 0, 1, 4, 2)
+    assert all(type(n) is int for n in got)
+    for bad, key in [
+            (MINIMAL.replace("seed: 3", "seed: 7.9"), "seed"),
+            (MINIMAL + "seeds: [0, 1.5, 2]\n", "seeds"),
+            (MINIMAL + "seeds: 3\n", "seeds"),
+            (MINIMAL.replace("piles: 4", "piles: 8.5"),
+             r"stations\[0\]\.piles"),
+            (MINIMAL.replace("node: 6", "node: '6'"), r"stations\[0\]\.node"),
+            (MINIMAL + "training:\n  epochs: 2.5\n", r"training\.epochs"),
+            (MINIMAL + "predictor:\n  enc_len: 5.5\n", r"predictor\.enc_len"),
+            (MINIMAL + "predictor:\n  hidden: true\n", r"predictor\.hidden")]:
+        with pytest.raises(ScenarioError,
+                           match=f"'{key}' must be (an integer|a list)"):
+            load_scenario(_write(tmp_path, bad))
+
+
 def test_parse_error_reports_location(tmp_path):
     with pytest.raises(ScenarioError, match="parse error"):
         load_scenario(_write(tmp_path, "stations: [\n"))

@@ -351,21 +351,23 @@ def test_strategy_reaches_the_corners(monkeypatch):
     """Over the examples the oracle test draws, EVs strand, queues form,
     vehicles cross several nodes in one tick, ticks get skipped, crossers
     enter links with parked vehicles both ahead of and behind them in
-    ``driving`` order, vehicles depart onto links with parked vehicles,
-    and the setpoint changes under parked chargers."""
+    ``driving`` order, crossers fix a link's speed for the tick as they
+    enter it, vehicles depart onto links with parked vehicles, and the
+    setpoint changes under parked chargers."""
     seen = {"stranded": 0, "queued": 0, "multi_cross": 0, "coasted": 0,
-            "cross_between_parked": 0, "enter_onto_parked": 0,
-            "droop_over_parked": 0}
-    settle, enter = TrafficSim._settle_speeds, TrafficSim.enter_road
+            "cross_between_parked": 0, "fixed_at_entry": 0,
+            "enter_onto_parked": 0, "droop_over_parked": 0}
+    ahead, enter = TrafficSim._parked_ahead, TrafficSim.enter_road
     droop = CouplingEnv._update_droop
 
-    def settle_(self, fixed, log):
-        for lid, by, delta in log:
-            seqs = [rec.seq for rec in self._parked_on[lid].values()]
-            seen["cross_between_parked"] += (
-                delta > 0 and min(seqs, default=by) < by < max(seqs,
-                                                               default=by))
-        settle(self, fixed, log)
+    def ahead_(self, lid, seq):
+        # called as a crosser enters a link with parked vehicles and no
+        # speed fixed for the tick yet
+        seqs = [rec.seq for rec in self._parked_on[lid].values()]
+        seen["cross_between_parked"] += min(seqs) < seq < max(seqs)
+        fixes = ahead(self, lid, seq)
+        seen["fixed_at_entry"] += fixes
+        return fixes
 
     def enter_(self, veh):
         seen["enter_onto_parked"] += bool(self._parked_on[veh.route[0]])
@@ -378,7 +380,7 @@ def test_strategy_reaches_the_corners(monkeypatch):
         droop(self)
         seen["droop_over_parked"] += bool(parked) and self._setpoint != setpoint
 
-    monkeypatch.setattr(TrafficSim, "_settle_speeds", settle_)
+    monkeypatch.setattr(TrafficSim, "_parked_ahead", ahead_)
     monkeypatch.setattr(TrafficSim, "enter_road", enter_)
     monkeypatch.setattr(CouplingEnv, "_update_droop", droop_)
 

@@ -425,6 +425,38 @@ def test_parked_fleets_match_steps_bit_for_bit():
         parked_ticks, mixed, entries)
 
 
+def test_crossing_order_sets_a_parked_cars_speed():
+    """Link 1 (100 m) feeds link 2 (1000 m), where one other vehicle slows
+    a car from 10 to 9 m per tick. The car is parked on link 2 when a
+    crosser enters it in tick 10. A crosser ahead of the car in
+    ``driving`` order is in the count that fixes the car's speed for that
+    tick (9.0 m); one behind it is not (10.0 m). Synced after every tick,
+    the state equals the reference step bit for bit. Speeds taken from the
+    counts at tick start would move the car 10.0 m in both orders."""
+    net = RoadNetwork({1: (0, 0), 2: (1, 0), 3: (2, 0)},
+                      [_link(1, 1, 2, length=100.0), _link(2, 2, 3, kjam=0.01)])
+    for crosser_first, moved in ((True, 9.0), (False, 10.0)):
+        sim = TrafficSim(net)
+        car, crosser = Vehicle(0, 2, 3, 0.0), Vehicle(1, 1, 3, 0.0)
+        car.route, crosser.route = [2], [1, 2]
+        for veh in (crosser, car) if crosser_first else (car, crosser):
+            sim.enter_road(veh)
+        crosser.pos_m = 5.0
+        ref = copy.deepcopy(sim)
+        for tick in range(1, 12):
+            sim.sync()
+            before = car.pos_m
+            if tick == 10:
+                assert car in sim._parked and crosser.route_idx == 0
+            sim.step(1.0)
+            _reference_step(ref, 1.0)
+            sim.sync()
+            assert _snapshot(sim) == _snapshot(ref)
+            if tick == 10:
+                assert crosser.route_idx == 1
+                assert car.pos_m - before == moved
+
+
 def test_lone_car_parks_until_the_tick_it_reaches_its_node():
     # a lone car makes exactly 10 m per tick on the 1000 m link: ticks
     # 1-99 leave it short of the node and tick 100 ends the route

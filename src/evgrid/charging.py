@@ -28,41 +28,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
+from .scenario import BatteryParams, DroopParams
 from .traffic import CHARGING, QUEUED, Vehicle
-
-
-@dataclass(frozen=True)
-class BatteryParams:
-    capacity_kwh: float = 24.0
-    eta: float = 0.9                    # charging efficiency
-    rho_kwh_per_km: float = 0.15        # driving consumption
-
-    def __post_init__(self):
-        if self.capacity_kwh <= 0 or not (0 < self.eta <= 1) or self.rho_kwh_per_km < 0:
-            raise ValueError("invalid battery parameters")
-
-
-@dataclass(frozen=True)
-class DroopParams:
-    v_ref1: float = 0.90
-    v_ref2: float = 0.95
-    p_max_kw: float = 50.0
-    min_fraction: float = 0.30
-    interval_s: float = 600.0
-
-    def __post_init__(self):
-        if not (0 < self.v_ref1 < self.v_ref2):
-            raise ValueError("need 0 < v_ref1 < v_ref2")
-        if self.p_max_kw <= 0 or not (0 < self.min_fraction <= 1) or self.interval_s <= 0:
-            raise ValueError("invalid droop parameters")
-
-    @property
-    def p_min_kw(self) -> float:
-        return self.min_fraction * self.p_max_kw
 
 
 def droop_power(v_avg: float, params: DroopParams) -> float:
@@ -87,8 +57,6 @@ class ChargingStation:
     """One station: queue + piles at a road node, drawing at a feeder bus."""
 
     def __init__(self, cs_id: int, node: int, bus: int, piles: int):
-        if piles < 1:
-            raise ValueError("need at least one pile")
         self.cs_id = cs_id
         self.node = node
         self.bus = bus

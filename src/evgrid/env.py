@@ -160,8 +160,6 @@ class CouplingEnv:
         self.cfg = cfg
         self.road = cfg.road_net
         self.power = cfg.power_net
-        if cfg.droop.interval_s != int(cfg.droop.interval_s):
-            raise EnvError("droop interval must be a whole number of seconds")
         self._droop_every = int(cfg.droop.interval_s)
         self._n_links = len(self.road.link_ids)
         self._per_window = samples_per_window(cfg.predictor.window_s,

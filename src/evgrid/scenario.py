@@ -7,6 +7,9 @@ predictor, and training parameters. ``load_scenario`` parses, validates, and
 loads both networks so every cross-reference (station nodes, buses, OD
 table entries) fails fast with a precise message.
 
+Every setting's field carries one (type, bound) entry that ``Checked``
+reads whenever a config is built; rules tying two fields are written out.
+
 Trip generation is fully deterministic given a seed:
 
 * departures evenly spaced at 3600/rate seconds from t = 0 over
@@ -23,14 +26,14 @@ Trip generation is fully deterministic given a seed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import DATA_DIR
-from .charging import BatteryParams, DroopParams
 from .power import PowerNetwork, load_power_network
 from .traffic import RoadNetwork, Vehicle, load_road_network
 
@@ -39,51 +42,153 @@ class ScenarioError(ValueError):
     """Configuration that cannot be run."""
 
 
-@dataclass(frozen=True)
-class StationSpec:
-    cs_id: int
-    node: int
-    bus: int
-    piles: int
+class FieldError(ScenarioError):
+    """A field outside its table entry; args (section, name, rule, value)."""
+
+    def __str__(self):
+        section, name, rule, value = self.args
+        key = f"{section}.{name}" if section else name
+        return f"'{key}' must be {rule}, got {value!r}"
+
+
+def _real(v):
+    return type(v) is int or (isinstance(v, float) and math.isfinite(v))
+
+
+# kind -> (its name in messages, its test); a list kind's bound holds for
+# each element. ``type(v) is int`` keeps bools out.
+_KINDS = {float: ("a finite number", _real),
+          int: ("an integer", lambda v: type(v) is int),
+          "whole": ("a whole number", lambda v: _real(v) and v == int(v)),
+          bool: ("true or false", lambda v: isinstance(v, bool)),
+          str: ("a string", lambda v: isinstance(v, str)),
+          "ints": ("a list of integers", lambda v: isinstance(v, tuple)
+                   and all(type(x) is int for x in v)),
+          "rows": ("a list of rows", lambda v: isinstance(v, tuple))}
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+           ">= 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1,
+           "in (0, 1]": lambda v: 0 < v <= 1, "in [0, 1)": lambda v: 0 <= v < 1}
+
+
+def setting(default, kind, bound="", test=None):
+    """A field with its table entry: a value of ``kind`` within ``bound``,
+    which ``test`` checks, or else the ``_BOUNDS`` entry of that name."""
+    test = test or (_BOUNDS[bound] if bound else None)
+    return field(default=default, metadata={"rule": (kind, bound, test)})
+
+
+class Checked:
+    """Base of the config dataclasses: building one, by any means, raises
+    FieldError (under the class name) for its first field outside its
+    entry. Cross-field rules follow in a subclass's ``__post_init__``."""
+
+    def __post_init__(self):
+        section = type(self).__name__
+        for f in fields(self):
+            if "rule" not in f.metadata:
+                continue
+            (kind, bound, test), value = f.metadata["rule"], getattr(self, f.name)
+            what, is_kind = _KINDS[kind]
+            if not is_kind(value):
+                raise FieldError(section, f.name, f"{what} {bound}".strip(), value)
+            listed = kind in ("ints", "rows")
+            for i, v in enumerate(value) if listed else [(0, value)]:
+                if test and not test(v):
+                    name = f"{f.name}[{i}]" if listed else f.name
+                    raise FieldError(section, name, bound, v)
 
 
 @dataclass(frozen=True)
-class DemandSpec:
-    rate_veh_per_h: float = 600.0
-    ev_fraction: float = 0.5
-    warmup_s: float = 1200.0
-    control_s: float = 3600.0
-    od_mode: str = "uniform"
-    od_table: tuple = ()
-    soc_init_low: float = 0.30
-    soc_init_high: float = 0.60
-    soc_target: float = 0.80
+class StationSpec(Checked):
+    cs_id: int = setting(MISSING, int)
+    node: int = setting(MISSING, int)
+    bus: int = setting(MISSING, int)
+    piles: int = setting(MISSING, int, ">= 1")
 
 
 @dataclass(frozen=True)
-class RewardParams:
-    w1: float = 0.01
-    r_max: float = 120.0
-    w2: float = 0.02
-    v_ref: float = 1.0
+class DemandSpec(Checked):
+    rate_veh_per_h: float = setting(600.0, float, "> 0")
+    ev_fraction: float = setting(0.5, float, "in [0, 1]")
+    warmup_s: float = setting(1200.0, float, ">= 0")
+    control_s: float = setting(3600.0, float, "> 0")
+    od_mode: str = setting("uniform", str, "'uniform' or 'table'",
+                           lambda v: v in ("uniform", "table"))
+    od_table: tuple = setting(
+        (), "rows", "[origin node, dest node] or [origin node, dest node, "
+        "weight > 0]", lambda r: isinstance(r, tuple) and len(r) in (2, 3)
+        and type(r[0]) is type(r[1]) is int
+        and (len(r) == 2 or _real(r[2]) and r[2] > 0))
+    soc_init_low: float = setting(0.30, float)
+    soc_init_high: float = setting(0.60, float)
+    soc_target: float = setting(0.80, float)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0 < self.soc_init_low <= self.soc_init_high
+                < self.soc_target <= 1):
+            raise ScenarioError("need 0 < soc_init_low <= soc_init_high "
+                                "< soc_target <= 1")
+        if self.od_mode == "table" and not self.od_table:
+            raise ScenarioError("od_mode table needs demand.od_table")
 
 
 @dataclass(frozen=True)
-class PredictorConfig:
-    enc_len: int = 5
-    dec_len: int = 5
-    window_s: float = 240.0
-    sample_s: float = 60.0
-    hidden: int = 256
-    layers: int = 2
-    dropout: float = 0.5
-    lr: float = 1e-3
-    iters_per_step: int = 20
-    batch: int = 64
-    min_buffer: int = 64
-    train_every: int = 50
-    converge_window: int = 10
-    converge_tol: float = 0.02
+class BatteryParams(Checked):
+    capacity_kwh: float = setting(24.0, float, "> 0")
+    eta: float = setting(0.9, float, "in (0, 1]")       # charging efficiency
+    rho_kwh_per_km: float = setting(0.15, float, ">= 0")  # driving consumption
+
+
+@dataclass(frozen=True)
+class DroopParams(Checked):
+    v_ref1: float = setting(0.90, float, "> 0")
+    v_ref2: float = setting(0.95, float)
+    p_max_kw: float = setting(50.0, float, "> 0")
+    min_fraction: float = setting(0.30, float, "in (0, 1]")
+    interval_s: float = setting(600.0, "whole", "> 0")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.v_ref1 < self.v_ref2:
+            raise ScenarioError("need v_ref1 < v_ref2")
+
+    @property
+    def p_min_kw(self) -> float:
+        return self.min_fraction * self.p_max_kw
+
+
+@dataclass(frozen=True)
+class RewardParams(Checked):
+    w1: float = setting(0.01, float)
+    r_max: float = setting(120.0, float)
+    w2: float = setting(0.02, float)
+    v_ref: float = setting(1.0, float)
+
+
+@dataclass(frozen=True)
+class PredictorConfig(Checked):
+    enc_len: int = setting(5, int, ">= 1")
+    dec_len: int = setting(5, int, ">= 1")
+    window_s: float = setting(240.0, float, "> 0")
+    sample_s: float = setting(60.0, float, "> 0")
+    hidden: int = setting(256, int, ">= 1")
+    layers: int = setting(2, int, ">= 1")
+    dropout: float = setting(0.5, float, "in [0, 1)")
+    lr: float = setting(1e-3, float, "> 0")
+    iters_per_step: int = setting(20, int, ">= 1")
+    batch: int = setting(64, int, ">= 1")
+    min_buffer: int = setting(64, int, ">= 1")
+    train_every: int = setting(50, int, ">= 1")
+    converge_window: int = setting(10, int, ">= 1")
+    converge_tol: float = setting(0.02, float, ">= 0")
+
+    def __post_init__(self):
+        super().__post_init__()
+        samples_per_window(self.window_s, self.sample_s)
+        if self.min_buffer < self.batch:
+            raise ScenarioError("min_buffer must be >= batch (training samples "
+                                "batches without replacement)")
 
 
 def samples_per_window(window_s: float, sample_s: float) -> int:
@@ -95,26 +200,26 @@ def samples_per_window(window_s: float, sample_s: float) -> int:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 200
-    episodes_per_epoch: int = 5
-    iters_per_epoch: int = 40
-    batch: int = 64
-    lr: float = 3e-4
-    lambda_lr: float = 0.035
-    gamma: float = 0.97
-    gae_lambda: float = 0.95
-    clip: float = 0.2
-    entropy_coef: float = 0.01
-    hidden: tuple = (64, 64)
-    cost_budget: float = 0.0
-    discounted_dual: bool = False
+class TrainConfig(Checked):
+    epochs: int = setting(200, int, ">= 1")
+    episodes_per_epoch: int = setting(5, int, ">= 1")
+    iters_per_epoch: int = setting(40, int, ">= 1")
+    batch: int = setting(64, int, ">= 1")
+    lr: float = setting(3e-4, float, "> 0")
+    lambda_lr: float = setting(0.035, float, ">= 0")
+    gamma: float = setting(0.97, float, "in [0, 1]")
+    gae_lambda: float = setting(0.95, float, "in [0, 1]")
+    clip: float = setting(0.2, float, "> 0")
+    entropy_coef: float = setting(0.01, float, ">= 0")
+    hidden: tuple = setting((64, 64), "ints", ">= 1")
+    cost_budget: float = setting(0.0, float)
+    discounted_dual: bool = setting(False, bool)
 
 
 @dataclass
-class ScenarioConfig:
+class ScenarioConfig(Checked):
     name: str
-    seed: int
+    seed: int = setting(MISSING, int, ">= 0")
     road_net: RoadNetwork
     power_net: PowerNetwork
     stations: tuple
@@ -124,8 +229,8 @@ class ScenarioConfig:
     reward: RewardParams
     predictor: PredictorConfig
     training: TrainConfig
-    compliance_rate: float = 1.0
-    seeds: tuple = (0, 1, 2)
+    compliance_rate: float = setting(1.0, float, "in [0, 1]")
+    seeds: tuple = setting((0, 1, 2), "ints", ">= 0")
     source: dict = field(default_factory=dict)    # raw document for dumping
 
     @property
@@ -147,34 +252,27 @@ class Trip:
     soc_init: float = 1.0
 
 
-def _as_int(value, key, path):
-    """``value`` as an int if it is integral (8 or 8.0); any other value of
-    the int field ``key`` is a ScenarioError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ScenarioError(f"{path}: '{key}' must be an integer, got {value!r}")
+def _coerce(value, kind):
+    """A YAML value as its field holds it: a list as a tuple, an integral
+    float of an int field as an int (8.0 -> 8)."""
+    if isinstance(value, list):
+        return tuple(_coerce(x, int if kind == "ints" else None) for x in value)
+    integral = kind is int and isinstance(value, float) and value.is_integer()
+    return int(value) if integral else value
 
 
-def _take(doc, key, cls, path):
-    sub = doc.get(key, {})
+def _take(sub, key, cls, path):
+    """``cls`` built from the mapping ``sub`` found under ``key``."""
     if not isinstance(sub, dict):
         raise ScenarioError(f"{path}: '{key}' must be a mapping")
-    known = {f.name for f in cls.__dataclass_fields__.values()} \
-        if hasattr(cls, "__dataclass_fields__") else set()
-    extra = set(sub) - known
+    kinds = {f.name: f.metadata.get("rule", (None,))[0] for f in fields(cls)}
+    extra = set(sub) - set(kinds)
     if extra:
         raise ScenarioError(f"{path}: unknown keys in '{key}': {sorted(extra)}")
-    coerced = dict(sub)
-    ints = {f.name for f in fields(cls) if f.type in (int, "int")}
-    for k, v in coerced.items():
-        if k in ints:
-            coerced[k] = _as_int(v, f"{key}.{k}", path)
-        elif isinstance(v, list):
-            coerced[k] = tuple(tuple(x) if isinstance(x, list) else x for x in v)
     try:
-        return cls(**coerced)
+        return cls(**{k: _coerce(v, kinds[k]) for k, v in sub.items()})
+    except FieldError as exc:
+        raise ScenarioError(f"{path}: {FieldError(key, *exc.args[1:])}") from exc
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: invalid '{key}': {exc}") from exc
 
@@ -213,11 +311,7 @@ def load_scenario(path) -> ScenarioConfig:
         raise ScenarioError(f"{path}: 'stations' must be a non-empty list")
     stations = []
     for i, entry in enumerate(raw_stations):
-        try:
-            st = StationSpec(*(_as_int(entry[k], f"stations[{i}].{k}", path)
-                               for k in ("cs_id", "node", "bus", "piles")))
-        except (KeyError, TypeError) as exc:
-            raise ScenarioError(f"{path}: stations[{i}]: {exc}") from exc
+        st = _take(entry, f"stations[{i}]", StationSpec, path)
         if st.node not in road.nodes:
             raise ScenarioError(f"{path}: stations[{i}]: node {st.node} "
                                 f"not in road network")
@@ -228,70 +322,27 @@ def load_scenario(path) -> ScenarioConfig:
             raise ScenarioError(f"{path}: stations[{i}]: station {st.cs_id} "
                                 f"is on bus {st.bus}, the feeder's slack bus; "
                                 f"its load would not enter the power flow")
-        if st.piles < 1:
-            raise ScenarioError(f"{path}: stations[{i}]: piles must be >= 1")
         stations.append(st)
     ids = [s.cs_id for s in stations]
     if len(set(ids)) != len(ids):
         raise ScenarioError(f"{path}: duplicate station cs_id")
     stations.sort(key=lambda s: s.cs_id)
 
-    demand = _take(doc, "demand", DemandSpec, path)
-    battery = _take(doc, "battery", BatteryParams, path)
-    droop = _take(doc, "droop", DroopParams, path)
-    reward = _take(doc, "reward", RewardParams, path)
-    predictor = _take(doc, "predictor", PredictorConfig, path)
-    training = _take(doc, "training", TrainConfig, path)
+    sections = {k: _take(doc.get(k, {}), k, cls, path) for k, cls in (
+        ("demand", DemandSpec), ("battery", BatteryParams),
+        ("droop", DroopParams), ("reward", RewardParams),
+        ("predictor", PredictorConfig), ("training", TrainConfig))}
+    p = sections["predictor"]
+    if sections["demand"].warmup_s < p.enc_len * p.window_s:
+        raise ScenarioError(f"{path}: warmup_s must cover enc_len predictor "
+                            f"windows ({p.enc_len} * {p.window_s:.0f} s)")
 
-    if demand.rate_veh_per_h <= 0:
-        raise ScenarioError(f"{path}: demand.rate_veh_per_h must be positive")
-    if not (0.0 <= demand.ev_fraction <= 1.0):
-        raise ScenarioError(f"{path}: demand.ev_fraction must be in [0, 1]")
-    if demand.warmup_s < 0 or demand.control_s <= 0:
-        raise ScenarioError(f"{path}: demand durations invalid")
-    if not (0.0 < demand.soc_init_low <= demand.soc_init_high
-            < demand.soc_target <= 1.0):
-        raise ScenarioError(f"{path}: need 0 < soc_init_low <= soc_init_high "
-                            f"< soc_target <= 1")
-    if demand.od_mode not in ("uniform", "table"):
-        raise ScenarioError(f"{path}: demand.od_mode must be uniform or table")
-    if demand.od_mode == "table" and not demand.od_table:
-        raise ScenarioError(f"{path}: od_mode table needs demand.od_table")
-    if predictor.window_s % predictor.sample_s != 0:
-        raise ScenarioError(f"{path}: predictor.window_s must be a multiple "
-                            f"of predictor.sample_s")
-    if demand.warmup_s < predictor.enc_len * predictor.window_s:
-        raise ScenarioError(
-            f"{path}: warmup_s must cover enc_len predictor windows "
-            f"({predictor.enc_len} * {predictor.window_s:.0f} s)")
-    if predictor.min_buffer < predictor.batch:
-        raise ScenarioError(f"{path}: predictor.min_buffer must be >= "
-                            f"predictor.batch (training samples batches "
-                            f"without replacement)")
-    compliance = float(doc.get("compliance_rate", 1.0))
-    if not (0.0 <= compliance <= 1.0):
-        raise ScenarioError(f"{path}: compliance_rate must be in [0, 1]")
-    seeds = doc.get("seeds", [0, 1, 2])
-    if not isinstance(seeds, list):
-        raise ScenarioError(f"{path}: 'seeds' must be a list of integers, "
-                            f"got {seeds!r}")
-
-    cfg = ScenarioConfig(
-        name=str(doc.get("name", path.stem)),
-        seed=_as_int(doc.get("seed", 0), "seed", path),
-        road_net=road,
-        power_net=power,
-        stations=tuple(stations),
-        demand=demand,
-        battery=battery,
-        droop=droop,
-        reward=reward,
-        predictor=predictor,
-        training=training,
-        compliance_rate=compliance,
-        seeds=tuple(_as_int(s, "seeds", path) for s in seeds),
-        source=doc,
-    )
+    cfg = _take(dict(name=str(doc.get("name", path.stem)),
+                     seed=doc.get("seed", 0), road_net=road,
+                     power_net=power, stations=tuple(stations),
+                     compliance_rate=doc.get("compliance_rate", 1.0),
+                     seeds=doc.get("seeds", [0, 1, 2]), source=doc,
+                     **sections), "", ScenarioConfig, path)
     _validate_od(cfg, path)
     return cfg
 
@@ -334,10 +385,7 @@ def _validate_od(cfg: ScenarioConfig, path):
         road = cfg.road_net
         ev_ok = set(ev_feasible_pairs(cfg))
         for i, row in enumerate(cfg.demand.od_table):
-            if len(row) not in (2, 3):
-                raise ScenarioError(f"{path}: od_table[{i}] needs (origin, dest"
-                                    f"[, weight])")
-            o, d = int(row[0]), int(row[1])
+            o, d = row[:2]
             if o not in road.nodes or d not in road.nodes:
                 raise ScenarioError(f"{path}: od_table[{i}] references unknown node")
             if d not in road.reachable_from(o):
@@ -369,13 +417,10 @@ def generate_trips(cfg: ScenarioConfig, seed: int):
     ev_flags[rng.permutation(n)[:n_ev]] = True
 
     if d.od_mode == "table":
-        rows = [(int(r[0]), int(r[1]), float(r[2]) if len(r) == 3 else 1.0)
-                for r in d.od_table]
-        table_pairs = [(o, dd) for o, dd, _ in rows]
-        weights = np.array([w for _, _, w in rows], dtype=float)
-        weights = weights / weights.sum()
-        cv_pairs = ev_pairs = table_pairs
-        cv_w = ev_w = weights
+        cv_pairs = ev_pairs = [row[:2] for row in d.od_table]
+        weights = np.array([row[2] if len(row) == 3 else 1.0
+                            for row in d.od_table], dtype=float)
+        cv_w = ev_w = weights / weights.sum()
     else:
         cv_pairs = cv_feasible_pairs(cfg)
         ev_pairs = ev_feasible_pairs(cfg) if n_ev else cv_pairs

@@ -208,6 +208,10 @@ def test_sweep_axis_validation(tiny_cfg):
     # 7 minutes does not divide the 600 s control phase
     with pytest.raises(ValueError, match="divide"):
         apply_sweep_value(tiny_cfg, "controller_interval", 7)
+    # 0.025 min = 1.5 s divides it, but the droop runs on whole seconds
+    with pytest.raises(ValueError, match=re.escape(
+            "'DroopParams.interval_s' must be a whole number > 0, got 1.5")):
+        apply_sweep_value(tiny_cfg, "controller_interval", 0.025)
     with pytest.raises(ValueError, match="unknown sweep axis"):
         apply_sweep_value(tiny_cfg, "charge_rate", 1.0)
     with pytest.raises(ValueError):
@@ -478,6 +482,14 @@ def test_main_sweep_and_errors(scenario_path, tmp_path, capsys):
                                       "message": message}
     # a bad value fails the sweep before any value runs
     assert not (tmp_path / "z").exists()
+    rc = main(["sweep", "--scenario", str(scenario_path), "--method",
+               "greedy", "--sweep-axis", "controller_interval",
+               "--sweep-values", "1,0.025", "--seeds", "0",
+               "--out", str(tmp_path / "w")])
+    assert rc == 1
+    assert last_error(capsys)["message"] == \
+        "'DroopParams.interval_s' must be a whole number > 0, got 1.5"
+    assert not (tmp_path / "w").exists()
 
     rc = main(["sweep", "--scenario", str(scenario_path), "--method",
                "greedy", "--sweep-axis", "controller_interval",

@@ -1,11 +1,25 @@
 """Scenario parsing, validation, and trip-generation tests."""
 
+import json
+import re
+from dataclasses import MISSING, fields, replace
+
 import numpy as np
 import pytest
 
 import evgrid
+from evgrid.harness import main
 from evgrid.scenario import (
+    BatteryParams,
+    DemandSpec,
+    DroopParams,
+    FieldError,
+    PredictorConfig,
+    RewardParams,
+    ScenarioConfig,
     ScenarioError,
+    StationSpec,
+    TrainConfig,
     Trip,
     cv_feasible_pairs,
     dump_scenario,
@@ -121,6 +135,71 @@ def test_integer_fields_take_integral_values_only(tmp_path):
         with pytest.raises(ScenarioError,
                            match=f"'{key}' must be (an integer|a list)"):
             load_scenario(_write(tmp_path, bad))
+
+
+# one bad value per line: (YAML appended to MINIMAL, key, allowed range)
+BAD_VALUES = [
+    ("training: {gamma: 1.5}", "training.gamma", "in [0, 1]"),
+    ("training: {lr: -1.0}", "training.lr", "> 0"),
+    ("training: {clip: -0.2}", "training.clip", "> 0"),
+    ("predictor: {lr: 0}", "predictor.lr", "> 0"),
+    ("training: {epochs: 0}", "training.epochs", ">= 1"),
+    ("training: {epochs: -3}", "training.epochs", ">= 1"),
+    ("training: {cost_budget: .nan}", "training.cost_budget",
+     "a finite number"),
+    ("training: {batch: 0}", "training.batch", ">= 1"),
+    ("reward: {w1: .nan}", "reward.w1", "a finite number"),
+    ("training: {iters_per_epoch: 0}", "training.iters_per_epoch", ">= 1"),
+    ("predictor: {hidden: 0}", "predictor.hidden", ">= 1"),
+    ("predictor: {layers: 0}", "predictor.layers", ">= 1"),
+    ("predictor: {dec_len: 0}", "predictor.dec_len", ">= 1"),
+    ("predictor: {batch: -1}", "predictor.batch", ">= 1"),
+    ("training: {hidden: [64, 64.5]}", "training.hidden",
+     "a list of integers >= 1"),
+    ("demand: {rate_veh_per_h: fast}", "demand.rate_veh_per_h",
+     "a finite number > 0"),
+    ("droop: {interval_s: 600.5}", "droop.interval_s", "a whole number > 0"),
+    ("demand: {od_mode: table, od_table: [5]}", "demand.od_table[0]",
+     "[origin node, dest node] or [origin node, dest node, weight > 0]"),
+    ("compliance_rate: abc", "compliance_rate", "a finite number in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("text,key,rule", BAD_VALUES)
+def test_bad_values_name_their_key_and_range(tmp_path, capsys, text, key,
+                                             rule):
+    path = _write(tmp_path, MINIMAL + text + "\n")
+    with pytest.raises(ScenarioError,
+                       match=re.escape(f"'{key}' must be {rule}, got ")):
+        load_scenario(path)
+    rc = main(["train", "--scenario", str(path), "--method", "ppo",
+               "--seeds", "0", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("ERROR ")
+    assert json.loads(line[len("ERROR "):])["type"] == "ScenarioError"
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_config_field_has_a_table_entry(tmp_path):
+    classes = (StationSpec, DemandSpec, BatteryParams, DroopParams,
+               RewardParams, PredictorConfig, TrainConfig)
+    for cls in classes:
+        for f in fields(cls):
+            assert "rule" in f.metadata, f"{cls.__name__}.{f.name}"
+    assert {f.name for f in fields(ScenarioConfig) if "rule" in f.metadata} \
+        == {"seed", "compliance_rate", "seeds"}
+    # building a config checks it, so every default passes its own entry
+    for cls in classes[1:]:
+        cls()
+    replace(load_scenario(_write(tmp_path, MINIMAL)),
+            **{f.name: f.default for f in fields(ScenarioConfig)
+               if "rule" in f.metadata and f.default is not MISSING})
+    # and no way of building one gets around the check
+    with pytest.raises(FieldError, match=re.escape(
+            "'TrainConfig.gamma' must be in [0, 1], got 1.5")):
+        replace(TrainConfig(), gamma=1.5)
 
 
 def test_parse_error_reports_location(tmp_path):

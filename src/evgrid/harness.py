@@ -10,14 +10,17 @@ simulation-derived quantities and are byte-identical across re-runs;
 wall-clock figures live in ``timing.csv``, next to each episode's simulated
 ticks and how many of them were crossed without a per-tick pass (see
 ``CouplingEnv._skip``). Every run directory gets a
-``manifest.json`` with the effective-config hash, seeds, and build info.
+``manifest.json`` with the seeds, build info and ``config_hash`` of the
+effective config, which covers every setting, defaults included, and both
+networks' tables.
 An episode in which no EV finished charging has no mean wait+charge time:
 its ``wct_min`` field is empty, and ``summary.csv`` and ``report`` average
 that metric over the episodes that define it and count those.
 
-Every run setting lives in the ``ScenarioConfig`` a verb receives:
-``--compliance`` is written into its ``compliance_rate`` (as the
-``compliance_rate`` sweep axis does), so the config hash covers it.
+Every run setting lives in the ``ScenarioConfig`` a verb receives, the
+checked config being the only copy: ``--compliance`` is written into its
+``compliance_rate`` (as the ``compliance_rate`` sweep axis does), so the
+config hash covers it, and without ``--seeds`` a verb runs its ``seeds``.
 ``--trace`` only chooses whether ``write_eval_artifacts`` writes the
 decision log (``CouplingEnv.trace``, always recorded) to ``trace_*.csv``.
 """
@@ -25,19 +28,17 @@ decision log (``CouplingEnv.trace``, always recorded) to ``trace_*.csv``.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import hashlib
 import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import DATA_DIR, __version__
 from .env import CouplingEnv
@@ -97,7 +98,14 @@ def read_csv(path):
 
 
 def config_hash(cfg) -> str:
-    text = yaml.safe_dump(cfg.source, sort_keys=True)
+    """SHA-256 of every setting of ``cfg``, defaults included, and of both
+    networks' tables: equal effective configs hash equal."""
+    road, power = cfg.road_net, cfg.power_net
+    settings = [(f.name, getattr(cfg, f.name)) for f in fields(cfg)
+                if f.name not in ("road_net", "power_net")]
+    text = repr((settings, sorted(road.nodes.items()),
+                 [road.links[lid] for lid in road.link_ids],
+                 power.buses, power.lines, power.base_mva, power.base_kv))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -227,45 +235,24 @@ def write_eval_artifacts(out, method, seed, records, trace):
 # Scenario, sweep and seed resolution
 # ---------------------------------------------------------------------------
 
-def _patched_source(cfg, keys, value):
-    """Copy of the scenario document with one (possibly nested) key changed,
-    so the config hash tracks the effective settings."""
-    src = copy.deepcopy(cfg.source)
-    node = src
-    for k in keys[:-1]:
-        node = node.setdefault(k, {})
-    node[keys[-1]] = value
-    return src
-
-
 def apply_sweep_value(cfg, axis, value):
     """Return a config with one sensitivity axis changed. Building it checks
     the new value against its field's table entry."""
+    v = float(value)
     if axis == "ev_fraction":
-        v = float(value)
-        return replace(cfg, demand=replace(cfg.demand, ev_fraction=v),
-                       source=_patched_source(cfg, ("demand", "ev_fraction"), v))
+        return replace(cfg, demand=replace(cfg.demand, ev_fraction=v))
     if axis == "controller_interval":
-        minutes = float(value)
-        interval = minutes * 60.0
+        interval = v * 60.0
         if interval <= 0 or cfg.demand.control_s % interval != 0:
             raise HarnessError(
-                f"controller interval {minutes:g} min must divide the "
+                f"controller interval {v:g} min must divide the "
                 f"control duration ({cfg.demand.control_s:g} s)")
-        return replace(cfg, droop=replace(cfg.droop, interval_s=interval),
-                       source=_patched_source(cfg, ("droop", "interval_s"),
-                                              interval))
+        return replace(cfg, droop=replace(cfg.droop, interval_s=interval))
     if axis == "decoder_length":
-        v = float(value)
-        if not v.is_integer() or v < 1:
-            raise HarnessError(f"decoder_length {v:g} is not an integer >= 1")
-        n = int(v)
-        return replace(cfg, predictor=replace(cfg.predictor, dec_len=n),
-                       source=_patched_source(cfg, ("predictor", "dec_len"), n))
+        n = int(v) if v.is_integer() else v
+        return replace(cfg, predictor=replace(cfg.predictor, dec_len=n))
     if axis == "compliance_rate":
-        v = float(value)
-        return replace(cfg, compliance_rate=v,
-                       source=_patched_source(cfg, ("compliance_rate",), v))
+        return replace(cfg, compliance_rate=v)
     raise HarnessError(f"unknown sweep axis '{axis}' (choose from "
                        f"{', '.join(SWEEP_AXES)})")
 
@@ -305,9 +292,7 @@ def resolve_seeds(args, cfg):
                 raise HarnessError(f"--seeds '{args.seeds}': {what}") \
                     from None
         return seeds
-    if "seeds" in cfg.source:
-        return [int(s) for s in cfg.seeds]
-    return list(range(5))
+    return list(cfg.seeds)
 
 
 def resolve_scenario(name):

@@ -329,28 +329,37 @@ def save_params(path, named_arrays):
 
 
 def load_params(path):
+    """Read a ``save_params`` file. Raises ValueError, naming the file, for a
+    bad header, a file that ends inside an entry, or bytes after the last."""
     raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError("not a parameter checkpoint (bad magic)")
+    if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 12:
+        raise ValueError(f"{path}: not a parameter checkpoint (bad magic or "
+                         f"short header)")
     version, count = struct.unpack_from("<II", raw, 4)
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     off = 12
     out = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        dims = struct.unpack_from(f"<{max(ndim, 1)}Q", raw, off)
-        off += 8 * max(ndim, 1)
-        shape = dims[:ndim] if ndim else ()
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=off).copy()
-        off += 8 * size
-        out[name] = arr.reshape(shape) if ndim else arr.reshape(())
+    try:
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", raw, off)
+            off += 2
+            name = raw[off:off + nlen].decode("utf-8")
+            off += nlen
+            (ndim,) = struct.unpack_from("<B", raw, off)
+            off += 1
+            dims = struct.unpack_from(f"<{max(ndim, 1)}Q", raw, off)
+            off += 8 * max(ndim, 1)
+            shape = dims[:ndim] if ndim else ()
+            size = int(np.prod(shape)) if ndim else 1
+            arr = np.frombuffer(raw, "<f8", size, off).copy()
+            off += 8 * size
+            out[name] = arr.reshape(shape) if ndim else arr.reshape(())
+    except (struct.error, ValueError):      # a read past the end of ``raw``
+        raise ValueError(f"{path}: checkpoint ends inside entry {len(out)}") \
+            from None
+    if off != len(raw):
+        raise ValueError(f"{path}: {len(raw) - off} bytes after the last entry")
     return out
 
 

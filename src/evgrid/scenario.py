@@ -230,8 +230,13 @@ class ScenarioConfig(Checked):
     predictor: PredictorConfig
     training: TrainConfig
     compliance_rate: float = setting(1.0, float, "in [0, 1]")
-    seeds: tuple = setting((0, 1, 2), "ints", ">= 0")
-    source: dict = field(default_factory=dict)    # raw document for dumping
+    seeds: tuple = setting((0, 1, 2, 3, 4), "ints", ">= 0")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.seeds:
+            raise FieldError(type(self).__name__, "seeds", "a non-empty list",
+                             self.seeds)
 
     @property
     def n_stations(self) -> int:
@@ -254,9 +259,12 @@ class Trip:
 
 def _coerce(value, kind):
     """A YAML value as its field holds it: a list as a tuple, an integral
-    float of an int field as an int (8.0 -> 8)."""
+    float of an int field as an int (8.0 -> 8), an int of a number field as
+    a float (1200 -> 1200.0, so it hashes as its default does)."""
     if isinstance(value, list):
         return tuple(_coerce(x, int if kind == "ints" else None) for x in value)
+    if kind in (float, "whole") and type(value) is int:
+        return float(value)
     integral = kind is int and isinstance(value, float) and value.is_integer()
     return int(value) if integral else value
 
@@ -340,16 +348,11 @@ def load_scenario(path) -> ScenarioConfig:
     cfg = _take(dict(name=str(doc.get("name", path.stem)),
                      seed=doc.get("seed", 0), road_net=road,
                      power_net=power, stations=tuple(stations),
-                     compliance_rate=doc.get("compliance_rate", 1.0),
-                     seeds=doc.get("seeds", [0, 1, 2]), source=doc,
+                     **{k: doc[k] for k in ("compliance_rate", "seeds")
+                        if k in doc},
                      **sections), "", ScenarioConfig, path)
     _validate_od(cfg, path)
     return cfg
-
-
-def dump_scenario(cfg: ScenarioConfig, path):
-    """Re-serialize the original document (round-trips loadable scenarios)."""
-    Path(path).write_text(yaml.safe_dump(cfg.source, sort_keys=False))
 
 
 def ev_feasible_pairs(cfg: ScenarioConfig):

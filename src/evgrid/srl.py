@@ -547,24 +547,22 @@ def _penalty_shaped(ep, bounds):
                    - _minmax_norm(ep.costs, c_lo, c_hi))
 
 
-def train(cfg: ScenarioConfig, method: str, seed: int, epochs=None,
-          episodes_per_epoch=None, progress=None) -> TrainResult:
+def train(cfg: ScenarioConfig, method: str, seed: int,
+          progress=None) -> TrainResult:
     """Train one method on one seed; returns the agent and per-epoch curve.
 
-    Episode seeds advance deterministically from ``seed``; the policy,
-    update and predictor random streams are seeded independently so that
-    disabling augmentation leaves trajectories bit-identical. PPO methods
-    update once per epoch, REINFORCE and actor-critic after each episode,
-    and DQN after each step (epsilon is fixed per episode).
+    The run is ``cfg.training.epochs`` epochs of ``episodes_per_epoch``
+    episodes. Episode seeds advance deterministically from ``seed``; the
+    policy, update and predictor random streams are seeded independently
+    so that disabling augmentation leaves trajectories bit-identical. PPO
+    methods update once per epoch, REINFORCE and actor-critic after each
+    episode, and DQN after each step (epsilon is fixed per episode).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
     if method == "greedy":
         raise ValueError("greedy has no training phase; evaluate it directly")
-    tc = cfg.training
-    epochs = tc.epochs if epochs is None else int(epochs)
-    n_ep = tc.episodes_per_epoch if episodes_per_epoch is None \
-        else int(episodes_per_epoch)
+    epochs, n_ep = cfg.training.epochs, cfg.training.episodes_per_epoch
     env = CouplingEnv(cfg)
     agent, predictor = build_agent(cfg, env, method, seed)
     pad = agent.tag["pad_width"]
@@ -573,7 +571,7 @@ def train(cfg: ScenarioConfig, method: str, seed: int, epochs=None,
 
     on_step = None
     if method == "dqn":
-        total = max(1, epochs * n_ep)
+        total = epochs * n_ep
         on_step = partial(agent.learn_step, rng=upd_rng)
 
         def policy(s):
@@ -634,8 +632,8 @@ class EvalEpisode:
 
 
 def evaluate(cfg: ScenarioConfig, method: str, agent=None, predictor=None,
-             seeds=(0,)):
-    """Deterministic greedy-action rollouts; returns one record per seed.
+             *, seeds):
+    """Deterministic greedy-action rollouts; one record per seed in ``seeds``.
 
     Every setting comes from ``cfg`` (driver compliance included) and the
     state layout from the agent's ``tag``. The predictor, when present,

@@ -34,6 +34,7 @@ import numpy as np
 import evgrid
 from evgrid.harness import run_eval, run_train
 from evgrid.scenario import load_scenario
+from evgrid.srl import METHODS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
@@ -106,6 +107,10 @@ def drift(root):
         elif gold.read_bytes() != new.read_bytes():
             lines.append(f"{name}: {first_difference(gold, new)}")
     return lines
+
+
+def test_every_method_has_a_pinned_run():
+    assert {run["method"] for run in RUNS.values()} == set(METHODS)
 
 
 def test_golden_outputs_are_byte_identical(tmp_path):

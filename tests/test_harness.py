@@ -4,8 +4,10 @@ provenance, percentile oracle, and exit codes."""
 
 import json
 import re
+import shutil
 import tempfile
 from argparse import Namespace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from evgrid.harness import (HarnessError, MetricsRecord, _parse_values,
                             write_summary)
 from evgrid.env import CouplingEnv, EnvError
 from evgrid.nn import load_params, save_params
-from evgrid.scenario import load_scenario
+from evgrid.scenario import FieldError, load_scenario
 from evgrid.srl import load_checkpoint, rollout, save_checkpoint
 
 from strategies import NO_SHRINK, scenarios
@@ -193,7 +195,6 @@ def test_parse_values_accepts_fractions():
 def test_sweep_axis_replacements(tiny_cfg):
     cfg = apply_sweep_value(tiny_cfg, "ev_fraction", 1.0 / 6.0)
     assert cfg.demand.ev_fraction == pytest.approx(1.0 / 6.0)
-    assert cfg.source["demand"]["ev_fraction"] == pytest.approx(1.0 / 6.0)
     assert tiny_cfg.demand.ev_fraction == 0.5  # original untouched
 
     cfg = apply_sweep_value(tiny_cfg, "controller_interval", 5)
@@ -218,9 +219,10 @@ def test_sweep_axis_validation(tiny_cfg):
         apply_sweep_value(tiny_cfg, "ev_fraction", 1.5)
     with pytest.raises(ValueError):
         apply_sweep_value(tiny_cfg, "compliance_rate", -0.1)
-    for value in (0, 2.5, -1.0):
-        with pytest.raises(HarnessError, match=re.escape(
-                f"decoder_length {value:g} is not an integer >= 1")):
+    for value, rule in ((0, ">= 1, got 0"), (2.5, "an integer >= 1, got 2.5"),
+                        (-1.0, ">= 1, got -1")):
+        with pytest.raises(FieldError, match=re.escape(
+                f"'PredictorConfig.dec_len' must be {rule}")):
             apply_sweep_value(tiny_cfg, "decoder_length", value)
     assert apply_sweep_value(tiny_cfg, "decoder_length", 3.0) \
         .predictor.dec_len == 3
@@ -234,7 +236,46 @@ def test_sweep_changes_config_hash(tiny_cfg):
     assert len(base) == 64 and set(base) <= set("0123456789abcdef")
 
 
-def test_resolve_seeds(tiny_cfg):
+def test_config_hash_covers_every_setting_and_both_networks(tmp_path):
+    reduced = (DATA_DIR / "reduced.yaml").read_text()
+    base = config_hash(load_scenario(DATA_DIR / "reduced.yaml"))
+    # spelling out a default or leaving it out is the same config
+    text = reduced
+    for line in ("  od_mode: uniform\n", "  warmup_s: 1200\n"):
+        assert line in text
+        text = text.replace(line, "")
+    bare = tmp_path / "bare.yaml"
+    bare.write_text(text)
+    assert config_hash(load_scenario(bare)) == base
+    # both networks' tables count, wherever their directories are
+    shutil.copytree(DATA_DIR / "nguyen_dupuis", tmp_path / "roads")
+    shutil.copytree(DATA_DIR / "ieee33", tmp_path / "feeder")
+    moved = tmp_path / "moved.yaml"
+    moved.write_text(reduced.replace("road_net: nguyen_dupuis",
+                                     "road_net: roads")
+                     .replace("power_net: ieee33", "power_net: feeder"))
+    assert config_hash(load_scenario(moved)) == base
+    for table, old, new in (
+            ("roads/links.csv", "\n1,1,5,1200,", "\n1,1,5,1250,"),
+            ("feeder/lines.csv", "\n1,2,0.0922,", "\n1,2,0.0923,"),
+            ("feeder/buses.csv", "base_kv=12.66", "base_kv=12.5")):
+        path = tmp_path / table
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert config_hash(load_scenario(moved)) != base, table
+        path.write_text(text)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(cfg=scenarios())
+def test_config_hash_tells_configs_built_in_code_apart(cfg):
+    assert config_hash(replace(cfg)) == config_hash(cfg)
+    assert config_hash(replace(cfg, compliance_rate=0.25)) != config_hash(cfg)
+    assert config_hash(replace(cfg, seeds=(0, 1))) != config_hash(cfg)
+
+
+def test_resolve_seeds(tiny_cfg, tmp_path):
     assert resolve_seeds(Namespace(seeds="4,7"), tiny_cfg) == [4, 7]
     assert resolve_seeds(Namespace(seeds="4, 7"), tiny_cfg) == [4, 7]
     for text, why in (("0,,x", "a seed is empty"),
@@ -245,9 +286,10 @@ def test_resolve_seeds(tiny_cfg):
                            match=re.escape(f"--seeds '{text}': {why}")):
             resolve_seeds(Namespace(seeds=text), tiny_cfg)
     assert resolve_seeds(Namespace(seeds=""), tiny_cfg) == [0, 3]
-    bare = load_scenario(DATA_DIR / "reduced.yaml")
-    del bare.source["seeds"]
-    assert resolve_seeds(Namespace(seeds=""), bare) == [0, 1, 2, 3, 4]
+    bare = tmp_path / "bare.yaml"
+    bare.write_text(TINY.replace("seeds: [0, 3]\n", ""))
+    assert resolve_seeds(Namespace(seeds=""), load_scenario(bare)) \
+        == [0, 1, 2, 3, 4]
 
 
 def test_resolve_scenario_names(scenario_path):
@@ -467,19 +509,19 @@ def test_main_sweep_and_errors(scenario_path, tmp_path, capsys):
     assert rc == 1
     assert last_error(capsys)["type"] == "HarnessError"
 
-    for axis, values, seeds, message in (
-            ("ev_fraction", "1/0", "1", "sweep value '1/0' divides by zero"),
-            ("ev_fraction", "1/6", "0,,x", "--seeds '0,,x': a seed is empty"),
-            ("decoder_length", "2.5", "0",
-             "decoder_length 2.5 is not an integer >= 1"),
-            ("decoder_length", "2,2.5", "0",
-             "decoder_length 2.5 is not an integer >= 1")):
+    dec_len = "'PredictorConfig.dec_len' must be an integer >= 1, got 2.5"
+    for axis, values, seeds, error, message in (
+            ("ev_fraction", "1/0", "1", "HarnessError",
+             "sweep value '1/0' divides by zero"),
+            ("ev_fraction", "1/6", "0,,x", "HarnessError",
+             "--seeds '0,,x': a seed is empty"),
+            ("decoder_length", "2.5", "0", "FieldError", dec_len),
+            ("decoder_length", "2,2.5", "0", "FieldError", dec_len)):
         rc = main(["sweep", "--scenario", str(scenario_path), "--method",
                    "greedy", "--sweep-axis", axis, "--sweep-values",
                    values, "--seeds", seeds, "--out", str(tmp_path / "z")])
         assert rc == 1
-        assert last_error(capsys) == {"type": "HarnessError",
-                                      "message": message}
+        assert last_error(capsys) == {"type": error, "message": message}
     # a bad value fails the sweep before any value runs
     assert not (tmp_path / "z").exists()
     rc = main(["sweep", "--scenario", str(scenario_path), "--method",

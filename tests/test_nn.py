@@ -1,8 +1,14 @@
 """Gradient, optimizer, and serialization tests for the nn substrate."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
+from evgrid import DATA_DIR
+from evgrid.env import CouplingEnv
+from evgrid.harness import main
 from evgrid.nn import (
     Adam,
     DenseNet,
@@ -13,6 +19,8 @@ from evgrid.nn import (
     log_softmax,
     save_params,
 )
+from evgrid.scenario import load_scenario
+from evgrid.srl import build_agent, save_checkpoint
 
 from oracles import finite_difference_grad, rel_grad_error
 
@@ -231,6 +239,32 @@ def test_checkpoint_rejects_garbage(tmp_path):
     f.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(ValueError, match="magic"):
         load_params(f)
+
+
+def test_checkpoint_cut_short_or_padded_names_the_file(tmp_path, capsys):
+    cfg = load_scenario(DATA_DIR / "reduced.yaml")
+    good = tmp_path / "good.bin"
+    save_checkpoint(good, *build_agent(cfg, CouplingEnv(cfg), "ppo"))
+    raw = good.read_bytes()
+    # in the magic, the header, the first name, an array, the last array
+    bad = {f"cut_{n}": raw[:n] for n in (3, 13, 16, len(raw) // 2,
+                                         len(raw) - 1)}
+    bad["padded"] = raw + bytes(8)
+    for name, data in bad.items():
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
+            load_params(path)
+        rc = main(["eval", "--scenario", "reduced", "--method", "ppo",
+                   "--checkpoint", str(path), "--seeds", "0",
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err, name
+        [line] = err.splitlines()
+        assert line.startswith("ERROR ")
+        error = json.loads(line[len("ERROR "):])
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{path}: "), name
 
 
 def test_assign_params_validates_shapes(tmp_path):

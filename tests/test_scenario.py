@@ -22,7 +22,6 @@ from evgrid.scenario import (
     TrainConfig,
     Trip,
     cv_feasible_pairs,
-    dump_scenario,
     ev_feasible_pairs,
     generate_trips,
     load_scenario,
@@ -162,6 +161,7 @@ BAD_VALUES = [
     ("demand: {od_mode: table, od_table: [5]}", "demand.od_table[0]",
      "[origin node, dest node] or [origin node, dest node, weight > 0]"),
     ("compliance_rate: abc", "compliance_rate", "a finite number in [0, 1]"),
+    ("seeds: []", "seeds", "a non-empty list"),
 ]
 
 
@@ -193,30 +193,21 @@ def test_every_config_field_has_a_table_entry(tmp_path):
     # building a config checks it, so every default passes its own entry
     for cls in classes[1:]:
         cls()
-    replace(load_scenario(_write(tmp_path, MINIMAL)),
-            **{f.name: f.default for f in fields(ScenarioConfig)
-               if "rule" in f.metadata and f.default is not MISSING})
+    cfg = replace(load_scenario(_write(tmp_path, MINIMAL)),
+                  **{f.name: f.default for f in fields(ScenarioConfig)
+                     if "rule" in f.metadata and f.default is not MISSING})
     # and no way of building one gets around the check
     with pytest.raises(FieldError, match=re.escape(
             "'TrainConfig.gamma' must be in [0, 1], got 1.5")):
         replace(TrainConfig(), gamma=1.5)
+    with pytest.raises(FieldError, match=re.escape(
+            "'ScenarioConfig.seeds' must be a non-empty list, got ()")):
+        replace(cfg, seeds=())
 
 
 def test_parse_error_reports_location(tmp_path):
     with pytest.raises(ScenarioError, match="parse error"):
         load_scenario(_write(tmp_path, "stations: [\n"))
-
-
-def test_roundtrip_dump_load(tmp_path):
-    cfg = load_scenario(evgrid.DATA_DIR / "reduced.yaml")
-    out = tmp_path / "copy.yaml"
-    dump_scenario(cfg, out)
-    cfg2 = load_scenario(out)
-    assert cfg2.demand == cfg.demand
-    assert cfg2.training == cfg.training
-    assert cfg2.predictor == cfg.predictor
-    assert cfg2.stations == cfg.stations
-    assert cfg2.seed == cfg.seed
 
 
 def test_trip_counts_and_spacing():

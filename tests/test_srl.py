@@ -50,6 +50,12 @@ def tiny_cfg(tmp_path_factory):
     return load_scenario(p)
 
 
+def short(cfg, epochs):
+    """``cfg`` with a training run of ``epochs`` epochs of two episodes."""
+    return replace(cfg, training=replace(cfg.training, epochs=epochs,
+                                         episodes_per_epoch=2))
+
+
 def test_gae_matches_double_sum_oracle():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -387,13 +393,13 @@ def test_train_rejects_bad_methods(tiny_cfg):
 
 
 def test_ppolag_equals_full_method_with_zeroed_forecasts(tiny_cfg, monkeypatch):
-    base = train(tiny_cfg, "ppolag", seed=0, epochs=2, episodes_per_epoch=2)
+    base = train(short(tiny_cfg, 2), "ppolag", seed=0)
 
     M = tiny_cfg.n_stations
     dec = tiny_cfg.predictor.dec_len
     monkeypatch.setattr(OnlinePredictor, "predict",
                         lambda self: np.zeros((dec, M)))
-    full = train(tiny_cfg, "opsrl", seed=0, epochs=2, episodes_per_epoch=2)
+    full = train(short(tiny_cfg, 2), "opsrl", seed=0)
 
     for row_a, row_b in zip(base.curve, full.curve):
         assert row_a["mean_ttt"] == row_b["mean_ttt"]
@@ -404,7 +410,7 @@ def test_ppolag_equals_full_method_with_zeroed_forecasts(tiny_cfg, monkeypatch):
 
 
 def test_train_curve_and_eval_roundtrip(tiny_cfg, tmp_path):
-    res = train(tiny_cfg, "opsrl", seed=1, epochs=2, episodes_per_epoch=2)
+    res = train(short(tiny_cfg, 2), "opsrl", seed=1)
     assert len(res.curve) == 2
     for row in res.curve:
         assert row["lam"] >= 0.0
@@ -434,7 +440,7 @@ def test_train_curve_and_eval_roundtrip(tiny_cfg, tmp_path):
 def test_eval_compliance_zero_matches_greedy(tiny_cfg):
     greedy = evaluate(tiny_cfg, "greedy", seeds=(5,))
 
-    res = train(tiny_cfg, "ppo", seed=2, epochs=1, episodes_per_epoch=2)
+    res = train(short(tiny_cfg, 1), "ppo", seed=2)
     forced = evaluate(replace(tiny_cfg, compliance_rate=0.0), "ppo", res.agent,
                       seeds=(5,))
     assert core_metrics(forced[0].metrics) == core_metrics(greedy[0].metrics)
@@ -447,7 +453,7 @@ def test_eval_compliance_zero_matches_greedy(tiny_cfg):
 
 def test_dqn_and_pg_training_smoke(tiny_cfg):
     for method in ("dqn", "reinforce", "actorcritic"):
-        res = train(tiny_cfg, method, seed=3, epochs=1, episodes_per_epoch=2)
+        res = train(short(tiny_cfg, 1), method, seed=3)
         assert len(res.curve) == 1
         assert res.curve[0]["lam"] == 0.0
         ev = evaluate(tiny_cfg, method, res.agent, seeds=(4,))

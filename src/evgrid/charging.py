@@ -19,9 +19,12 @@ changes of its charging set or of the setpoint, every tick of
 EV, so ``plan`` bounds, once per change, the ticks before any EV could
 reach its target (a one-tick margin included) and the station is *parked*
 until then: ``sync`` replays the skipped ticks lazily, one float operation
-per tick (``soc += dsoc``, ``charged_kwh += kwh``), bit for bit. Once due,
-a station is stepped every tick until its next completion re-plans it. An
-idle station (nothing charging, hence nothing queued) is never due.
+per tick (``soc += dsoc``, ``charged_kwh += kwh``), bit for bit. Its
+charging EVs' fields lag until the next ``sync``: ``plan`` runs one itself,
+and a caller runs one before it adds an EV, steps the station or reads its
+features. Once due, a station is stepped every tick until its next
+completion re-plans it. An idle station (nothing charging, hence nothing
+queued) is never due.
 """
 
 from __future__ import annotations
@@ -118,12 +121,13 @@ class ChargingStation:
 
     def plan(self, tick: int, dt: float, setpoint_kw: float,
              battery: BatteryParams):
-        """Charge lazily from ``tick`` on (the EVs carry every tick before
-        it) and set ``due`` to the first tick that must run
+        """Sync to ``tick`` at the old setpoint, then charge lazily from
+        ``tick`` on and set ``due`` to the first tick that must run
         ``update_charging``: the ticks before any charging EV could reach
         its target at this setpoint, with a one-tick margin against float
         rounding. Called once per change of the charging set or of the
         setpoint; ``_start`` updates the bound for an arrival."""
+        self.sync(tick)
         self._gain = tick_energy(dt, setpoint_kw, battery)
         self.synced = tick
         gap = math.inf

@@ -36,9 +36,16 @@ link's end and a ``ChargingStation`` is stepped only from its ``due`` tick
 (see their module docstrings); both replay the skipped ticks lazily, bit
 for bit. Whenever no vehicle is active and no station is due, ``_skip``
 jumps straight to the next departure, minute sample, droop boundary,
-vehicle wake or station due tick, and that tick then runs as above. Every
-output is bit for bit what stepping every tick gives: before ``_advance``
-returns, every parked vehicle and station is synced.
+vehicle wake or station due tick, and that tick then runs as above.
+
+Lazy state catches up where it is read or written, not at each decision:
+a parked vehicle when it wakes or leaves the road, a station in ``plan``
+and wherever the env writes to it or reads its features. No output reads a
+parked vehicle's fields (states read the pending EV and link counts,
+rewards and costs read counts and charging sets, ``episode_metrics`` reads
+finished vehicles), so every output is bit for bit what stepping every tick
+gives. An observer that wants every field current calls ``sim.sync()`` and
+each station's ``sync(_t)``.
 ``EpisodeMetrics.ticks_coasted`` counts the ticks crossed without a
 per-tick pass.
 
@@ -317,8 +324,8 @@ class CouplingEnv:
     # ------------------------------------------------------------------
 
     def _advance(self) -> bool:
-        """Run ticks until a decision is pending (False) or terminal (True),
-        then sync every parked vehicle and station."""
+        """Run ticks until a decision is pending (False) or terminal (True).
+        Parked vehicles and stations are left lagging (module docstring)."""
         while True:
             if not self._mid_tick:
                 if not self.sim.active:
@@ -326,12 +333,10 @@ class CouplingEnv:
                 self._tick_pre()
                 self._mid_tick = True
                 if self._pending:
-                    self._sync()
                     return False
             self._tick_post()
             if self._n_unfinished == 0:
                 self._terminal = True
-                self._sync()
                 return True
             if self._t > self._safety_cap:
                 raise EnvError(f"episode exceeded {self._safety_cap} ticks with "
@@ -366,12 +371,6 @@ class CouplingEnv:
         self._t = t + k
         self._ticks_coasted += k
 
-    def _sync(self):
-        """Bring every parked vehicle and station up to ``_t``."""
-        self.sim.sync()
-        for cs in self.stations:
-            cs.sync(self._t)
-
     def _tick_pre(self):
         t = self._t
         replan = t == 0             # stations charge lazily from the start
@@ -381,7 +380,6 @@ class CouplingEnv:
             replan = self._setpoint != setpoint
         if replan:
             for cs in self.stations:
-                cs.sync(t)
                 cs.plan(t, TICK_S, self._setpoint, self.cfg.battery)
         vehicles = self._vehicles
         while self._next_dep < len(vehicles) and vehicles[self._next_dep].depart_s <= t:

@@ -221,3 +221,24 @@ def test_idle_station_update_changes_nothing():
     before = dict(vars(cs))
     assert cs.update_charging(1.0, 50.0, BAT, t_end=7.0) == []
     assert vars(cs) == before
+
+
+def test_replan_keeps_the_ticks_a_parked_station_skipped():
+    """``plan`` syncs before it re-plans: a parked station re-planned at a
+    new setpoint with no ``sync`` since its last plan keeps the ticks it
+    skipped at the old one, bit for bit what stepping every tick leaves."""
+    stepped = ChargingStation(0, 5, 18, piles=2)
+    lazy = ChargingStation(0, 5, 18, piles=2)
+    for cs in (stepped, lazy):
+        cs.submit_arrival(_ev(0, soc=0.2), 0.0)
+        cs.submit_arrival(_ev(1, soc=0.4), 0.0)
+    lazy.plan(0, 1.0, 50.0, BAT)
+    for t in range(40):
+        assert stepped.update_charging(1.0, 50.0, BAT, t + 1.0) == []
+    lazy.plan(40, 1.0, 32.5, BAT)
+    for t in range(40, 90):
+        assert stepped.update_charging(1.0, 32.5, BAT, t + 1.0) == []
+    assert lazy.due > 90
+    lazy.sync(90)
+    assert ([(v.soc, v.charged_kwh) for v in lazy.charging]
+            == [(v.soc, v.charged_kwh) for v in stepped.charging])

@@ -187,8 +187,12 @@ def _bits(a):
 
 
 def snapshot(env):
-    """Everything an episode's outputs and later ticks can depend on."""
+    """Everything an episode's outputs and later ticks can depend on,
+    parked vehicles and stations synced first."""
     sim = env.sim
+    sim.sync()
+    for cs in env.stations:
+        cs.sync(env._t)
     return repr((
         [[getattr(v, s) for s in Vehicle.__slots__] for v in env._vehicles],
         sim.counts, [v.vid for v in sim.driving], [v.vid for v in sim.drained],
@@ -352,11 +356,13 @@ def test_strategy_reaches_the_corners(monkeypatch):
     vehicles cross several nodes in one tick, ticks get skipped, crossers
     enter links with parked vehicles both ahead of and behind them in
     ``driving`` order, crossers fix a link's speed for the tick as they
-    enter it, vehicles depart onto links with parked vehicles, and the
-    setpoint changes under parked chargers."""
+    enter it, vehicles depart onto links with parked vehicles, the
+    setpoint changes under parked chargers, and a decision returns with a
+    parked vehicle's fields still lagging (what ``snapshot`` syncs)."""
     seen = {"stranded": 0, "queued": 0, "multi_cross": 0, "coasted": 0,
             "cross_between_parked": 0, "fixed_at_entry": 0,
-            "enter_onto_parked": 0, "droop_over_parked": 0}
+            "enter_onto_parked": 0, "droop_over_parked": 0,
+            "lagging_at_decision": 0}
     ahead, enter = TrafficSim._parked_ahead, TrafficSim.enter_road
     droop = CouplingEnv._update_droop
 
@@ -396,7 +402,8 @@ def test_strategy_reaches_the_corners(monkeypatch):
         except EnvError:
             return
         while not env.apply_action(0).terminal:
-            pass
+            seen["lagging_at_decision"] += any(
+                rec.synced < env.sim.now for rec in env.sim._parked.values())
         m = env.episode_metrics()
         seen["stranded"] += m.n_stranded > 0
         seen["queued"] += any(v.t_charge_start is not None

@@ -120,7 +120,6 @@ class PowerNetwork:
             raise ValueError(f"buses not connected to the slack: {missing}")
 
         self.ybus = self._build_ybus()
-        self.slack_index = self._index[self.slack_id]
         self.pq_indices = np.array(
             [i for i, b in enumerate(self.buses) if b.kind == "pq"], dtype=int
         )
@@ -177,7 +176,10 @@ def load_power_network(path) -> PowerNetwork:
     """Read buses.csv and lines.csv from a fixture directory.
 
     The bus file header must declare the bases as ``# base_mva=...`` and
-    ``# base_kv=...`` comment lines.
+    ``# base_kv=...`` comment lines. A row with the wrong column count or a
+    cell that does not parse fails with its ``file:line``; an error
+    building the feeder names the fixture directory, and its message the
+    bus or line.
     """
     path = Path(path)
     bus_file = path / "buses.csv"
@@ -202,7 +204,11 @@ def load_power_network(path) -> PowerNetwork:
         parts = row.split(",")
         if len(parts) != 4:
             raise ValueError(f"{bus_file}:{lineno}: expected 4 columns")
-        buses.append(Bus(int(parts[0]), parts[1].strip(), float(parts[2]), float(parts[3])))
+        try:
+            buses.append(Bus(int(parts[0]), parts[1].strip(), float(parts[2]),
+                             float(parts[3])))
+        except ValueError as exc:
+            raise ValueError(f"{bus_file}:{lineno}: {exc}") from None
     if "base_mva" not in meta or "base_kv" not in meta:
         raise ValueError(f"{bus_file}: missing base_mva/base_kv header")
     lines = []
@@ -213,8 +219,15 @@ def load_power_network(path) -> PowerNetwork:
         parts = row.split(",")
         if len(parts) != 4:
             raise ValueError(f"{line_file}:{lineno}: expected 4 columns")
-        lines.append(Line(int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
-    return PowerNetwork(buses, lines, meta["base_mva"], meta["base_kv"])
+        try:
+            lines.append(Line(int(parts[0]), int(parts[1]), float(parts[2]),
+                              float(parts[3])))
+        except ValueError as exc:
+            raise ValueError(f"{line_file}:{lineno}: {exc}") from None
+    try:
+        return PowerNetwork(buses, lines, meta["base_mva"], meta["base_kv"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def bus_injections(net: PowerNetwork, extra_load_kw=None):

@@ -306,6 +306,9 @@ def load_scenario(path) -> ScenarioConfig:
         raise ScenarioError(f"{path}: parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
+    extra = set(doc) - {f.name for f in fields(ScenarioConfig)}
+    if extra:
+        raise ScenarioError(f"{path}: unknown top-level keys: {sorted(extra)}")
 
     for key in ("road_net", "power_net", "stations"):
         if key not in doc:

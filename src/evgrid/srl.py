@@ -258,7 +258,6 @@ def ppo_update(agent: LagrangePPOAgent, episodes, rng):
                                f"entropy {info['entropy']}")
         if it == 0:
             stats["ratio_dev_first"] = float(np.abs(info["zeta"] - 1.0).mean())
-            stats["surrogate_first"] = info["surrogate"]
         grads, _ = agent.actor.backward(cache, dlogits)
         agent.opt_actor.step(agent.actor.param_dict(), grads)
         stats["actor_loss"] = loss

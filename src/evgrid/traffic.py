@@ -136,32 +136,47 @@ class RoadNetwork:
 
 
 def load_road_network(path) -> RoadNetwork:
-    """Read nodes.csv (id,x,y) and links.csv from a fixture directory."""
+    """Read nodes.csv (id,x,y) and links.csv from a fixture directory.
+
+    A row with the wrong column count or a cell that does not parse fails
+    with its ``file:line``; an error building the network names links.csv,
+    whose rows every such error is about."""
     path = Path(path)
+    node_file = path / "nodes.csv"
+    link_file = path / "links.csv"
     nodes = {}
-    for lineno, raw in enumerate((path / "nodes.csv").read_text().splitlines(), 1):
+    for lineno, raw in enumerate(node_file.read_text().splitlines(), 1):
         row = raw.strip()
         if not row or row.startswith("#") or row.lower().startswith("id"):
             continue
         parts = row.split(",")
         if len(parts) != 3:
-            raise ValueError(f"{path / 'nodes.csv'}:{lineno}: expected 3 columns")
-        nodes[int(parts[0])] = (float(parts[1]), float(parts[2]))
+            raise ValueError(f"{node_file}:{lineno}: expected 3 columns")
+        try:
+            nodes[int(parts[0])] = (float(parts[1]), float(parts[2]))
+        except ValueError as exc:
+            raise ValueError(f"{node_file}:{lineno}: {exc}") from None
     links = []
-    for lineno, raw in enumerate((path / "links.csv").read_text().splitlines(), 1):
+    for lineno, raw in enumerate(link_file.read_text().splitlines(), 1):
         row = raw.strip()
         if not row or row.startswith("#") or row.lower().startswith("id"):
             continue
         parts = row.split(",")
         if len(parts) != 7:
-            raise ValueError(f"{path / 'links.csv'}:{lineno}: expected 7 columns")
-        links.append(RoadLink(
-            link_id=int(parts[0]), from_node=int(parts[1]), to_node=int(parts[2]),
-            length_m=float(parts[3]), lanes=int(parts[4]),
-            vf_ms=float(parts[5]) / 3.6,
-            kjam_m_lane=float(parts[6]) / 1000.0,
-        ))
-    return RoadNetwork(nodes, links)
+            raise ValueError(f"{link_file}:{lineno}: expected 7 columns")
+        try:
+            links.append(RoadLink(
+                link_id=int(parts[0]), from_node=int(parts[1]),
+                to_node=int(parts[2]), length_m=float(parts[3]),
+                lanes=int(parts[4]), vf_ms=float(parts[5]) / 3.6,
+                kjam_m_lane=float(parts[6]) / 1000.0,
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{link_file}:{lineno}: {exc}") from None
+    try:
+        return RoadNetwork(nodes, links)
+    except ValueError as exc:
+        raise ValueError(f"{link_file}: {exc}") from None
 
 
 def link_speed(link: RoadLink, others: float) -> float:

@@ -1,5 +1,8 @@
 """Power-flow solver tests, anchored on independent oracles from oracles.py."""
 
+import re
+import shutil
+
 import numpy as np
 import pytest
 
@@ -296,3 +299,32 @@ def test_missing_base_header_rejected(tmp_path):
     (tmp_path / "lines.csv").write_text("from,to,r_ohm,x_ohm\n1,2,0.1,0.1\n")
     with pytest.raises(ValueError, match="base_mva"):
         load_power_network(tmp_path)
+
+
+def _edit_row(tmp_path, name, lineno, old, new):
+    """A copy of the ieee33 fixture whose ``name`` file line ``lineno``
+    reads ``new`` instead of ``old``; returns (directory, file)."""
+    net = tmp_path / "net"
+    shutil.copytree(evgrid.DATA_DIR / "ieee33", net)
+    path = net / name
+    rows = path.read_text().splitlines()
+    assert rows[lineno - 1] == old
+    rows[lineno - 1] = new
+    path.write_text("\n".join(rows) + "\n")
+    return net, path
+
+
+def test_bad_bus_cell_names_its_file_and_line(tmp_path):
+    net, buses = _edit_row(tmp_path, "buses.csv", 7, "2,pq,100,60",
+                           "2,pq,4O,60")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{buses}:7: could not convert string to float: '4O'")):
+        load_power_network(net)
+
+
+def test_invalid_line_names_its_fixture(tmp_path):
+    net, _ = _edit_row(tmp_path, "lines.csv", 3, "1,2,0.0922,0.0470",
+                       "1,2,0,0")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{net}: line 1-2 has invalid impedance")):
+        load_power_network(net)

@@ -165,13 +165,9 @@ BAD_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("text,key,rule", BAD_VALUES)
-def test_bad_values_name_their_key_and_range(tmp_path, capsys, text, key,
-                                             rule):
-    path = _write(tmp_path, MINIMAL + text + "\n")
-    with pytest.raises(ScenarioError,
-                       match=re.escape(f"'{key}' must be {rule}, got ")):
-        load_scenario(path)
+def _assert_train_rejects(path, tmp_path, capsys):
+    """``evgrid train`` on ``path`` exits 1 with one ScenarioError line and
+    writes no output directory."""
     rc = main(["train", "--scenario", str(path), "--method", "ppo",
                "--seeds", "0", "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -180,6 +176,24 @@ def test_bad_values_name_their_key_and_range(tmp_path, capsys, text, key,
     assert line.startswith("ERROR ")
     assert json.loads(line[len("ERROR "):])["type"] == "ScenarioError"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,key,rule", BAD_VALUES)
+def test_bad_values_name_their_key_and_range(tmp_path, capsys, text, key,
+                                             rule):
+    path = _write(tmp_path, MINIMAL + text + "\n")
+    with pytest.raises(ScenarioError,
+                       match=re.escape(f"'{key}' must be {rule}, got ")):
+        load_scenario(path)
+    _assert_train_rejects(path, tmp_path, capsys)
+
+
+def test_unknown_top_level_keys_are_named(tmp_path, capsys):
+    path = _write(tmp_path, MINIMAL + "seedz: [9]\ncompliance: 0.5\n")
+    with pytest.raises(ScenarioError, match=re.escape(
+            "unknown top-level keys: ['compliance', 'seedz']")):
+        load_scenario(path)
+    _assert_train_rejects(path, tmp_path, capsys)
 
 
 def test_every_config_field_has_a_table_entry(tmp_path):

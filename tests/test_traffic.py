@@ -2,6 +2,8 @@
 
 import copy
 import math
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -256,6 +258,33 @@ def test_network_validation():
         RoadNetwork({1: (0, 0), 2: (1, 0)}, [_link(1, 1, 2), _link(1, 2, 1)])
     with pytest.raises(ValueError, match="invalid parameters"):
         RoadNetwork({1: (0, 0), 2: (1, 0)}, [_link(1, 1, 2, length=-5.0)])
+
+
+def _edit_link_row(tmp_path, row):
+    """A copy of the nguyen_dupuis fixture whose link 1 row (file line 4)
+    reads ``row``; returns (directory, links.csv)."""
+    net = tmp_path / "net"
+    shutil.copytree(evgrid.DATA_DIR / "nguyen_dupuis", net)
+    links = net / "links.csv"
+    rows = links.read_text().splitlines()
+    assert rows[3] == "1,1,5,1200,1,50,100"
+    rows[3] = row
+    links.write_text("\n".join(rows) + "\n")
+    return net, links
+
+
+def test_bad_link_cell_names_its_file_and_line(tmp_path):
+    net, links = _edit_link_row(tmp_path, "1,1,5,12O0,1,50,100")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{links}:4: could not convert string to float: '12O0'")):
+        load_road_network(net)
+
+
+def test_invalid_link_names_its_file(tmp_path):
+    net, links = _edit_link_row(tmp_path, "1,1,5,1200,1,50,0")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{links}: link 1 has invalid parameters")):
+        load_road_network(net)
 
 
 def _reference_step(sim, dt=1.0):

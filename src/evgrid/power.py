@@ -208,7 +208,7 @@ def load_power_network(path) -> PowerNetwork:
             buses.append(Bus(int(parts[0]), parts[1].strip(), float(parts[2]),
                              float(parts[3])))
         except ValueError as exc:
-            raise ValueError(f"{bus_file}:{lineno}: {exc}") from None
+            raise ValueError(f"{bus_file}:{lineno}: {exc}") from exc
     if "base_mva" not in meta or "base_kv" not in meta:
         raise ValueError(f"{bus_file}: missing base_mva/base_kv header")
     lines = []
@@ -223,11 +223,11 @@ def load_power_network(path) -> PowerNetwork:
             lines.append(Line(int(parts[0]), int(parts[1]), float(parts[2]),
                               float(parts[3])))
         except ValueError as exc:
-            raise ValueError(f"{line_file}:{lineno}: {exc}") from None
+            raise ValueError(f"{line_file}:{lineno}: {exc}") from exc
     try:
         return PowerNetwork(buses, lines, meta["base_mva"], meta["base_kv"])
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def bus_injections(net: PowerNetwork, extra_load_kw=None):

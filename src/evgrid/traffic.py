@@ -139,8 +139,8 @@ def load_road_network(path) -> RoadNetwork:
     """Read nodes.csv (id,x,y) and links.csv from a fixture directory.
 
     A row with the wrong column count or a cell that does not parse fails
-    with its ``file:line``; an error building the network names links.csv,
-    whose rows every such error is about."""
+    with its ``file:line``; an error raised while building the network is
+    prefixed with the links.csv path, since ``RoadNetwork`` checks links."""
     path = Path(path)
     node_file = path / "nodes.csv"
     link_file = path / "links.csv"
@@ -155,7 +155,7 @@ def load_road_network(path) -> RoadNetwork:
         try:
             nodes[int(parts[0])] = (float(parts[1]), float(parts[2]))
         except ValueError as exc:
-            raise ValueError(f"{node_file}:{lineno}: {exc}") from None
+            raise ValueError(f"{node_file}:{lineno}: {exc}") from exc
     links = []
     for lineno, raw in enumerate(link_file.read_text().splitlines(), 1):
         row = raw.strip()
@@ -172,11 +172,11 @@ def load_road_network(path) -> RoadNetwork:
                 kjam_m_lane=float(parts[6]) / 1000.0,
             ))
         except ValueError as exc:
-            raise ValueError(f"{link_file}:{lineno}: {exc}") from None
+            raise ValueError(f"{link_file}:{lineno}: {exc}") from exc
     try:
         return RoadNetwork(nodes, links)
     except ValueError as exc:
-        raise ValueError(f"{link_file}: {exc}") from None
+        raise ValueError(f"{link_file}: {exc}") from exc
 
 
 def link_speed(link: RoadLink, others: float) -> float:

@@ -70,8 +70,8 @@ import numpy as np
 
 from .charging import ChargingStation, charging_loads_kw, droop_power
 from .power import average_voltage, solve_power_flow, voltage_deviation
-from .scenario import (RewardParams, ScenarioConfig, build_vehicle,
-                       generate_trips, samples_per_window)
+from .scenario import (SAMPLE_S, RewardParams, ScenarioConfig,
+                       build_vehicle, generate_trips, samples_per_window)
 from .traffic import (DRIVE_CS, DRIVE_DEST, DONE, STRANDED, NoPathError,
                       TrafficSim, path_length_m, record_trip_times,
                       shortest_path)
@@ -355,8 +355,8 @@ class CouplingEnv:
         vehicle is active.
         """
         t = self._t
-        k = min(59 - t % 60, -t % self._droop_every, self._safety_cap - t,
-                self.sim.next_wake() - t,
+        k = min(SAMPLE_S - 1 - t % SAMPLE_S, -t % self._droop_every,
+                self._safety_cap - t, self.sim.next_wake() - t,
                 min(cs.due for cs in self.stations) - t)
         if self._next_dep < len(self._vehicles):
             k = min(k, int(self._vehicles[self._next_dep].depart_s) - t)
@@ -426,7 +426,7 @@ class CouplingEnv:
             self._check_stranded(t_end)
         self._t = t + 1
         self._mid_tick = False
-        if self._t % 60 == 0:
+        if self._t % SAMPLE_S == 0:
             self._minute_sample()
 
     def _depart(self, veh, t):

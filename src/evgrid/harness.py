@@ -291,6 +291,9 @@ def resolve_seeds(args, cfg):
                         if tok.strip() else "a seed is empty")
                 raise HarnessError(f"--seeds '{args.seeds}': {what}") \
                     from None
+            if seeds[-1] < 0:
+                raise HarnessError(f"--seeds '{args.seeds}': seed "
+                                   f"'{tok.strip()}' must be >= 0")
         return seeds
     return list(cfg.seeds)
 

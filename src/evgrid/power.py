@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import read_table
+
 
 class PowerFlowError(RuntimeError):
     """Raised when the solver cannot produce a valid solution."""
@@ -67,7 +69,7 @@ class PowerNetwork:
     """Validated radial feeder with a cached admittance matrix."""
 
     def __init__(self, buses, lines, base_mva: float, base_kv: float):
-        if base_mva <= 0 or base_kv <= 0:
+        if not (base_mva > 0 and base_kv > 0):
             raise ValueError("per-unit bases must be positive")
         self.buses = list(buses)
         self.lines = list(lines)
@@ -102,7 +104,8 @@ class PowerNetwork:
                 raise ValueError(
                     f"line {ln.from_bus}-{ln.to_bus} references unknown bus"
                 )
-            if ln.r_ohm < 0 or ln.x_ohm < 0 or (ln.r_ohm == 0 and ln.x_ohm == 0):
+            if not (ln.r_ohm >= 0 and ln.x_ohm >= 0
+                    and (ln.r_ohm > 0 or ln.x_ohm > 0)):
                 raise ValueError(
                     f"line {ln.from_bus}-{ln.to_bus} has invalid impedance"
                 )
@@ -173,59 +176,22 @@ class PowerNetwork:
 
 
 def load_power_network(path) -> PowerNetwork:
-    """Read buses.csv and lines.csv from a fixture directory.
-
-    The bus file header must declare the bases as ``# base_mva=...`` and
-    ``# base_kv=...`` comment lines. A row with the wrong column count or a
-    cell that does not parse fails with its ``file:line``; an error
-    building the feeder names the fixture directory, and its message the
-    bus or line.
-    """
+    """Read buses.csv, whose ``# base_mva=`` and ``# base_kv=`` comments
+    declare the bases, and lines.csv from a fixture directory through
+    ``evgrid.read_table``. An error building the feeder names the
+    directory, and its message the bus or line."""
     path = Path(path)
     bus_file = path / "buses.csv"
-    line_file = path / "lines.csv"
-    meta = {}
-    buses = []
-    for lineno, raw in enumerate(bus_file.read_text().splitlines(), start=1):
-        row = raw.strip()
-        if not row:
-            continue
-        if row.startswith("#"):
-            body = row.lstrip("# ")
-            if "=" in body:
-                k, _, v = body.partition("=")
-                try:
-                    meta[k.strip()] = float(v)
-                except ValueError:
-                    pass
-            continue
-        if row.lower().startswith("id,"):
-            continue
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{bus_file}:{lineno}: expected 4 columns")
-        try:
-            buses.append(Bus(int(parts[0]), parts[1].strip(), float(parts[2]),
-                             float(parts[3])))
-        except ValueError as exc:
-            raise ValueError(f"{bus_file}:{lineno}: {exc}") from exc
-    if "base_mva" not in meta or "base_kv" not in meta:
+    buses, bases = read_table(bus_file, "id,type,p_base_kw,q_base_kvar",
+                              (int, str, float, float))
+    if "base_mva" not in bases or "base_kv" not in bases:
         raise ValueError(f"{bus_file}: missing base_mva/base_kv header")
-    lines = []
-    for lineno, raw in enumerate(line_file.read_text().splitlines(), start=1):
-        row = raw.strip()
-        if not row or row.startswith("#") or row.lower().startswith("from"):
-            continue
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{line_file}:{lineno}: expected 4 columns")
-        try:
-            lines.append(Line(int(parts[0]), int(parts[1]), float(parts[2]),
-                              float(parts[3])))
-        except ValueError as exc:
-            raise ValueError(f"{line_file}:{lineno}: {exc}") from exc
+    lines, _ = read_table(path / "lines.csv", "from,to,r_ohm,x_ohm",
+                          (int, int, float, float))
     try:
-        return PowerNetwork(buses, lines, meta["base_mva"], meta["base_kv"])
+        return PowerNetwork([Bus(*row) for row in buses],
+                            [Line(*row) for row in lines],
+                            bases["base_mva"], bases["base_kv"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

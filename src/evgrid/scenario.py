@@ -38,6 +38,11 @@ from .power import PowerNetwork, load_power_network
 from .traffic import RoadNetwork, Vehicle, load_road_network
 
 
+# Seconds between the env's load samples (one ``minute_log`` row each);
+# ``predictor.sample_s`` may only restate it.
+SAMPLE_S = 60
+
+
 class ScenarioError(ValueError):
     """Configuration that cannot be run."""
 
@@ -171,7 +176,8 @@ class PredictorConfig(Checked):
     enc_len: int = setting(5, int, ">= 1")
     dec_len: int = setting(5, int, ">= 1")
     window_s: float = setting(240.0, float, "> 0")
-    sample_s: float = setting(60.0, float, "> 0")
+    sample_s: float = setting(float(SAMPLE_S), float, f"== {SAMPLE_S}",
+                              lambda v: v == SAMPLE_S)
     hidden: int = setting(256, int, ">= 1")
     layers: int = setting(2, int, ">= 1")
     dropout: float = setting(0.5, float, "in [0, 1)")

@@ -54,6 +54,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import read_table
+
 V_MIN_MS = 1.0
 
 # Fewest ticks a vehicle must be able to skip to be parked (see
@@ -92,7 +94,8 @@ class RoadNetwork:
                 raise ValueError(f"duplicate link id {ln.link_id}")
             if ln.from_node not in self.nodes or ln.to_node not in self.nodes:
                 raise ValueError(f"link {ln.link_id} references unknown node")
-            if ln.length_m <= 0 or ln.lanes < 1 or ln.vf_ms <= 0 or ln.kjam_m_lane <= 0:
+            if not (ln.length_m > 0 and ln.lanes >= 1 and ln.vf_ms > 0
+                    and ln.kjam_m_lane > 0):
                 raise ValueError(f"link {ln.link_id} has invalid parameters")
             self.links[ln.link_id] = ln
             self.out_links[ln.from_node].append(ln.link_id)
@@ -136,45 +139,20 @@ class RoadNetwork:
 
 
 def load_road_network(path) -> RoadNetwork:
-    """Read nodes.csv (id,x,y) and links.csv from a fixture directory.
-
-    A row with the wrong column count or a cell that does not parse fails
-    with its ``file:line``; an error raised while building the network is
-    prefixed with the links.csv path, since ``RoadNetwork`` checks links."""
+    """Read nodes.csv and links.csv (speeds in km/h, jam densities per km)
+    from a fixture directory through ``evgrid.read_table``. An error
+    building the network is prefixed with the links.csv path."""
     path = Path(path)
-    node_file = path / "nodes.csv"
     link_file = path / "links.csv"
-    nodes = {}
-    for lineno, raw in enumerate(node_file.read_text().splitlines(), 1):
-        row = raw.strip()
-        if not row or row.startswith("#") or row.lower().startswith("id"):
-            continue
-        parts = row.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{node_file}:{lineno}: expected 3 columns")
-        try:
-            nodes[int(parts[0])] = (float(parts[1]), float(parts[2]))
-        except ValueError as exc:
-            raise ValueError(f"{node_file}:{lineno}: {exc}") from exc
-    links = []
-    for lineno, raw in enumerate(link_file.read_text().splitlines(), 1):
-        row = raw.strip()
-        if not row or row.startswith("#") or row.lower().startswith("id"):
-            continue
-        parts = row.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"{link_file}:{lineno}: expected 7 columns")
-        try:
-            links.append(RoadLink(
-                link_id=int(parts[0]), from_node=int(parts[1]),
-                to_node=int(parts[2]), length_m=float(parts[3]),
-                lanes=int(parts[4]), vf_ms=float(parts[5]) / 3.6,
-                kjam_m_lane=float(parts[6]) / 1000.0,
-            ))
-        except ValueError as exc:
-            raise ValueError(f"{link_file}:{lineno}: {exc}") from exc
+    nodes, _ = read_table(path / "nodes.csv", "id,x,y", (int, float, float))
+    links, _ = read_table(
+        link_file, "id,from,to,length_m,lanes,vf_kmh,kjam_per_km",
+        (int, int, int, float, int, float, float))
     try:
-        return RoadNetwork(nodes, links)
+        return RoadNetwork(
+            {nid: (x, y) for nid, x, y in nodes},
+            [RoadLink(lid, a, b, length, lanes, vf / 3.6, kjam / 1000.0)
+             for lid, a, b, length, lanes, vf, kjam in links])
     except ValueError as exc:
         raise ValueError(f"{link_file}: {exc}") from exc
 

@@ -281,7 +281,8 @@ def test_resolve_seeds(tiny_cfg, tmp_path):
     for text, why in (("0,,x", "a seed is empty"),
                       ("0,", "a seed is empty"),
                       ("0,x", "seed 'x' is not an integer"),
-                      ("1.5", "seed '1.5' is not an integer")):
+                      ("1.5", "seed '1.5' is not an integer"),
+                      ("0, -3", "seed '-3' must be >= 0")):
         with pytest.raises(HarnessError,
                            match=re.escape(f"--seeds '{text}': {why}")):
             resolve_seeds(Namespace(seeds=text), tiny_cfg)

@@ -281,9 +281,13 @@ def test_network_validation_errors():
     with pytest.raises(ValueError, match="unknown bus"):
         PowerNetwork(b, [Line(1, 2, 0.1, 0.1), Line(2, 9, 0.1, 0.1)],
                      BASE_MVA, BASE_KV)
-    with pytest.raises(ValueError, match="impedance"):
-        PowerNetwork(b, [Line(1, 2, 0.0, 0.0), Line(2, 3, 0.1, 0.1)],
-                     BASE_MVA, BASE_KV)
+    for r, x in ((0.0, 0.0), (np.nan, 0.1), (0.1, np.nan)):
+        with pytest.raises(ValueError, match="impedance"):
+            PowerNetwork(b, [Line(1, 2, r, x), Line(2, 3, 0.1, 0.1)],
+                         BASE_MVA, BASE_KV)
+    with pytest.raises(ValueError, match="bases must be positive"):
+        PowerNetwork(b, [Line(1, 2, 0.1, 0.1), Line(2, 3, 0.1, 0.1)],
+                     np.nan, BASE_KV)
 
 
 def test_nonconvergence_raises_with_trace():
@@ -314,17 +318,35 @@ def _edit_row(tmp_path, name, lineno, old, new):
     return net, path
 
 
-def test_bad_bus_cell_names_its_file_and_line(tmp_path):
-    net, buses = _edit_row(tmp_path, "buses.csv", 7, "2,pq,100,60",
-                           "2,pq,4O,60")
+BUS_2 = ("buses.csv", 7, "2,pq,100,60")
+LINE_1 = ("lines.csv", 3, "1,2,0.0922,0.0470")
+
+
+@pytest.mark.parametrize("row,new,error", [
+    pytest.param(BUS_2, "2,pq,4O,60",
+                 "could not convert string to float: '4O'", id="typo"),
+    pytest.param(BUS_2, "2,pq,inf,60", "p_base_kw must be finite, got 'inf'",
+                 id="inf-load"),
+    pytest.param(BUS_2, "2,pq,100,nan",
+                 "q_base_kvar must be finite, got 'nan'", id="nan-load"),
+    pytest.param(BUS_2, "1,pq,100,60", "duplicate id 1", id="repeated-id"),
+    pytest.param(LINE_1, "1,2,nan,0.0470", "r_ohm must be finite, got 'nan'",
+                 id="nan-line"),
+    pytest.param(("buses.csv", 3, "# base_mva=10.0"), "# base_mva=nan",
+                 "base_mva must be finite, got 'nan'", id="nan-base"),
+    pytest.param(("buses.csv", 4, "# base_kv=12.66"), "# base_kv=12.6.6",
+                 "could not convert string to float: '12.6.6'",
+                 id="typo-base"),
+])
+def test_bad_bus_cell_names_its_file_and_line(tmp_path, row, new, error):
+    net, path = _edit_row(tmp_path, *row, new)
     with pytest.raises(ValueError, match=re.escape(
-            f"{buses}:7: could not convert string to float: '4O'")):
+            f"{path}:{row[1]}: {error}")):
         load_power_network(net)
 
 
 def test_invalid_line_names_its_fixture(tmp_path):
-    net, _ = _edit_row(tmp_path, "lines.csv", 3, "1,2,0.0922,0.0470",
-                       "1,2,0,0")
+    net, _ = _edit_row(tmp_path, *LINE_1, "1,2,0,0")
     with pytest.raises(ValueError, match=re.escape(
             f"{net}: line 1-2 has invalid impedance")):
         load_power_network(net)

@@ -153,6 +153,7 @@ BAD_VALUES = [
     ("predictor: {layers: 0}", "predictor.layers", ">= 1"),
     ("predictor: {dec_len: 0}", "predictor.dec_len", ">= 1"),
     ("predictor: {batch: -1}", "predictor.batch", ">= 1"),
+    ("predictor: {sample_s: 120}", "predictor.sample_s", "== 60"),
     ("training: {hidden: [64, 64.5]}", "training.hidden",
      "a list of integers >= 1"),
     ("demand: {rate_veh_per_h: fast}", "demand.rate_veh_per_h",

@@ -256,32 +256,59 @@ def test_network_validation():
         RoadNetwork({1: (0, 0)}, [_link(1, 1, 2)])
     with pytest.raises(ValueError, match="duplicate"):
         RoadNetwork({1: (0, 0), 2: (1, 0)}, [_link(1, 1, 2), _link(1, 2, 1)])
-    with pytest.raises(ValueError, match="invalid parameters"):
-        RoadNetwork({1: (0, 0), 2: (1, 0)}, [_link(1, 1, 2, length=-5.0)])
+    for bad in (dict(length=-5.0), dict(length=math.nan), dict(vf=math.nan),
+                dict(kjam=math.nan)):
+        with pytest.raises(ValueError, match="invalid parameters"):
+            RoadNetwork({1: (0, 0), 2: (1, 0)}, [_link(1, 1, 2, **bad)])
 
 
-def _edit_link_row(tmp_path, row):
-    """A copy of the nguyen_dupuis fixture whose link 1 row (file line 4)
-    reads ``row``; returns (directory, links.csv)."""
+def _edit_row(tmp_path, name, lineno, old, new):
+    """A copy of the nguyen_dupuis fixture whose ``name`` file line
+    ``lineno`` reads ``new`` instead of ``old``; returns (directory,
+    file)."""
     net = tmp_path / "net"
     shutil.copytree(evgrid.DATA_DIR / "nguyen_dupuis", net)
-    links = net / "links.csv"
-    rows = links.read_text().splitlines()
-    assert rows[3] == "1,1,5,1200,1,50,100"
-    rows[3] = row
-    links.write_text("\n".join(rows) + "\n")
-    return net, links
+    path = net / name
+    rows = path.read_text().splitlines()
+    assert rows[lineno - 1] == old
+    rows[lineno - 1] = new
+    path.write_text("\n".join(rows) + "\n")
+    return net, path
 
 
-def test_bad_link_cell_names_its_file_and_line(tmp_path):
-    net, links = _edit_link_row(tmp_path, "1,1,5,12O0,1,50,100")
+LINK_1 = ("links.csv", 4, "1,1,5,1200,1,50,100")
+NODE_1 = ("nodes.csv", 4, "1,1.0,3.0")
+
+
+@pytest.mark.parametrize("row,new,error", [
+    pytest.param(LINK_1, "1,1,5,12O0,1,50,100",
+                 "could not convert string to float: '12O0'", id="typo"),
+    pytest.param(LINK_1, "1,1,5,nan,1,50,100",
+                 "length_m must be finite, got 'nan'", id="nan-length"),
+    pytest.param(LINK_1, "1,1,5,1200,1,inf,100",
+                 "vf_kmh must be finite, got 'inf'", id="inf-speed"),
+    pytest.param(LINK_1, "1,1,5,1200,1,50,-inf",
+                 "kjam_per_km must be finite, got '-inf'", id="inf-jam"),
+    pytest.param(NODE_1, "1,nan,3.0", "x must be finite, got 'nan'",
+                 id="nan-node"),
+])
+def test_bad_link_cell_names_its_file_and_line(tmp_path, row, new, error):
+    net, path = _edit_row(tmp_path, *row, new)
     with pytest.raises(ValueError, match=re.escape(
-            f"{links}:4: could not convert string to float: '12O0'")):
+            f"{path}:{row[1]}: {error}")):
+        load_road_network(net)
+
+
+def test_repeated_node_id_names_the_repeat(tmp_path):
+    net, nodes = _edit_row(tmp_path, "nodes.csv", 16, "13,2.0,0.0",
+                           "13,2.0,0.0\n1,999,999")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{nodes}:17: duplicate id 1")):
         load_road_network(net)
 
 
 def test_invalid_link_names_its_file(tmp_path):
-    net, links = _edit_link_row(tmp_path, "1,1,5,1200,1,50,0")
+    net, links = _edit_row(tmp_path, *LINK_1, "1,1,5,1200,1,50,0")
     with pytest.raises(ValueError, match=re.escape(
             f"{links}: link 1 has invalid parameters")):
         load_road_network(net)

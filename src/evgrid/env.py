@@ -22,6 +22,16 @@ A droop controller refreshes the uniform pile setpoint once per interval
 using the power flow at the previous interval's peak-load minute sample,
 chosen by the same exact comparison.
 
+Both read a power flow through ``CouplingEnv._power_flow``, which memoises
+the two figures it needs (the cost at ``v_ref`` and the bus-average
+voltage) per feeder: every env built on one ``PowerNetwork`` object, in
+any episode, seed or run of the process, reuses them. A solve starts flat
+and depends only on the feeder and the per-bus loads, so a reused figure
+is the float a new solve would give. The memo keeps the ``PF_MEMO_CAP``
+most recently used load patterns per feeder and dies with the feeder.
+``EpisodeMetrics.pf_lookups`` and ``pf_solves`` count an episode's reads
+and its misses; the misses depend on what the memo already held.
+
 Time advances in 1 s ticks. Within a tick: droop boundary first, then
 departures (pausing for decisions before any movement), then movement,
 station arrivals in vehicle-id order, charging, and re-routing of finished
@@ -63,8 +73,9 @@ probability ``cfg.compliance_rate``.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+import weakref
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +89,13 @@ from .traffic import (DRIVE_CS, DRIVE_DEST, DONE, STRANDED, NoPathError,
 
 TICK_S = 1.0
 WAIT_NORM_S = 600.0      # queue-wait scale used in station observations
+# Entries per feeder in the power-flow memo; full, with five station buses
+# per key, it holds about 0.8 MB (see ``CouplingEnv._power_flow``).
+PF_MEMO_CAP = 2048
+
+# PowerNetwork -> OrderedDict {(v_ref, bus, kW, bus, kW, ...): (cost, v_avg)}
+# in least-recently-used order. Weak keys: a feeder's entries die with it.
+_PF_MEMOS = weakref.WeakKeyDictionary()
 
 
 class EnvError(RuntimeError):
@@ -105,6 +123,10 @@ class EpisodeMetrics:
     dt_mean_s: float       # mean caller-reported decision latency
     ticks: int             # simulated ticks, warm-up included
     ticks_coasted: int     # of which crossed without a per-tick pass
+    pf_lookups: int        # power-flow results the episode read
+    # of which solved anew (memo misses); it depends on what the feeder's
+    # memo held, so equal episodes compare equal whatever it reads
+    pf_solves: int = field(compare=False)
 
 
 def greedy_station(road, stations, origin):
@@ -148,16 +170,17 @@ def peak_sample(samples):
     return best
 
 
-def segment_cost(samples, solve, v_ref: float = 1.0) -> float:
+def segment_cost(samples, power_flow) -> float:
     """Deviation cost at the segment's highest-total-load sampled instant.
 
     samples: [(total_kw, {bus: kw}), ...] in time order; the first element
-    is the comparison key and ties keep the earliest. solve maps the
-    per-bus extra-load dict to a PF solution.
+    is the comparison key and ties keep the earliest. power_flow maps the
+    per-bus extra-load dict to (voltage deviation cost, bus-average
+    voltage), as ``CouplingEnv._power_flow`` does.
     """
     if not samples:
         raise EnvError("segment recorded no load samples")
-    return voltage_deviation(solve(peak_sample(samples)[1]), v_ref)
+    return power_flow(peak_sample(samples)[1])[0]
 
 
 class CouplingEnv:
@@ -169,9 +192,9 @@ class CouplingEnv:
         self.power = cfg.power_net
         self._droop_every = int(cfg.droop.interval_s)
         self._n_links = len(self.road.link_ids)
-        self._per_window = samples_per_window(cfg.predictor.window_s,
-                                              cfg.predictor.sample_s)
+        self._per_window = samples_per_window(cfg.predictor.window_s)
         self._greedy_memo = {}
+        self._pf_memo = _PF_MEMOS.setdefault(self.power, OrderedDict())
         self._terminal = False
         self._pending = deque()
 
@@ -220,7 +243,8 @@ class CouplingEnv:
         self._seg_counts = None
         self._seg_samples = None
         self._interval_samples = []
-        self._pf_cache = {}
+        self._pf_lookups = 0
+        self._pf_solves = 0
         self.minute_log = []    # rows as in the module docstring
         self.droop_log = []     # (t, v_avg, setpoint kW, occupancy tuple)
         self.completed = []
@@ -254,7 +278,7 @@ class CouplingEnv:
             terminal = self._advance()
         reward = segment_reward(self._seg_counts, self._last_count, terminal,
                                 self.cfg.reward)
-        cost = segment_cost(self._seg_samples, self._solve, self.cfg.reward.v_ref)
+        cost = segment_cost(self._seg_samples, self._power_flow)
         self._seg_counts = None
         self._seg_samples = None
         self._decision_s_sum += decision_s
@@ -288,6 +312,8 @@ class CouplingEnv:
             dt_mean_s=self._decision_s_sum / n_steps if n_steps else 0.0,
             ticks=self._t,
             ticks_coasted=self._ticks_coasted,
+            pf_lookups=self._pf_lookups,
+            pf_solves=self._pf_solves,
         )
 
     # ------------------------------------------------------------------
@@ -522,16 +548,35 @@ class CouplingEnv:
 
     def _update_droop(self):
         samples = self._interval_samples or [self._load_sample()]
-        v_avg = average_voltage(self._solve(peak_sample(samples)[1]))
+        v_avg = self._power_flow(peak_sample(samples)[1])[1]
         self._setpoint = droop_power(v_avg, self.cfg.droop)
         self._interval_samples = []
         occ = tuple(len(cs.queue) + len(cs.charging) for cs in self.stations)
         self.droop_log.append((self._t, v_avg, self._setpoint, occ))
 
-    def _solve(self, loads):
-        key = tuple(sorted(loads.items()))
-        sol = self._pf_cache.get(key)
-        if sol is None:
-            sol = solve_power_flow(self.power, loads)
-            self._pf_cache[key] = sol
-        return sol
+    def _power_flow(self, loads):
+        """(voltage deviation cost at ``cfg.reward.v_ref``, bus-average
+        voltage) of the power flow with per-bus extra loads {bus: kW}, from
+        the feeder's memo (module docstring) or a new solve.
+
+        The key holds ``v_ref`` and the loads with their bus ids, in bus
+        order, since configs sharing a feeder may differ in both. A miss
+        calls the module name ``solve_power_flow``, so a patch of it sees
+        every solve; a ``PowerFlowError`` propagates and leaves no entry.
+        """
+        self._pf_lookups += 1
+        key = (self.cfg.reward.v_ref,
+               *[x for item in sorted(loads.items()) for x in item])
+        memo = self._pf_memo
+        figures = memo.get(key)
+        if figures is not None:
+            memo.move_to_end(key)
+            return figures
+        sol = solve_power_flow(self.power, loads)
+        self._pf_solves += 1
+        figures = (voltage_deviation(sol, self.cfg.reward.v_ref),
+                   average_voltage(sol))
+        memo[key] = figures
+        if len(memo) > PF_MEMO_CAP:
+            memo.popitem(last=False)
+        return figures

@@ -15,8 +15,12 @@ O(n) and scatters them into the matrix handed to the dense linear solve.
 
 Every solve starts flat (all voltages 1+0j). A warm start from the previous
 solution would save an iteration or two, but it would make a solution
-depend on which solve ran before it, and callers cache solutions by load
-pattern. Charging loads enter as additional active-power consumption at
+depend on which solve ran before it. Starting flat keeps a solve a pure
+function of the feeder and the loads, which is what lets
+``CouplingEnv._power_flow`` reuse its figures exactly: one memo per
+``PowerNetwork`` object, shared by every env on that feeder across
+episodes, seeds and runs, holding at most ``env.PF_MEMO_CAP`` load
+patterns. Charging loads enter as additional active-power consumption at
 their coupling buses.
 """
 

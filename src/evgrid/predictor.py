@@ -42,12 +42,12 @@ class DemandHistory:
 
     ``sync`` consumes new rows of the environment's minute log, whose rows
     start with (t, occupancy vector, station feature vector, ...). Every
-    ``samples_per_window(window_s, sample_s)``-th row closes one window,
+    ``samples_per_window(window_s)``-th row closes one window,
     and only a closing row's features are read.
     """
 
-    def __init__(self, window_s: float = 240.0, sample_s: float = 60.0):
-        self.per_window = samples_per_window(window_s, sample_s)
+    def __init__(self, window_s: float = 240.0):
+        self.per_window = samples_per_window(window_s)
         self.snapshots = []      # station features at each window close
         self.demands = []        # mean occupancy per window
         self._occ_acc = []
@@ -236,12 +236,12 @@ class OnlinePredictor:
         self.model = Seq2SeqForecaster(
             cfg.n_stations, 9 * cfg.n_stations, p,
             np.random.default_rng([seed, cfg.seed, 3]))
-        self.history = DemandHistory(p.window_s, p.sample_s)
+        self.history = DemandHistory(p.window_s)
         self.train_log = []      # (buffer size at trigger, mean loss)
         self._memo = None
 
     def start_episode(self):
-        self.history = DemandHistory(self.pcfg.window_s, self.pcfg.sample_s)
+        self.history = DemandHistory(self.pcfg.window_s)
         self.buffer.rebase()
         self._memo = None
 

@@ -191,18 +191,18 @@ class PredictorConfig(Checked):
 
     def __post_init__(self):
         super().__post_init__()
-        samples_per_window(self.window_s, self.sample_s)
+        samples_per_window(self.window_s)
         if self.min_buffer < self.batch:
             raise ScenarioError("min_buffer must be >= batch (training samples "
                                 "batches without replacement)")
 
 
-def samples_per_window(window_s: float, sample_s: float) -> int:
+def samples_per_window(window_s: float) -> int:
     """Minute samples per predictor demand window. Counting from an
     episode's first sample, every this-many-th sample closes a window."""
-    if window_s % sample_s != 0:
-        raise ValueError("window_s must be a multiple of sample_s")
-    return int(window_s // sample_s)
+    if window_s % SAMPLE_S != 0:
+        raise ValueError(f"window_s must be a multiple of {SAMPLE_S} s")
+    return int(window_s // SAMPLE_S)
 
 
 @dataclass(frozen=True)

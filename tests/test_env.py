@@ -1,16 +1,24 @@
-"""Environment tests: rewards, costs, duality, compliance, determinism."""
+"""Environment tests: rewards, costs, duality, compliance, determinism,
+the shared power-flow memo."""
 
+import gc
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import evgrid
+import evgrid.env as env_module
 from evgrid.env import (CouplingEnv, EnvError, greedy_station, segment_cost,
                         segment_reward)
-from evgrid.power import load_power_network, solve_power_flow
+from evgrid.power import (PFSolution, PowerFlowError, PowerNetwork,
+                          average_voltage, load_power_network,
+                          solve_power_flow, voltage_deviation)
 from evgrid.scenario import RewardParams, generate_trips, load_scenario
+from evgrid.srl import evaluate, train
 
 TINY = """\
 name: tiny
@@ -96,7 +104,7 @@ def test_segment_reward_branches():
 
 def test_segment_cost_base_case_and_peak_selection():
     net = load_power_network(evgrid.DATA_DIR / "ieee33")
-    solve = lambda loads: solve_power_flow(net, loads)
+    solve = lambda loads: (voltage_deviation(solve_power_flow(net, loads)),)
     idle = segment_cost([(0.0, {})], solve)
     assert idle == pytest.approx(0.051544, abs=1e-6)
 
@@ -138,12 +146,13 @@ def test_peak_ties_are_exact_and_keep_the_earliest(tmp_path):
 
     solved = []
 
-    def solve(loads):
+    def power_flow(loads):
         solved.append(loads)
-        return solve_power_flow(env.power, loads)
+        sol = solve_power_flow(env.power, loads)
+        return voltage_deviation(sol), average_voltage(sol)
 
-    segment_cost([first, second], solve)
-    env._solve = solve
+    segment_cost([first, second], power_flow)
+    env._power_flow = power_flow
     env._interval_samples = [first, second]
     env._update_droop()
     assert solved == [first[1], first[1]]
@@ -394,3 +403,144 @@ def test_all_stranded_episode_has_no_wait_time(tmp_path):
     assert metrics.n_completed == 0 and metrics.n_ev_completed == 0
     assert metrics.n_stranded == len(generate_trips(cfg, 0)) > 0
     assert metrics.wct_min is None
+
+
+# ---------------------------------------------------------------------------
+# the power-flow memo shared by every env on one feeder
+# ---------------------------------------------------------------------------
+
+def new_feeder(scale=1.0):
+    """A new ieee33 feeder object, every base load times ``scale``."""
+    net = load_power_network(evgrid.DATA_DIR / "ieee33")
+    return PowerNetwork([replace(b, p_base_kw=b.p_base_kw * scale)
+                         for b in net.buses], net.lines, net.base_mva,
+                        net.base_kv)
+
+
+def memo_reads(cfg):
+    """Everything a greedy episode and a one-epoch opsrl training and
+    evaluation read from power flows: the per-step costs, droop voltages
+    and setpoints (reprs, so bit for bit) and the episode metrics, which
+    compare without ``pf_solves``, here also without the wall-clock
+    ``dt_mean_s``."""
+    cfg = replace(cfg, training=replace(cfg.training, epochs=1,
+                                        episodes_per_epoch=2))
+    res = train(cfg, "opsrl", 0)
+    episodes = (evaluate(cfg, "greedy", seeds=(3,))
+                + evaluate(cfg, "opsrl", res.agent, res.predictor,
+                           seeds=(5,)))
+    return (repr([(ep.trace, ep.droop_log) for ep in episodes]
+                 + [res.curve]),
+            [replace(ep.metrics, dt_mean_s=0.0) for ep in episodes])
+
+
+def test_cold_and_warm_memos_give_identical_episodes(tiny_cfg):
+    """An empty memo, the memo the same feeder's earlier runs filled, and
+    memos left by feeders that died give the same episodes. Feeders built
+    and dropped one after another often land at a dead one's address in
+    CPython, so each must read its own voltages: keyed by ``id()``, a memo
+    would hand them the dead feeder's."""
+    base = new_feeder()
+    cold = memo_reads(replace(tiny_cfg, power_net=base))
+    assert memo_reads(replace(tiny_cfg, power_net=base)) == cold
+    loads = {18: 100.0, 30: 50.0}
+    for k in range(1, 41):
+        net = new_feeder(1 + k / 40)
+        env = CouplingEnv(replace(tiny_cfg, power_net=net))
+        env.reset(0)
+        sol = solve_power_flow(net, loads)
+        assert env._power_flow(loads) == (voltage_deviation(sol),
+                                          average_voltage(sol))
+    assert memo_reads(replace(tiny_cfg, power_net=new_feeder())) == cold
+
+
+def test_memo_keys_hold_v_ref_and_station_buses(tiny_cfg, monkeypatch):
+    """Configs that share one feeder but differ in ``v_ref`` or in their
+    station buses each read what solving every lookup anew gives."""
+    s0, s1 = tiny_cfg.stations
+    variants = [
+        tiny_cfg,
+        replace(tiny_cfg, reward=replace(tiny_cfg.reward, v_ref=0.97)),
+        replace(tiny_cfg, stations=(replace(s0, bus=s1.bus),
+                                    replace(s1, bus=s0.bus))),
+        replace(tiny_cfg, stations=(replace(s0, bus=25), s1)),
+    ]
+    shared = new_feeder()
+    got = [memo_reads(replace(cfg, power_net=shared)) for cfg in variants]
+    monkeypatch.setattr(env_module, "PF_MEMO_CAP", 0)   # every lookup solves
+    want = [memo_reads(replace(cfg, power_net=new_feeder()))
+            for cfg in variants]
+    assert got == want
+    assert len({reads for reads, _ in want}) == len(variants)
+
+
+def test_memo_entries_die_with_their_feeder(tiny_cfg):
+    net = new_feeder()
+    env = CouplingEnv(replace(tiny_cfg, power_net=net))
+    run_episode(env, 0, greedy_policy)
+    assert len(env._pf_memo) > 0
+    gc.collect()
+    feeders = len(env_module._PF_MEMOS)
+    dead = weakref.ref(net)
+    del net, env
+    gc.collect()
+    assert dead() is None
+    assert len(env_module._PF_MEMOS) == feeders - 1
+
+
+def test_memo_keeps_the_most_recent_patterns_up_to_its_cap(tiny_cfg,
+                                                            monkeypatch):
+    monkeypatch.setattr(env_module, "PF_MEMO_CAP", 3)
+    env = CouplingEnv(replace(tiny_cfg, power_net=new_feeder()))
+    env.reset(0)
+    env._pf_lookups = env._pf_solves = 0
+    patterns = [{18: 10.0 * k, 30: 5.0} for k in range(4)]
+    for loads in patterns[:3] + patterns[:1] + patterns[3:]:
+        env._power_flow(loads)      # 0 1 2, 0 again, then 3 evicts 1
+        assert len(env._pf_memo) <= 3
+    assert (env._pf_lookups, env._pf_solves) == (5, 4)
+    for k, solved in ((0, 0), (2, 0), (3, 0), (1, 1)):
+        before = env._pf_solves
+        env._power_flow(patterns[k])
+        assert env._pf_solves - before == solved
+    assert len(env._pf_memo) == 3
+
+
+def test_full_memo_takes_at_most_one_megabyte(tiny_cfg, monkeypatch):
+    """``PF_MEMO_CAP`` entries keyed by five station buses, as case_a's,
+    with distinct loads on every bus."""
+    env = CouplingEnv(replace(tiny_cfg, power_net=new_feeder()))
+    env.reset(0)
+    v = np.ones(33)
+    monkeypatch.setattr(env_module, "solve_power_flow",
+                        lambda net, loads: PFSolution((), v, v, 0, 0.0))
+    buses = (6, 12, 18, 25, 30)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(env_module.PF_MEMO_CAP + 10):
+            env._power_flow({bus: 7.0 * k + i for i, bus in enumerate(buses)})
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(env._pf_memo) == env_module.PF_MEMO_CAP
+    assert size <= 1e6
+
+
+def test_a_failing_pattern_raises_on_every_lookup(tiny_cfg, monkeypatch):
+    env = CouplingEnv(replace(tiny_cfg, power_net=new_feeder()))
+    env.reset(0)
+    entries = len(env._pf_memo)
+    calls = []
+
+    def solve(net, loads):
+        calls.append(loads)
+        return solve_power_flow(net, loads)
+
+    monkeypatch.setattr(env_module, "solve_power_flow", solve)
+    overload = {18: 1e6, 30: 1e6}
+    for attempt in (1, 2):
+        with pytest.raises(PowerFlowError):
+            env._power_flow(overload)
+        assert calls == [overload] * attempt
+    assert len(env._pf_memo) == entries

@@ -112,16 +112,17 @@ def train_run(scenario_path, tmp_path_factory):
 
 
 def test_metrics_record_validation():
-    r = MetricsRecord("ppo", 0, np.float64(3.0), 0.1, 2.0, 1.0, 0.01, 8000, 6000)
+    counts = (8000, 6000, 300, 40)   # ticks, coasted, PF lookups, solves
+    r = MetricsRecord("ppo", 0, np.float64(3.0), 0.1, 2.0, 1.0, 0.01, *counts)
     assert type(r.ttt_s) is float and r.ttt_s == 3.0
     with pytest.raises(ValueError):
-        MetricsRecord("ppo", 0, -1.0, 0.1, 2.0, 1.0, 0.01, 8000, 6000)
+        MetricsRecord("ppo", 0, -1.0, 0.1, 2.0, 1.0, 0.01, *counts)
     with pytest.raises(ValueError):
-        MetricsRecord("ppo", 0, float("nan"), 0.1, 2.0, 1.0, 0.01, 8000, 6000)
+        MetricsRecord("ppo", 0, float("nan"), 0.1, 2.0, 1.0, 0.01, *counts)
     with pytest.raises(ValueError):
-        MetricsRecord("ppo", 0, 3.0, 0.1, 2.0, float("inf"), 0.01, 8000, 6000)
-    assert MetricsRecord("ppo", 0, 3.0, 0.1, None, 1.0, 0.01, 80, 60).wct_min \
-        is None
+        MetricsRecord("ppo", 0, 3.0, 0.1, 2.0, float("inf"), 0.01, *counts)
+    assert MetricsRecord("ppo", 0, 3.0, 0.1, None, 1.0, 0.01,
+                         *counts).wct_min is None
 
 
 def test_all_stranded_wait_time_is_an_empty_field(tmp_path):
@@ -143,7 +144,7 @@ def test_all_stranded_wait_time_is_an_empty_field(tmp_path):
 
 def test_summary_and_report_average_the_defined_wait_times(tmp_path):
     records = [MetricsRecord("ppo", seed, 100.0 + seed, 0.5, wct, 1.0, 0.01,
-                             80, 60)
+                             80, 60, 3, 1)
                for seed, wct in enumerate((3.0, None, 5.0))]
     write_metrics(tmp_path, records)
     write_summary(tmp_path, records)
@@ -377,10 +378,12 @@ def test_train_run_artifacts(train_run):
     metrics = (train_run / "metrics.csv").read_text().splitlines()
     assert len(metrics) == 2 and metrics[1].startswith("ppo,0,")
     timing = (train_run / "timing.csv").read_text().splitlines()
-    assert timing[0] == "method,seed,et_s,dt_mean_s,ticks,ticks_coasted"
-    _, _, et, _, ticks, coasted = timing[1].split(",")
+    assert timing[0] == ("method,seed,et_s,dt_mean_s,ticks,ticks_coasted,"
+                         "pf_lookups,pf_solves")
+    _, _, et, _, ticks, coasted, lookups, solves = timing[1].split(",")
     assert float(et) > 0
     assert 0 < int(coasted) < int(ticks)
+    assert int(lookups) > 0 and 0 <= int(solves) <= int(lookups)
     summary = (train_run / "summary.csv").read_text().splitlines()
     assert summary[0] == "method,metric,n_seeds,mean,std"
     assert len(summary) == 4  # ttt/cvv/wct for one method

@@ -67,7 +67,7 @@ def test_demand_history_window_assembly():
     feats = [[float(i)] * 3 for i in range(9)]
     rows = minute_rows(occ, feats)
 
-    h = DemandHistory(window_s=240.0, sample_s=60.0)
+    h = DemandHistory(window_s=240.0)
     assert h.sync(rows[:3]) == 0
     assert len(h) == 0
     # re-syncing the full log must not double count the first rows
@@ -81,7 +81,7 @@ def test_demand_history_window_assembly():
     np.testing.assert_allclose(h.snapshots[1], [7.0] * 3)
 
     with pytest.raises(ValueError):
-        DemandHistory(window_s=250.0, sample_s=60.0)
+        DemandHistory(window_s=250.0)
 
 
 def test_buffer_pair_indices_exclude_future():
@@ -319,7 +319,7 @@ def test_minute_rows_carry_features_only_on_window_close(monkeypatch):
             np.testing.assert_array_equal(row[2], full[k])
 
     old_log = [(r[0], r[1], f, r[3], r[4]) for r, f in zip(rows, full)]
-    rebuilt = DemandHistory(cfg.predictor.window_s, cfg.predictor.sample_s)
+    rebuilt = DemandHistory(cfg.predictor.window_s)
     rebuilt.sync(old_log)
     assert len(rebuilt) == len(predictor.history) > 0
     for got, want in zip(predictor.history.snapshots, rebuilt.snapshots):

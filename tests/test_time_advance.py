@@ -15,6 +15,7 @@ mismatch below the solver's tolerance.
 """
 
 import re
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,23 @@ def random_action(env, rng):
     return int(rng.integers(env.action_dim))
 
 
+@contextmanager
+def solves_checked():
+    """Require every power flow solved inside the block, by either env, to
+    converge below PF_TOL (the memo keeps no solution to check later)."""
+    solve = evgrid.env.solve_power_flow
+
+    def checked(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        assert sol.max_mismatch_pu < PF_TOL
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evgrid.env, "solve_power_flow", checked)
+        yield
+
+
+@solves_checked()
 def run_lockstep(cfg, ep_seed, policy_seed, policy=random_action,
                  peaks=None):
     """Play one episode on both envs with the same actions (``policy``,
@@ -264,8 +282,6 @@ def check_episode(env, cfg, ep_seed):
         if veh.is_ev:
             assert cap * (veh.soc - veh.soc_init) == pytest.approx(
                 veh.charged_kwh - veh.driven_kwh, abs=1e-9)
-    for sol in env._pf_cache.values():
-        assert sol.max_mismatch_pu < PF_TOL
 
 
 # ---------------------------------------------------------------------------

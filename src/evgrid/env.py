@@ -60,9 +60,11 @@ each station's ``sync(_t)``.
 per-tick pass.
 
 Each minute sample appends one ``minute_log`` row: (t, occupancy per
-station, station features, total kW, setpoint). The station features are
-computed only on rows that close a forecaster demand window and are None
-on the others (see ``_minute_sample``).
+station, total kW, setpoint). Counting from the episode's first sample,
+every ``samples_per_window``-th one closes a forecaster demand window and
+appends one ``windows`` row: (station features at that sample, mean
+occupancy over the window's samples). Only closing samples compute the
+station features.
 
 Each decision appends one ``trace`` row, the episode's only per-decision
 record: (step, applied station, reward, cost, elapsed ticks, vehicle id,
@@ -246,6 +248,7 @@ class CouplingEnv:
         self._pf_lookups = 0
         self._pf_solves = 0
         self.minute_log = []    # rows as in the module docstring
+        self.windows = []       # rows as in the module docstring
         self.droop_log = []     # (t, v_avg, setpoint kW, occupancy tuple)
         self.completed = []
         self.stranded = []
@@ -529,22 +532,20 @@ class CouplingEnv:
                 charging_loads_kw(self.stations, self._setpoint))
 
     def _minute_sample(self):
-        """Record a load sample and append one ``minute_log`` row (layout
-        in the module docstring).
-
-        Only the forecaster reads the station features, and only on the row that
-        closes a demand window (every ``samples_per_window``-th row of the
-        episode, see ``DemandHistory.sync``), so only that row computes
-        them; every other row holds None there."""
+        """Record a load sample, append one ``minute_log`` row and, if the
+        sample closes a demand window, one ``windows`` row (layouts in the
+        module docstring)."""
         sample = self._load_sample()
         self._interval_samples.append(sample)
         if self._seg_samples is not None:
             self._seg_samples.append(sample)
         occ = np.array([len(cs.queue) + len(cs.charging) for cs in self.stations],
                        dtype=float)
-        closes = (len(self.minute_log) + 1) % self._per_window == 0
-        feats = self._station_features() if closes else None
-        self.minute_log.append((self._t, occ, feats, sample[0], self._setpoint))
+        self.minute_log.append((self._t, occ, sample[0], self._setpoint))
+        k = self._per_window
+        if len(self.minute_log) % k == 0:
+            demand = np.array([row[1] for row in self.minute_log[-k:]]).mean(axis=0)
+            self.windows.append((self._station_features(), demand))
 
     def _update_droop(self):
         samples = self._interval_samples or [self._load_sample()]

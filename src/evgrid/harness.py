@@ -204,7 +204,7 @@ def write_eval_artifacts(out, method, seed, records, trace):
     minute_rows, droop_rows, step_rows, trace_rows = [], [], [], []
     n_cs = None
     for i, rec in enumerate(records):
-        for t, occ, _feats, total_kw, setpoint in rec.minute_log:
+        for t, occ, total_kw, setpoint in rec.minute_log:
             n_cs = len(occ)
             minute_rows.append((i, rec.seed, repr(float(t)),
                                 repr(float(total_kw)), repr(float(setpoint)),

@@ -1,11 +1,11 @@
 """Online station-demand forecasting with a Seq2Seq recurrent model.
 
-Per-minute station samples aggregate into fixed-width windows (default
-240 s = 4 samples). Each closed window yields a station-feature snapshot
-(the features at the closing sample) and a demand vector (mean queued plus
-charging count over the window's samples). An encoder LSTM reads the
-``enc_len`` snapshots, its final state seeds a decoder LSTM that emits
-``dec_len`` demand vectors through a linear head.
+The forecaster reads the env's demand windows (``CouplingEnv.windows``,
+default 240 s = 4 minute samples each): one row per closed window, holding
+a station-feature snapshot (the features at the closing sample) and a
+demand vector (mean queued plus charging count over the window's samples).
+An encoder LSTM reads the ``enc_len`` snapshots, its final state seeds a
+decoder LSTM that emits ``dec_len`` demand vectors through a linear head.
 
 Training is teacher-forced: decoder inputs are the ground-truth demands
 shifted one window back from the targets. Inference is autoregressive: the
@@ -26,51 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nn import LSTM, Adam, DenseNet, prefixed
-from .scenario import PredictorConfig, ScenarioConfig, samples_per_window
-
-
-def average_demand(occupancy_samples) -> np.ndarray:
-    """Per-station mean of queued+charging counts over sampled instants."""
-    arr = np.asarray(occupancy_samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty demand window")
-    return arr.mean(axis=0)
-
-
-class DemandHistory:
-    """Aggregates a growing minute log into demand windows.
-
-    ``sync`` consumes new rows of the environment's minute log, whose rows
-    start with (t, occupancy vector, station feature vector, ...). Every
-    ``samples_per_window(window_s)``-th row closes one window,
-    and only a closing row's features are read.
-    """
-
-    def __init__(self, window_s: float = 240.0):
-        self.per_window = samples_per_window(window_s)
-        self.snapshots = []      # station features at each window close
-        self.demands = []        # mean occupancy per window
-        self._occ_acc = []
-        self._consumed = 0
-
-    def __len__(self):
-        return len(self.demands)
-
-    def sync(self, minute_log) -> int:
-        """Consume unseen minute rows; returns how many windows closed."""
-        closed = 0
-        for row in minute_log[self._consumed:]:
-            self._occ_acc.append(np.asarray(row[1], dtype=float))
-            if len(self._occ_acc) == self.per_window:
-                if row[2] is None:
-                    raise ValueError(f"minute row at t={row[0]} closes a "
-                                     f"window but carries no station features")
-                self.demands.append(average_demand(self._occ_acc))
-                self.snapshots.append(np.asarray(row[2], dtype=float).copy())
-                self._occ_acc = []
-                closed += 1
-        self._consumed = len(minute_log)
-        return closed
+from .scenario import PredictorConfig, ScenarioConfig
 
 
 class PredictorBuffer:
@@ -94,20 +50,24 @@ class PredictorBuffer:
     def __len__(self):
         return len(self.targets)
 
-    def add_next(self, history: DemandHistory) -> bool:
-        """Append the next pending pair if its window has closed."""
+    def add_next(self, windows) -> bool:
+        """Append the next pending pair if its window has closed;
+        ``windows`` holds (snapshot, demand) rows."""
         w = self._next_w
-        if w >= len(history):
+        if w >= len(windows):
             return False
         le, ld = self.enc_len, self.dec_len
-        self.enc_inputs.append(np.stack(history.snapshots[w - ld - le + 1:w - ld + 1]))
-        self.dec_inputs.append(np.stack(history.demands[w - ld:w]))
-        self.targets.append(np.stack(history.demands[w - ld + 1:w + 1]))
+        demands = [d for _, d in windows[w - ld:w + 1]]
+        self.enc_inputs.append(
+            np.stack([f for f, _ in windows[w - ld - le + 1:w - ld + 1]]))
+        self.dec_inputs.append(np.stack(demands[:-1]))
+        self.targets.append(np.stack(demands[1:]))
         self._next_w += 1
         return True
 
     def rebase(self):
-        """Start reading a fresh (e.g. new-episode) history; pairs are kept."""
+        """Start reading a fresh (e.g. new-episode) window list; pairs are
+        kept."""
         self._next_w = self.enc_len + self.dec_len - 1
 
 
@@ -220,12 +180,13 @@ def _gather(pairs, idx):
 
 
 class OnlinePredictor:
-    """Owns the per-episode history and the cross-episode buffer and model.
+    """Owns the cross-episode buffer and model; reads the env's windows.
 
-    ``observe`` must be called after every environment advance; it closes
-    windows, appends training pairs one at a time, and honors the online
-    train trigger until convergence. ``predict`` returns the latest
-    (dec_len, M) forecast, memoized per (history length, train count).
+    ``observe(windows)`` must be called after every environment advance;
+    it appends training pairs for newly closed windows one at a time and
+    honors the online train trigger until convergence. ``predict(windows)``
+    returns the latest (dec_len, M) forecast, memoized per (window count,
+    train count) within an episode.
     """
 
     def __init__(self, cfg: ScenarioConfig, seed: int):
@@ -236,23 +197,18 @@ class OnlinePredictor:
         self.model = Seq2SeqForecaster(
             cfg.n_stations, 9 * cfg.n_stations, p,
             np.random.default_rng([seed, cfg.seed, 3]))
-        self.history = DemandHistory(p.window_s)
         self.train_log = []      # (buffer size at trigger, mean loss)
         self._memo = None
 
     def start_episode(self):
-        self.history = DemandHistory(self.pcfg.window_s)
         self.buffer.rebase()
         self._memo = None
 
-    def observe(self, minute_log):
-        if self.history.sync(minute_log) == 0:
-            return
-        self._memo = None
+    def observe(self, windows):
         if self.model.converged:
             return
         p = self.pcfg
-        while self.buffer.add_next(self.history):
+        while self.buffer.add_next(windows):
             n = len(self.buffer)
             if n >= p.min_buffer and n % p.train_every == 0:
                 loss = self.model.train_step(self.buffer)
@@ -262,13 +218,13 @@ class OnlinePredictor:
                     self.model.converged = True
                     break
 
-    def predict(self) -> np.ndarray:
-        key = (len(self.history), len(self.model.losses))
+    def predict(self, windows) -> np.ndarray:
+        key = (len(windows), len(self.model.losses))
         if self._memo is None or self._memo[0] != key:
-            snaps = np.stack(self.history.snapshots[-self.pcfg.enc_len:])
-            pred = self.model.predict(snaps, self.history.demands[-1])
+            snaps = np.stack([f for f, _ in windows[-self.pcfg.enc_len:]])
+            pred = self.model.predict(snaps, windows[-1][1])
             self._memo = (key, pred)
         return self._memo[1]
 
-    def augment(self, state) -> np.ndarray:
-        return augment_state(state, self.predict(), self.piles)
+    def augment(self, state, windows) -> np.ndarray:
+        return augment_state(state, self.predict(windows), self.piles)

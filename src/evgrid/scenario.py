@@ -8,7 +8,9 @@ loads both networks so every cross-reference (station nodes, buses, OD
 table entries) fails fast with a precise message.
 
 Every setting's field carries one (type, bound) entry that ``Checked``
-reads whenever a config is built; rules tying two fields are written out.
+reads whenever a config is built; rules tying two fields are written out
+in the ``__post_init__`` of the class holding both, so they hold wherever
+a config is built too (from a file, by a sweep or in code).
 
 Trip generation is fully deterministic given a seed:
 
@@ -38,8 +40,7 @@ from .power import PowerNetwork, load_power_network
 from .traffic import RoadNetwork, Vehicle, load_road_network
 
 
-# Seconds between the env's load samples (one ``minute_log`` row each);
-# ``predictor.sample_s`` may only restate it.
+# Seconds between the env's load samples (one ``minute_log`` row each).
 SAMPLE_S = 60
 
 
@@ -176,8 +177,6 @@ class PredictorConfig(Checked):
     enc_len: int = setting(5, int, ">= 1")
     dec_len: int = setting(5, int, ">= 1")
     window_s: float = setting(240.0, float, "> 0")
-    sample_s: float = setting(float(SAMPLE_S), float, f"== {SAMPLE_S}",
-                              lambda v: v == SAMPLE_S)
     hidden: int = setting(256, int, ">= 1")
     layers: int = setting(2, int, ">= 1")
     dropout: float = setting(0.5, float, "in [0, 1)")
@@ -243,6 +242,11 @@ class ScenarioConfig(Checked):
         if not self.seeds:
             raise FieldError(type(self).__name__, "seeds", "a non-empty list",
                              self.seeds)
+        p = self.predictor
+        if self.demand.warmup_s < p.enc_len * p.window_s:
+            raise ScenarioError(f"warmup_s must cover enc_len predictor "
+                                f"windows ({p.enc_len} * {p.window_s:.0f} s)")
+        _validate_od(self)
 
     @property
     def n_stations(self) -> int:
@@ -288,7 +292,8 @@ def _take(sub, key, cls, path):
     except FieldError as exc:
         raise ScenarioError(f"{path}: {FieldError(key, *exc.args[1:])}") from exc
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: invalid '{key}': {exc}") from exc
+        where = f"invalid '{key}': " if key else ""
+        raise ScenarioError(f"{path}: {where}{exc}") from exc
 
 
 def _resolve_net(name, base_dir):
@@ -349,19 +354,12 @@ def load_scenario(path) -> ScenarioConfig:
         ("demand", DemandSpec), ("battery", BatteryParams),
         ("droop", DroopParams), ("reward", RewardParams),
         ("predictor", PredictorConfig), ("training", TrainConfig))}
-    p = sections["predictor"]
-    if sections["demand"].warmup_s < p.enc_len * p.window_s:
-        raise ScenarioError(f"{path}: warmup_s must cover enc_len predictor "
-                            f"windows ({p.enc_len} * {p.window_s:.0f} s)")
-
-    cfg = _take(dict(name=str(doc.get("name", path.stem)),
-                     seed=doc.get("seed", 0), road_net=road,
-                     power_net=power, stations=tuple(stations),
-                     **{k: doc[k] for k in ("compliance_rate", "seeds")
-                        if k in doc},
-                     **sections), "", ScenarioConfig, path)
-    _validate_od(cfg, path)
-    return cfg
+    return _take(dict(name=str(doc.get("name", path.stem)),
+                      seed=doc.get("seed", 0), road_net=road,
+                      power_net=power, stations=tuple(stations),
+                      **{k: doc[k] for k in ("compliance_rate", "seeds")
+                         if k in doc},
+                      **sections), "", ScenarioConfig, path)
 
 
 def ev_feasible_pairs(cfg: ScenarioConfig):
@@ -392,26 +390,26 @@ def cv_feasible_pairs(cfg: ScenarioConfig):
     return pairs
 
 
-def _validate_od(cfg: ScenarioConfig, path):
+def _validate_od(cfg: ScenarioConfig):
     if cfg.demand.od_mode == "table":
         road = cfg.road_net
         ev_ok = set(ev_feasible_pairs(cfg))
         for i, row in enumerate(cfg.demand.od_table):
             o, d = row[:2]
             if o not in road.nodes or d not in road.nodes:
-                raise ScenarioError(f"{path}: od_table[{i}] references unknown node")
+                raise ScenarioError(f"od_table[{i}] references unknown node")
             if d not in road.reachable_from(o):
-                raise ScenarioError(f"{path}: od_table[{i}] pair {o}->{d} "
+                raise ScenarioError(f"od_table[{i}] pair {o}->{d} "
                                     f"is not routable")
             if cfg.demand.ev_fraction > 0 and (o, d) not in ev_ok:
-                raise ScenarioError(f"{path}: od_table[{i}] pair {o}->{d} cannot "
+                raise ScenarioError(f"od_table[{i}] pair {o}->{d} cannot "
                                     f"reach every station")
     else:
         if not cv_feasible_pairs(cfg):
-            raise ScenarioError(f"{path}: no feasible origin-destination pair")
+            raise ScenarioError("no feasible origin-destination pair")
         if cfg.demand.ev_fraction > 0 and not ev_feasible_pairs(cfg):
-            raise ScenarioError(f"{path}: no origin-destination pair can use "
-                                f"every station")
+            raise ScenarioError("no origin-destination pair can use "
+                                "every station")
 
 
 def generate_trips(cfg: ScenarioConfig, seed: int):

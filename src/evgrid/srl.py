@@ -462,13 +462,13 @@ def rollout(env: CouplingEnv, policy, ep_seed,
     state = env.reset(ep_seed)
     if predictor is not None:
         predictor.start_episode()
-        predictor.observe(env.minute_log)
+        predictor.observe(env.windows)
     states, actions, extras, rewards, costs = [], [], [], [], []
     clock = time.perf_counter
     while True:
         t0 = clock()
         if predictor is not None:
-            s_in = predictor.augment(state)
+            s_in = predictor.augment(state, env.windows)
         elif pad:
             s_in = np.concatenate([state, np.zeros(pad)])
         else:
@@ -480,7 +480,7 @@ def rollout(env: CouplingEnv, policy, ep_seed,
             extras.append(extra)
         out = env.apply_action(a, decision_s=dt)
         if predictor is not None:
-            predictor.observe(env.minute_log)
+            predictor.observe(env.windows)
         if on_step is not None:
             on_step(s_in, a, out)
         states.append(s_in)

@@ -102,7 +102,6 @@ def scenarios(draw):
         name="random", seed=seed, road_net=road,
         power_net=power, stations=stations, demand=demand, battery=battery,
         droop=droop, reward=RewardParams(),
-        predictor=PredictorConfig(enc_len=1, dec_len=1, window_s=60.0,
-                                  sample_s=60.0),
+        predictor=PredictorConfig(enc_len=1, dec_len=1, window_s=60.0),
         training=TrainConfig(),
         compliance_rate=draw(st.sampled_from([1.0, 0.5])))

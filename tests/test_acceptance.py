@@ -18,8 +18,8 @@ from evgrid.env import CouplingEnv, greedy_station
 from evgrid.harness import apply_sweep_value, build_agent, run_eval
 from evgrid.nn import LSTM, DenseNet
 from evgrid.power import load_power_network, min_voltage, solve_power_flow
-from evgrid.predictor import (PredictorBuffer, DemandHistory,
-                              Seq2SeqForecaster, convergence_check)
+from evgrid.predictor import (PredictorBuffer, Seq2SeqForecaster,
+                              convergence_check)
 from evgrid.scenario import PredictorConfig, TrainConfig, load_scenario
 from evgrid.srl import (EpisodeData, LagrangePPOAgent, compute_gae,
                         ppo_update, save_checkpoint, train)
@@ -60,7 +60,6 @@ predictor:
   enc_len: 2
   dec_len: 2
   window_s: 240
-  sample_s: 60
   hidden: 8
   layers: 1
   dropout: 0.0
@@ -356,11 +355,10 @@ def test_c09_directional_training_check(capsys, reduced_cfg):
 def test_c10_predictor_beats_mean_baseline(capsys):
     pattern = np.array([[1.0, 6.0], [3.0, 2.0], [7.0, 0.0], [3.0, 2.0]])
     demands = [pattern[w % 4] for w in range(140)]
-    h = DemandHistory()
-    h.demands = [np.asarray(d, dtype=float) for d in demands]
-    h.snapshots = [np.asarray(d, dtype=float) for d in demands]
+    windows = [(np.asarray(d, dtype=float), np.asarray(d, dtype=float))
+               for d in demands]
     buf = PredictorBuffer(enc_len=4, dec_len=2)
-    while buf.add_next(h):
+    while buf.add_next(windows):
         pass
     cfg = PredictorConfig(enc_len=4, dec_len=2, hidden=24, layers=1,
                           dropout=0.0, lr=3e-3, batch=32, iters_per_step=20)

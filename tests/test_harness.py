@@ -60,7 +60,6 @@ predictor:
   enc_len: 2
   dec_len: 2
   window_s: 240
-  sample_s: 60
   hidden: 8
   layers: 1
   dropout: 0.0

@@ -1,11 +1,17 @@
-"""Forecasting tests: demand windows, pair assembly, training, convergence."""
+"""Forecasting tests: env demand windows, pair assembly, training,
+convergence."""
+
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import evgrid
-from evgrid.predictor import (DemandHistory, OnlinePredictor, PredictorBuffer,
-                              Seq2SeqForecaster, augment_state, average_demand,
+from evgrid.charging import ChargingStation
+from evgrid.env import CouplingEnv
+from evgrid.predictor import (OnlinePredictor, PredictorBuffer,
+                              Seq2SeqForecaster, augment_state,
                               convergence_check)
 from evgrid.scenario import PredictorConfig, load_scenario
 
@@ -35,57 +41,57 @@ predictor:
 """
 
 
-def minute_rows(occupancies, feats=None):
-    """Fake minute-log rows shaped like the environment's."""
-    rows = []
-    for i, occ in enumerate(occupancies):
-        occ = np.asarray(occ, dtype=float)
-        f = occ if feats is None else np.asarray(feats[i], dtype=float)
-        rows.append((60.0 * (i + 1), occ, f, 0.0, 800.0))
-    return rows
+def stub_windows(demands, snapshots):
+    """(snapshot, demand) rows shaped like ``CouplingEnv.windows``."""
+    return [(np.asarray(f, dtype=float), np.asarray(d, dtype=float))
+            for f, d in zip(snapshots, demands)]
 
 
-def stub_history(demands, snapshots):
-    h = DemandHistory()
-    h.demands = [np.asarray(d, dtype=float) for d in demands]
-    h.snapshots = [np.asarray(s, dtype=float) for s in snapshots]
-    return h
+def sample_occupancies(env, occupancies):
+    """Restart ``env``'s minute log and windows, then take one minute
+    sample per row of ``occupancies`` with that many EVs queued at each
+    station (none charging); returns the windows."""
+    env.minute_log, env.windows = [], []
+    for occ in occupancies:
+        env.stations = []
+        for spec, n in zip(env.cfg.stations, occ):
+            cs = ChargingStation(spec.cs_id, spec.node, spec.bus, spec.piles)
+            cs.queue = deque(SimpleNamespace(soc=0.5, t_cs_arrive=0.0)
+                             for _ in range(int(n)))
+            env.stations.append(cs)
+        env._minute_sample()
+    return env.windows
 
 
-def test_average_demand_examples():
-    assert average_demand([[7.0]] * 4) == pytest.approx([7.0])
-    assert average_demand([[0.0], [4.0], [4.0], [8.0]]) == pytest.approx([4.0])
-    assert average_demand([[0.0, 0.0]] * 4) == pytest.approx([0.0, 0.0])
-    np.testing.assert_allclose(average_demand([[1.0, 5.0], [3.0, 7.0]]),
-                               [2.0, 6.0])
-    with pytest.raises(ValueError):
-        average_demand([])
+def test_average_demand_examples(pred_cfg):
+    """Every 4th sample of an episode (window_s 240) closes a window: its
+    demand is the mean occupancy over the window's samples and its
+    snapshot the station features at the closing sample."""
+    env = CouplingEnv(pred_cfg)
+    env.reset(0)
+    piles = [s.piles for s in pred_cfg.stations]
 
-
-def test_demand_history_window_assembly():
     occ = [[float(i), 10.0 - i] for i in range(9)]
-    feats = [[float(i)] * 3 for i in range(9)]
-    rows = minute_rows(occ, feats)
+    assert sample_occupancies(env, occ[:3]) == []
+    windows = sample_occupancies(env, occ)
+    assert len(env.minute_log) == 9 and len(windows) == 2
+    np.testing.assert_allclose(windows[0][1], [1.5, 8.5])
+    np.testing.assert_allclose(windows[1][1], [5.5, 4.5])
+    # queue counts over piles, in each station's 9-feature block
+    np.testing.assert_allclose(windows[0][0][[0, 9]], [3 / piles[0], 7 / piles[1]])
+    np.testing.assert_allclose(windows[1][0][[0, 9]], [7 / piles[0], 3 / piles[1]])
 
-    h = DemandHistory(window_s=240.0)
-    assert h.sync(rows[:3]) == 0
-    assert len(h) == 0
-    # re-syncing the full log must not double count the first rows
-    assert h.sync(rows) == 2
-    assert len(h) == 2
-
-    np.testing.assert_allclose(h.demands[0], [1.5, 8.5])
-    np.testing.assert_allclose(h.demands[1], [5.5, 4.5])
-    # snapshot comes from the window's closing sample
-    np.testing.assert_allclose(h.snapshots[0], [3.0] * 3)
-    np.testing.assert_allclose(h.snapshots[1], [7.0] * 3)
-
-    with pytest.raises(ValueError):
-        DemandHistory(window_s=250.0)
+    for occ, mean in (([[7.0, 7.0]] * 4, [7.0, 7.0]),
+                      ([[0.0, 1.0], [4.0, 5.0], [4.0, 3.0], [8.0, 3.0]],
+                       [4.0, 3.0]),
+                      ([[0.0, 0.0]] * 4, [0.0, 0.0]),
+                      ([[1.0, 5.0], [3.0, 7.0]] * 2, [2.0, 6.0])):
+        (window,) = sample_occupancies(env, occ)
+        assert window[1] == pytest.approx(mean)
 
 
 def test_buffer_pair_indices_exclude_future():
-    h = stub_history([[float(w)] for w in range(6)],
+    h = stub_windows([[float(w)] for w in range(6)],
                      [[10.0 + w] for w in range(6)])
     buf = PredictorBuffer(enc_len=2, dec_len=2)
     assert buf.add_next(h)
@@ -106,8 +112,8 @@ def test_buffer_pair_indices_exclude_future():
 def test_buffer_needs_enough_windows():
     vals = [[0.0]] * 3
     buf = PredictorBuffer(enc_len=2, dec_len=2)
-    assert not buf.add_next(stub_history(vals, vals))
-    assert buf.add_next(stub_history(vals + [[0.0]], vals + [[0.0]]))
+    assert not buf.add_next(stub_windows(vals, vals))
+    assert buf.add_next(stub_windows(vals + [[0.0]], vals + [[0.0]]))
 
 
 def test_zero_weights_predict_bias():
@@ -143,7 +149,7 @@ def test_train_loss_decreases_on_constant_demand():
     n_win = 40
     demands = [np.array([3.0, 1.5])] * n_win
     snaps = [rng.normal(scale=0.1, size=4) for _ in range(n_win)]
-    h = stub_history(demands, snaps)
+    h = stub_windows(demands, snaps)
     buf = PredictorBuffer(enc_len=2, dec_len=2)
     while buf.add_next(h):
         pass
@@ -165,7 +171,7 @@ def test_periodic_demand_beats_mean_baseline():
     pattern = np.array([[1.0, 6.0], [3.0, 2.0], [7.0, 0.0], [3.0, 2.0]])
     n_win = 140
     demands = [pattern[w % 4] for w in range(n_win)]
-    h = stub_history(demands, demands)        # snapshots reveal the phase
+    h = stub_windows(demands, demands)        # snapshots reveal the phase
     buf = PredictorBuffer(enc_len=4, dec_len=2)
     while buf.add_next(h):
         pass
@@ -219,23 +225,21 @@ def pred_cfg(tmp_path_factory):
     return load_scenario(p)
 
 
-def fake_episode_rows(rng, n_windows, n_stations=2):
-    n = 4 * n_windows
-    occ = rng.integers(0, 6, size=(n, n_stations)).astype(float)
-    feats = rng.uniform(size=(n, 9 * n_stations))
-    return minute_rows(occ, feats)
+def fake_episode_windows(rng, n_windows, n_stations=2):
+    demands = rng.integers(0, 6, size=(n_windows, n_stations)).astype(float)
+    feats = rng.uniform(size=(n_windows, 9 * n_stations))
+    return stub_windows(demands, feats)
 
 
 def test_online_predictor_trigger_and_freeze(pred_cfg):
     op = OnlinePredictor(pred_cfg, seed=5)
     op.start_episode()
     rng = np.random.default_rng(42)
-    rows = fake_episode_rows(rng, n_windows=30)
+    windows = fake_episode_windows(rng, n_windows=30)
 
-    # feed the log in uneven increments; windows close only on full rows
-    for cut in (5, 13, 14, 60, 61, 119, len(rows)):
-        op.observe(rows[:cut])
-    assert len(op.history) == 30
+    # feed the windows in uneven increments, repeats included
+    for cut in (1, 3, 3, 4, 15, 16, 29, len(windows)):
+        op.observe(windows[:cut])
     assert len(op.buffer) == 27
 
     # trigger fires at every multiple of train_every once past min_buffer
@@ -246,28 +250,27 @@ def test_online_predictor_trigger_and_freeze(pred_cfg):
     else:
         assert got == expect[:len(got)]
 
-    pred = op.predict()
+    pred = op.predict(windows)
     assert pred.shape == (2, 2)
-    assert op.predict() is pred                     # memoized
-    assert op.augment(np.zeros(5)).shape == (9,)
+    assert op.predict(windows) is pred              # memoized
+    assert op.augment(np.zeros(5), windows).shape == (9,)
 
-    # chunking the same rows differently must not change the outcome
+    # chunking the same windows differently must not change the outcome
     op_b = OnlinePredictor(pred_cfg, seed=5)
     op_b.start_episode()
-    op_b.observe(rows)
+    op_b.observe(windows)
     assert [n for n, _ in op_b.train_log] == got
-    np.testing.assert_array_equal(op_b.predict(), pred)
+    np.testing.assert_array_equal(op_b.predict(windows), pred)
 
     # convergence freezes training and buffer growth but not prediction
     op.model.converged = True
     n_pairs, n_steps = len(op.buffer), len(op.model.losses)
-    more = fake_episode_rows(np.random.default_rng(43), n_windows=8)
-    shifted = [(rows[-1][0] + r[0], r[1], r[2], r[3], r[4]) for r in more]
-    op.observe(rows + shifted)
+    more = windows + fake_episode_windows(np.random.default_rng(43), 8)
+    op.observe(more)
     assert len(op.buffer) == n_pairs
     assert len(op.model.losses) == n_steps
-    assert len(op.history) == 38
-    assert op.predict().shape == (2, 2)
+    assert op.predict(more).shape == (2, 2)
+    assert op.predict(more) is not pred
 
 
 def test_online_predictor_buffer_spans_episodes(pred_cfg):
@@ -275,25 +278,38 @@ def test_online_predictor_buffer_spans_episodes(pred_cfg):
     rng = np.random.default_rng(2)
 
     op.start_episode()
-    op.observe(fake_episode_rows(rng, n_windows=10))
+    op.observe(fake_episode_windows(rng, n_windows=10))
     assert len(op.buffer) == 7
 
     op.start_episode()
-    assert len(op.history) == 0
-    op.observe(fake_episode_rows(rng, n_windows=6))
-    assert len(op.history) == 6
+    op.observe(fake_episode_windows(rng, n_windows=6))
     assert len(op.buffer) == 7 + 3
 
 
-def test_minute_rows_carry_features_only_on_window_close(monkeypatch):
-    """An opsrl episode on reduced: each closing row's features are what
-    the env would compute on every row, the other rows hold None, and the
-    forecaster's history is what a features-on-every-row log gives."""
-    from evgrid.env import CouplingEnv
+def test_new_episode_never_reuses_the_last_forecast(pred_cfg):
+    """Same window count, same train count: still a new forecast."""
+    op = OnlinePredictor(pred_cfg, seed=1)
+    op.model.converged = True
+    rng = np.random.default_rng(4)
+    first = fake_episode_windows(rng, n_windows=5)
+    second = fake_episode_windows(rng, n_windows=5)
+    op.start_episode()
+    op.observe(first)
+    op.predict(first)
+    op.start_episode()
+    op.observe(second)
+    want = op.model.predict(np.stack([f for f, _ in second[-2:]]), second[-1][1])
+    np.testing.assert_array_equal(op.predict(second), want)
+
+
+def test_env_windows_match_a_features_on_every_row_rebuild(monkeypatch):
+    """An opsrl episode on reduced: the env's windows are what a rebuild
+    from station features computed at every minute sample gives, and the
+    forecaster's pairs come from them."""
     from evgrid.srl import LagrangePPOAgent, pad_width, rollout
 
     cfg = load_scenario(evgrid.DATA_DIR / "reduced.yaml")
-    full = []           # features computed on every row, as before
+    full = []           # features computed at every minute sample
     sample = CouplingEnv._minute_sample
 
     def minute_sample(env):
@@ -310,26 +326,17 @@ def test_minute_rows_carry_features_only_on_window_close(monkeypatch):
     rollout(env, lambda s: agent.act(s, act_rng), 7, predictor, pad)
 
     rows = env.minute_log
-    per_window = predictor.history.per_window
-    assert len(rows) == len(full) >= 3 * per_window
-    for k, row in enumerate(rows):
-        if (k + 1) % per_window:
-            assert row[2] is None
-        else:
-            np.testing.assert_array_equal(row[2], full[k])
+    k = int(cfg.predictor.window_s // 60)
+    assert len(rows) == len(full) >= 3 * k
+    rebuilt = [(full[end - 1], sum(row[1] for row in rows[end - k:end]) / k)
+               for end in range(k, len(rows) + 1, k)]
+    assert len(env.windows) == len(rebuilt) == len(rows) // k
+    for (feats, demand), (want_feats, want_demand) in zip(env.windows, rebuilt):
+        np.testing.assert_array_equal(feats, want_feats)
+        np.testing.assert_array_equal(demand, want_demand)
 
-    old_log = [(r[0], r[1], f, r[3], r[4]) for r, f in zip(rows, full)]
-    rebuilt = DemandHistory(cfg.predictor.window_s)
-    rebuilt.sync(old_log)
-    assert len(rebuilt) == len(predictor.history) > 0
-    for got, want in zip(predictor.history.snapshots, rebuilt.snapshots):
-        np.testing.assert_array_equal(got, want)
-    for got, want in zip(predictor.history.demands, rebuilt.demands):
-        np.testing.assert_array_equal(got, want)
-
-
-def test_history_rejects_a_closing_row_without_features():
-    rows = minute_rows([[1.0]] * 4)
-    rows[3] = rows[3][:2] + (None,) + rows[3][3:]
-    with pytest.raises(ValueError, match="no station features"):
-        DemandHistory().sync(rows)
+    p = cfg.predictor
+    assert len(predictor.buffer) == len(rebuilt) - p.enc_len - p.dec_len + 1
+    np.testing.assert_array_equal(
+        predictor.buffer.enc_inputs[-1][-1],
+        rebuilt[len(predictor.buffer) + p.enc_len - 2][0])

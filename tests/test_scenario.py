@@ -109,6 +109,14 @@ def test_parameter_validation(tmp_path):
     bad = MINIMAL + "predictor:\n  min_buffer: 8\n  batch: 32\n"
     with pytest.raises(ScenarioError, match="min_buffer"):
         load_scenario(_write(tmp_path, bad))
+    bad = MINIMAL + "predictor:\n  window_s: 250\n"
+    with pytest.raises(ScenarioError, match="window_s must be a multiple of 60"):
+        load_scenario(_write(tmp_path, bad))
+    # the sample period is the env's, not a setting
+    bad = MINIMAL + "predictor:\n  sample_s: 60\n"
+    with pytest.raises(ScenarioError, match=re.escape(
+            "unknown keys in 'predictor': ['sample_s']")):
+        load_scenario(_write(tmp_path, bad))
 
 
 def test_integer_fields_take_integral_values_only(tmp_path):
@@ -153,7 +161,6 @@ BAD_VALUES = [
     ("predictor: {layers: 0}", "predictor.layers", ">= 1"),
     ("predictor: {dec_len: 0}", "predictor.dec_len", ">= 1"),
     ("predictor: {batch: -1}", "predictor.batch", ">= 1"),
-    ("predictor: {sample_s: 120}", "predictor.sample_s", "== 60"),
     ("training: {hidden: [64, 64.5]}", "training.hidden",
      "a list of integers >= 1"),
     ("demand: {rate_veh_per_h: fast}", "demand.rate_veh_per_h",
@@ -218,6 +225,42 @@ def test_every_config_field_has_a_table_entry(tmp_path):
     with pytest.raises(FieldError, match=re.escape(
             "'ScenarioConfig.seeds' must be a non-empty list, got ()")):
         replace(cfg, seeds=())
+
+
+UNREACHABLE_OD = (evgrid.DATA_DIR / "reduced.yaml").read_text().replace(
+    "  ev_fraction: 0.5\n  warmup_s: 1200\n  control_s: 3600\n"
+    "  od_mode: uniform\n",
+    "  ev_fraction: 0.0\n  warmup_s: 1200\n  control_s: 3600\n"
+    "  od_mode: table\n  od_table: [[1, 5], [1, 2]]\n")
+
+
+def test_cross_section_rules_hold_for_configs_built_in_code(tmp_path,
+                                                           capsys):
+    """The warm-up and OD rules tie fields of two sections; they hold for a
+    config built by ``replace`` (as a sweep builds one) as for a loaded
+    one, and a loaded one's message names the file."""
+    assert "od_table" in UNREACHABLE_OD
+    path = _write(tmp_path, UNREACHABLE_OD, "cars.yaml")
+    cfg = load_scenario(path)           # no EVs: every pair is usable
+    unreachable = "od_table[0] pair 1->5 cannot reach every station"
+    with pytest.raises(ScenarioError, match=re.escape(unreachable)):
+        replace(cfg, demand=replace(cfg.demand, ev_fraction=0.5))
+    evs = _write(tmp_path, UNREACHABLE_OD.replace(
+        "ev_fraction: 0.0", "ev_fraction: 0.5"), "evs.yaml")
+    with pytest.raises(ScenarioError, match=re.escape(f"{evs}: {unreachable}")):
+        load_scenario(evs)
+    with pytest.raises(ScenarioError, match=re.escape(
+            "warmup_s must cover enc_len predictor windows (6 * 240 s)")):
+        replace(cfg, predictor=replace(cfg.predictor, enc_len=6))
+
+    # the sweep rejects the value before any run starts
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--scenario", str(path), "--method", "greedy",
+               "--sweep-axis", "ev_fraction", "--sweep-values", "0.5",
+               "--seeds", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and '"type": "ScenarioError"' in err
+    assert unreachable in err and not out.exists()
 
 
 def test_parse_error_reports_location(tmp_path):

@@ -398,7 +398,7 @@ def test_ppolag_equals_full_method_with_zeroed_forecasts(tiny_cfg, monkeypatch):
     M = tiny_cfg.n_stations
     dec = tiny_cfg.predictor.dec_len
     monkeypatch.setattr(OnlinePredictor, "predict",
-                        lambda self: np.zeros((dec, M)))
+                        lambda self, windows: np.zeros((dec, M)))
     full = train(short(tiny_cfg, 2), "opsrl", seed=0)
 
     for row_a, row_b in zip(base.curve, full.curve):

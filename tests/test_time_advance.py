@@ -9,7 +9,7 @@ play the same episode with the same actions; after the reset and after
 every decision their full episode state must agree exactly (floats compared
 through ``repr``, which round-trips every double and tells -0.0 from 0.0):
 vehicles, link counts, stations, ``_t``, ``_ttt_ticks``, ``minute_log``,
-``droop_log``, rewards, costs and observations. Each episode must also
+``windows``, ``droop_log``, rewards, costs and observations. Each episode must also
 account for every trip, close the energy ledger and keep every power-flow
 mismatch below the solver's tolerance.
 """
@@ -202,8 +202,8 @@ def snapshot(env):
         env._t, env._mid_tick, env._next_dep, env._n_loaded,
         env._n_unfinished, env._setpoint, list(env._pending),
         env._last_count, env._ttt_ticks, env._terminal,
-        [(t, _bits(occ), _bits(feats), kw, sp)
-         for t, occ, feats, kw, sp in env.minute_log],
+        [(t, _bits(occ), kw, sp) for t, occ, kw, sp in env.minute_log],
+        [(_bits(feats), _bits(demand)) for feats, demand in env.windows],
         env.droop_log, env._interval_samples, [v.vid for v in env.completed],
         [v.vid for v in env.stranded], env.trace,
     ))

@@ -63,7 +63,7 @@ def sample_occupancies(env, occupancies):
     return env.windows
 
 
-def test_average_demand_examples(pred_cfg):
+def test_demand_history_window_assembly(pred_cfg):
     """Every 4th sample of an episode (window_s 240) closes a window: its
     demand is the mean occupancy over the window's samples and its
     snapshot the station features at the closing sample."""
@@ -81,6 +81,11 @@ def test_average_demand_examples(pred_cfg):
     np.testing.assert_allclose(windows[0][0][[0, 9]], [3 / piles[0], 7 / piles[1]])
     np.testing.assert_allclose(windows[1][0][[0, 9]], [7 / piles[0], 3 / piles[1]])
 
+
+def test_average_demand_examples(pred_cfg):
+    """A window's demand is the mean of its samples' occupancies."""
+    env = CouplingEnv(pred_cfg)
+    env.reset(0)
     for occ, mean in (([[7.0, 7.0]] * 4, [7.0, 7.0]),
                       ([[0.0, 1.0], [4.0, 5.0], [4.0, 3.0], [8.0, 3.0]],
                        [4.0, 3.0]),

@@ -18,9 +18,15 @@ Each decision step covers a segment of simulation ticks and yields
   and every simulated minute; the load compared is the setpoint times the
   number of charging EVs, and ties go to the earliest instant).
 
+Both come from running figures: ``_load_ticks`` sums the loaded count over
+every counted tick (an exact int), so a segment's count sum is its change
+since the decision and its length is the ticks elapsed, and ``_seg_peak``
+is the segment's first largest sample so far, kept by ``later_peak``.
+
 A droop controller refreshes the uniform pile setpoint once per interval
 using the power flow at the previous interval's peak-load minute sample,
-chosen by the same exact comparison.
+``_interval_peak``, kept by the same exact comparison (with no minute
+sample in the interval, at the load of the boundary instant).
 
 Both read a power flow through ``CouplingEnv._power_flow``, which memoises
 the two figures it needs (the cost at ``v_ref`` and the bus-average
@@ -148,41 +154,28 @@ def greedy_station(road, stations, origin):
     return best
 
 
-def segment_reward(counts, last_count, final, rp: RewardParams) -> float:
-    """Reward for one decision segment from its per-tick loaded counts.
+def segment_reward(load_ticks, ticks, last_count, final,
+                   rp: RewardParams) -> float:
+    """Reward for one decision segment of ``ticks`` counted ticks whose
+    loaded counts sum to ``load_ticks``.
 
-    Zero-length segments (simultaneous requests) pass counts=[] and fall
-    back on the most recent counted tick.
+    Zero-length segments (simultaneous requests) fall back on
+    ``last_count``, the count of the most recent counted tick.
     """
     if final:
-        r_t = rp.w2 * float(sum(counts)) * TICK_S
-    elif counts:
-        r_t = float(sum(counts)) / len(counts)
+        r_t = rp.w2 * float(load_ticks) * TICK_S
+    elif ticks:
+        r_t = float(load_ticks) / ticks
     else:
         r_t = float(last_count)
     return rp.w1 * (rp.r_max - r_t)
 
 
-def peak_sample(samples):
-    """The first sample with the largest key (samples[i][0])."""
-    best = samples[0]
-    for s in samples[1:]:
-        if s[0] > best[0]:
-            best = s
-    return best
-
-
-def segment_cost(samples, power_flow) -> float:
-    """Deviation cost at the segment's highest-total-load sampled instant.
-
-    samples: [(total_kw, {bus: kw}), ...] in time order; the first element
-    is the comparison key and ties keep the earliest. power_flow maps the
-    per-bus extra-load dict to (voltage deviation cost, bus-average
-    voltage), as ``CouplingEnv._power_flow`` does.
-    """
-    if not samples:
-        raise EnvError("segment recorded no load samples")
-    return power_flow(peak_sample(samples)[1])[0]
+def later_peak(best, sample):
+    """Running peak of load samples in time order: ``sample`` if there is
+    no ``best`` yet or its key (``sample[0]``) is strictly larger than
+    ``best``'s, else ``best``, so exact ties keep the earliest."""
+    return sample if best is None or sample[0] > best[0] else best
 
 
 class CouplingEnv:
@@ -242,9 +235,9 @@ class CouplingEnv:
         self._pending = deque()
         self._last_count = 0
         self._ttt_ticks = 0.0
-        self._seg_counts = None
-        self._seg_samples = None
-        self._interval_samples = []
+        self._load_ticks = 0
+        self._seg_peak = None
+        self._interval_peak = None
         self._pf_lookups = 0
         self._pf_solves = 0
         self.minute_log = []    # rows as in the module docstring
@@ -271,19 +264,16 @@ class CouplingEnv:
         veh = self._vehicles[vid]
         followed = bool(self._compliance_rng.random() < self.cfg.compliance_rate)
         applied = idx if followed else self.greedy_station(veh.origin)
-        t0 = self._t
+        t0, load_ticks0 = self._t, self._load_ticks
         self._assign(veh, applied, t0)
-        self._seg_counts = []
-        self._seg_samples = [self._load_sample()]
+        self._seg_peak = self._load_sample()
         if self._pending:
             terminal = False    # zero-length segment between simultaneous requests
         else:
             terminal = self._advance()
-        reward = segment_reward(self._seg_counts, self._last_count, terminal,
-                                self.cfg.reward)
-        cost = segment_cost(self._seg_samples, self._power_flow)
-        self._seg_counts = None
-        self._seg_samples = None
+        reward = segment_reward(self._load_ticks - load_ticks0, self._t - t0,
+                                self._last_count, terminal, self.cfg.reward)
+        cost = self._power_flow(self._seg_peak[1])[0]
         self._decision_s_sum += decision_s
         self.trace.append((len(self.trace), applied, reward, cost,
                            self._t - t0, vid, followed))
@@ -378,8 +368,8 @@ class CouplingEnv:
         charges only parked vehicles and stations, which replay it lazily.
         The jump stops at the next departure, droop boundary, minute
         sample, vehicle wake, station due tick and safety cap. Every tick
-        of it would add the same loaded count to the tick dual and the
-        segment counts, and integer-valued float sums are exact, so
+        of it would add the same loaded count to the tick dual and to
+        ``_load_ticks``, and integer-valued sums are exact, so
         ``n_loaded * k`` adds what k ticks would. Call it only while no
         vehicle is active.
         """
@@ -394,9 +384,8 @@ class CouplingEnv:
         self.sim.idle(k)
         n_p = self._n_loaded
         self._ttt_ticks += n_p * k * TICK_S
+        self._load_ticks += n_p * k
         self._last_count = n_p
-        if self._seg_counts is not None:
-            self._seg_counts.extend([n_p] * k)
         self._t = t + k
         self._ticks_coasted += k
 
@@ -419,9 +408,8 @@ class CouplingEnv:
         t = self._t
         n_p = self._n_loaded
         self._ttt_ticks += n_p * TICK_S
+        self._load_ticks += n_p
         self._last_count = n_p
-        if self._seg_counts is not None:
-            self._seg_counts.append(n_p)
         t_end = float(t + 1)
         arrivals = self.sim.step(TICK_S)
         if len(arrivals) > 1:
@@ -536,9 +524,8 @@ class CouplingEnv:
         sample closes a demand window, one ``windows`` row (layouts in the
         module docstring)."""
         sample = self._load_sample()
-        self._interval_samples.append(sample)
-        if self._seg_samples is not None:
-            self._seg_samples.append(sample)
+        self._seg_peak = later_peak(self._seg_peak, sample)
+        self._interval_peak = later_peak(self._interval_peak, sample)
         occ = np.array([len(cs.queue) + len(cs.charging) for cs in self.stations],
                        dtype=float)
         self.minute_log.append((self._t, occ, sample[0], self._setpoint))
@@ -548,10 +535,10 @@ class CouplingEnv:
             self.windows.append((self._station_features(), demand))
 
     def _update_droop(self):
-        samples = self._interval_samples or [self._load_sample()]
-        v_avg = self._power_flow(peak_sample(samples)[1])[1]
+        peak = self._interval_peak or self._load_sample()
+        v_avg = self._power_flow(peak[1])[1]
         self._setpoint = droop_power(v_avg, self.cfg.droop)
-        self._interval_samples = []
+        self._interval_peak = None
         occ = tuple(len(cs.queue) + len(cs.charging) for cs in self.stations)
         self.droop_log.append((self._t, v_avg, self._setpoint, occ))
 

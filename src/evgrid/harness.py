@@ -298,6 +298,9 @@ def resolve_seeds(args, cfg):
             if seeds[-1] < 0:
                 raise HarnessError(f"--seeds '{args.seeds}': seed "
                                    f"'{tok.strip()}' must be >= 0")
+            if seeds[-1] in seeds[:-1]:
+                raise HarnessError(f"--seeds '{args.seeds}': seed "
+                                   f"{seeds[-1]} repeats")
         return seeds
     return list(cfg.seeds)
 
@@ -375,12 +378,17 @@ def run_eval(cfg, method, seeds, out, checkpoint=None, trace=False):
 
 def run_sweep(cfg, method, axis, values, seeds, out, trace=False):
     """One run per axis value. Every value's config is built, and so
-    checked, before the first run starts."""
+    checked, and its directory name found unique before the first run."""
     out = Path(out)
     combined = []
+    names = [f"{axis}_{value:g}" for value in values]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise HarnessError(f"sweep values {values[names.index(name)]!r} "
+                               f"and {values[i]!r} share directory {name}")
     sub_cfgs = [apply_sweep_value(cfg, axis, value) for value in values]
-    for value, sub_cfg in zip(values, sub_cfgs):
-        sub_out = out / f"{axis}_{value:g}"
+    for name, value, sub_cfg in zip(names, values, sub_cfgs):
+        sub_out = out / name
         if method == "greedy":
             recs = run_eval(sub_cfg, method, seeds, sub_out, trace=trace)
         else:

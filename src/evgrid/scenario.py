@@ -242,6 +242,10 @@ class ScenarioConfig(Checked):
         if not self.seeds:
             raise FieldError(type(self).__name__, "seeds", "a non-empty list",
                              self.seeds)
+        repeats = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeats:
+            raise FieldError(type(self).__name__, "seeds", "a list without "
+                             f"repeats (seed {repeats[0]} repeats)", self.seeds)
         p = self.predictor
         if self.demand.warmup_s < p.enc_len * p.window_s:
             raise ScenarioError(f"warmup_s must cover enc_len predictor "

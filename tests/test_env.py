@@ -1,6 +1,7 @@
 """Environment tests: rewards, costs, duality, compliance, determinism,
 the shared power-flow memo."""
 
+import functools
 import gc
 import math
 import tracemalloc
@@ -9,16 +10,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evgrid
 import evgrid.env as env_module
-from evgrid.env import (CouplingEnv, EnvError, greedy_station, segment_cost,
-                        segment_reward)
+from evgrid.env import (TICK_S, CouplingEnv, EnvError, greedy_station,
+                        later_peak, segment_reward)
 from evgrid.power import (PFSolution, PowerFlowError, PowerNetwork,
                           average_voltage, load_power_network,
                           solve_power_flow, voltage_deviation)
-from evgrid.scenario import RewardParams, generate_trips, load_scenario
+from evgrid.scenario import (SAMPLE_S, RewardParams, generate_trips,
+                             load_scenario)
 from evgrid.srl import evaluate, train
+
+from strategies import NO_SHRINK, scenarios
 
 TINY = """\
 name: tiny
@@ -94,28 +100,34 @@ def greedy_policy(state, env):
 
 def test_segment_reward_branches():
     rp = RewardParams()
-    assert segment_reward([80, 80, 80], 0, False, rp) == pytest.approx(0.4)
-    assert segment_reward([0, 0], 0, False, rp) == pytest.approx(1.2)
+    # three ticks of 80 loaded vehicles each
+    assert segment_reward(240, 3, 0, False, rp) == pytest.approx(0.4)
+    assert segment_reward(0, 2, 0, False, rp) == pytest.approx(1.2)
     # zero-length segment falls back to the last counted tick
-    assert segment_reward([], 30, False, rp) == pytest.approx(0.9)
+    assert segment_reward(0, 0, 30, False, rp) == pytest.approx(0.9)
     # final segment scales the count-time integral instead of averaging
-    assert segment_reward([100] * 50, 0, True, rp) == pytest.approx(0.2)
+    assert segment_reward(100 * 50, 50, 0, True, rp) == pytest.approx(0.2)
 
 
 def test_segment_cost_base_case_and_peak_selection():
     net = load_power_network(evgrid.DATA_DIR / "ieee33")
-    solve = lambda loads: (voltage_deviation(solve_power_flow(net, loads)),)
-    idle = segment_cost([(0.0, {})], solve)
+
+    def cost(samples):
+        # the env's running peak over a segment's samples, in time order
+        peak = functools.reduce(later_peak, samples, None)
+        return voltage_deviation(solve_power_flow(net, peak[1]))
+
+    idle = cost([(0.0, {})])
     assert idle == pytest.approx(0.051544, abs=1e-6)
 
-    c200 = segment_cost([(200.0, {30: 200.0})], solve)
-    c400 = segment_cost([(400.0, {30: 400.0})], solve)
+    c200 = cost([(200.0, {30: 200.0})])
+    c400 = cost([(400.0, {30: 400.0})])
     assert idle < c200 < c400
     # the max-total sample decides the cost, first one on ties
-    mixed = segment_cost([(200.0, {30: 200.0}), (400.0, {30: 400.0}),
-                          (300.0, {30: 300.0})], solve)
+    mixed = cost([(200.0, {30: 200.0}), (400.0, {30: 400.0}),
+                  (300.0, {30: 300.0})])
     assert mixed == c400
-    tied = segment_cost([(200.0, {30: 200.0}), (200.0, {18: 200.0})], solve)
+    tied = cost([(200.0, {30: 200.0}), (200.0, {18: 200.0})])
     assert tied == c200
 
 
@@ -144,6 +156,16 @@ def test_peak_ties_are_exact_and_keep_the_earliest(tmp_path):
     assert first[0] == second[0]
     assert first[1] != second[1]
 
+    # two minute samples within one segment and one droop interval; no
+    # demand window closes, since its features would read the None EVs
+    env._seg_peak = env._interval_peak = None
+    env._per_window = len(env.minute_log) + 3
+    for counts in ((5, 7, 3), (7, 3, 5)):
+        sample(counts)
+        env._minute_sample()
+    # the step cost's power flow reads the segment peak's loads
+    assert env._seg_peak[1] == first[1]
+
     solved = []
 
     def power_flow(loads):
@@ -151,11 +173,102 @@ def test_peak_ties_are_exact_and_keep_the_earliest(tmp_path):
         sol = solve_power_flow(env.power, loads)
         return voltage_deviation(sol), average_voltage(sol)
 
-    segment_cost([first, second], power_flow)
     env._power_flow = power_flow
-    env._interval_samples = [first, second]
     env._update_droop()
-    assert solved == [first[1], first[1]]
+    assert solved == [first[1]]
+
+
+class LoggingEnv(CouplingEnv):
+    """Logs what each decision's figures are built from, apart from how the
+    env accumulates them: the loaded count of every counted tick, stepped
+    or skipped, every load sample with its tick and whether the droop
+    update took it, and where each decision began in both logs."""
+
+    def reset(self, seed):
+        self.counts = []        # (tick, loaded count)
+        self.samples = []       # (tick, taken by the droop update, sample)
+        self.decisions = []     # (tick, len(counts), len(samples))
+        self._in_droop = False
+        return super().reset(seed)
+
+    def apply_action(self, cs_index, decision_s=0.0):
+        self.decisions.append((self._t, len(self.counts), len(self.samples)))
+        return super().apply_action(cs_index, decision_s)
+
+    def _tick_post(self):
+        self.counts.append((self._t, self._n_loaded))
+        super()._tick_post()
+
+    def _skip(self):
+        t = self._t
+        super()._skip()
+        self.counts.extend((u, self._n_loaded) for u in range(t, self._t))
+
+    def _update_droop(self):
+        self._in_droop = True
+        super()._update_droop()
+        self._in_droop = False
+
+    def _load_sample(self):
+        sample = super()._load_sample()
+        self.samples.append((self._t, self._in_droop, sample))
+        return sample
+
+
+def check_decision_figures(cfg, ep_seed, policy_seed):
+    """Play one random-action episode on a ``LoggingEnv`` and recompute each
+    decision's reward from its per-tick counts, as a list, and its cost at
+    its first largest sample; both must equal the ``trace`` row bit for
+    bit. Returns the number of decisions (0: no control request)."""
+    env = LoggingEnv(cfg)
+    try:
+        env.reset(ep_seed)
+    except EnvError:
+        return 0
+    run_episode(env, ep_seed, random_policy(np.random.default_rng(policy_seed)))
+    rp = cfg.reward
+    ends = env.decisions[1:] + [(None, len(env.counts), len(env.samples))]
+    for i, row in enumerate(env.trace):
+        (t0, c0, s0), (_, c1, s1) = env.decisions[i], ends[i]
+        ticks = env.counts[c0:c1]
+        assert [t for t, _ in ticks] == list(range(t0, t0 + row[4]))
+        counts = [n for _, n in ticks]
+        if i == len(env.trace) - 1:
+            r_t = rp.w2 * float(sum(counts)) * TICK_S
+        elif counts:
+            r_t = float(sum(counts)) / len(counts)
+        else:
+            r_t = float(env.counts[c1 - 1][1])
+        assert repr(rp.w1 * (rp.r_max - r_t)) == repr(row[2])
+
+        taken = [(t, s) for t, droop, s in env.samples[s0:s1] if not droop]
+        assert taken[0][0] == t0
+        assert all(t % SAMPLE_S == 0 and t0 < t <= t0 + row[4]
+                   for t, _ in taken[1:])
+        top = max(s[0] for _, s in taken)
+        peak = next(s for _, s in taken if s[0] == top)
+        sol = solve_power_flow(env.power, peak[1])
+        assert repr(voltage_deviation(sol, rp.v_ref)) == repr(row[3])
+    return len(env.trace)
+
+
+@pytest.mark.parametrize("scenario", ["burst", "reduced", "case_a"])
+def test_decision_figures_match_the_per_tick_logs(scenario, tmp_path):
+    if scenario == "burst":
+        path = tmp_path / "burst.yaml"
+        path.write_text(BURST)
+    else:
+        path = evgrid.DATA_DIR / f"{scenario}.yaml"
+    assert check_decision_figures(load_scenario(path), 1, policy_seed=2) > 0
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          phases=NO_SHRINK)
+@given(cfg=scenarios(), ep_seed=st.integers(0, 50),
+       policy_seed=st.integers(0, 50))
+def test_random_decision_figures_match_the_per_tick_logs(cfg, ep_seed,
+                                                         policy_seed):
+    check_decision_figures(cfg, ep_seed, policy_seed)
 
 
 def test_reset_state_and_history(tiny_cfg):

@@ -282,7 +282,8 @@ def test_resolve_seeds(tiny_cfg, tmp_path):
                       ("0,", "a seed is empty"),
                       ("0,x", "seed 'x' is not an integer"),
                       ("1.5", "seed '1.5' is not an integer"),
-                      ("0, -3", "seed '-3' must be >= 0")):
+                      ("0, -3", "seed '-3' must be >= 0"),
+                      ("3,0, 3", "seed 3 repeats")):
         with pytest.raises(HarnessError,
                            match=re.escape(f"--seeds '{text}': {why}")):
             resolve_seeds(Namespace(seeds=text), tiny_cfg)
@@ -518,8 +519,16 @@ def test_main_sweep_and_errors(scenario_path, tmp_path, capsys):
              "sweep value '1/0' divides by zero"),
             ("ev_fraction", "1/6", "0,,x", "HarnessError",
              "--seeds '0,,x': a seed is empty"),
+            ("ev_fraction", "1/6", "3,3", "HarnessError",
+             "--seeds '3,3': seed 3 repeats"),
             ("decoder_length", "2.5", "0", "FieldError", dec_len),
-            ("decoder_length", "2,2.5", "0", "FieldError", dec_len)):
+            ("decoder_length", "2,2.5", "0", "FieldError", dec_len),
+            # two values whose directory names would collide
+            ("compliance_rate", "0.3333334,1/3", "0", "HarnessError",
+             "sweep values 0.3333334 and 0.3333333333333333 share "
+             "directory compliance_rate_0.333333"),
+            ("compliance_rate", "0.5,0.5", "0", "HarnessError",
+             "sweep values 0.5 and 0.5 share directory compliance_rate_0.5")):
         rc = main(["sweep", "--scenario", str(scenario_path), "--method",
                    "greedy", "--sweep-axis", axis, "--sweep-values",
                    values, "--seeds", seeds, "--out", str(tmp_path / "z")])

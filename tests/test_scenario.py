@@ -170,6 +170,7 @@ BAD_VALUES = [
      "[origin node, dest node] or [origin node, dest node, weight > 0]"),
     ("compliance_rate: abc", "compliance_rate", "a finite number in [0, 1]"),
     ("seeds: []", "seeds", "a non-empty list"),
+    ("seeds: [3, 0, 3]", "seeds", "a list without repeats (seed 3 repeats)"),
 ]
 
 
@@ -225,6 +226,10 @@ def test_every_config_field_has_a_table_entry(tmp_path):
     with pytest.raises(FieldError, match=re.escape(
             "'ScenarioConfig.seeds' must be a non-empty list, got ()")):
         replace(cfg, seeds=())
+    with pytest.raises(FieldError, match=re.escape(
+            "'ScenarioConfig.seeds' must be a list without repeats "
+            "(seed 1 repeats), got (1, 1)")):
+        replace(cfg, seeds=(1, 1))
 
 
 UNREACHABLE_OD = (evgrid.DATA_DIR / "reduced.yaml").read_text().replace(

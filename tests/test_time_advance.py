@@ -8,8 +8,9 @@ before any tick was skipped. A ``CouplingEnv`` and a ``FrozenEnv``
 play the same episode with the same actions; after the reset and after
 every decision their full episode state must agree exactly (floats compared
 through ``repr``, which round-trips every double and tells -0.0 from 0.0):
-vehicles, link counts, stations, ``_t``, ``_ttt_ticks``, ``minute_log``,
-``windows``, ``droop_log``, rewards, costs and observations. Each episode must also
+vehicles, link counts, stations, ``_t``, ``_ttt_ticks``, ``_load_ticks``,
+the running load peaks, ``minute_log``, ``windows``, ``droop_log``,
+rewards, costs and observations. Each episode must also
 account for every trip, close the energy ledger and keep every power-flow
 mismatch below the solver's tolerance.
 """
@@ -146,9 +147,8 @@ class FrozenEnv(CouplingEnv):
         t = self._t
         n_p = self._n_loaded
         self._ttt_ticks += n_p * TICK_S
+        self._load_ticks += n_p
         self._last_count = n_p
-        if self._seg_counts is not None:
-            self._seg_counts.append(n_p)
         t_end = float(t + 1)
         arrivals = ref_step(self.sim, TICK_S)
         if len(arrivals) > 1:
@@ -201,10 +201,11 @@ def snapshot(env):
          for cs in env.stations],
         env._t, env._mid_tick, env._next_dep, env._n_loaded,
         env._n_unfinished, env._setpoint, list(env._pending),
-        env._last_count, env._ttt_ticks, env._terminal,
+        env._last_count, env._ttt_ticks, env._load_ticks, env._terminal,
         [(t, _bits(occ), kw, sp) for t, occ, kw, sp in env.minute_log],
         [(_bits(feats), _bits(demand)) for feats, demand in env.windows],
-        env.droop_log, env._interval_samples, [v.vid for v in env.completed],
+        env.droop_log, env._seg_peak, env._interval_peak,
+        [v.vid for v in env.completed],
         [v.vid for v in env.stranded], env.trace,
     ))
 

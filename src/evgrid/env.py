@@ -76,6 +76,12 @@ Each decision appends one ``trace`` row, the episode's only per-decision
 record: (step, applied station, reward, cost, elapsed ticks, vehicle id,
 whether the driver followed the recommendation). The driver follows with
 probability ``cfg.compliance_rate``.
+
+The observation is built only by ``state()``, for the pending request:
+``reset`` and ``apply_action`` return none, so a policy that never reads
+it (the nearest-station rule) costs no density vector and no station
+features. Reading it syncs the stations, which moves no output (see the
+lazy state above), so an episode is the same whether or not it is read.
 """
 
 from __future__ import annotations
@@ -112,7 +118,8 @@ class EnvError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepOutcome:
-    state: np.ndarray | None      # None exactly when terminal
+    """One decision's score; the next observation is ``CouplingEnv.state()``
+    while the episode runs."""
     reward: float
     cost: float
     terminal: bool
@@ -210,7 +217,7 @@ class CouplingEnv:
     # episode lifecycle
     # ------------------------------------------------------------------
 
-    def reset(self, seed: int) -> np.ndarray:
+    def reset(self, seed: int) -> None:
         cfg = self.cfg
         self._vehicles = [build_vehicle(t, cfg.demand.soc_target)
                           for t in generate_trips(cfg, seed)]
@@ -251,7 +258,6 @@ class CouplingEnv:
         self._safety_cap = int(cfg.horizon_s) + 86400
         if self._advance():
             raise EnvError("episode ended before any charging request")
-        return self._state()
 
     def apply_action(self, cs_index: int, decision_s: float = 0.0) -> StepOutcome:
         if self._terminal or not self._pending:
@@ -277,8 +283,7 @@ class CouplingEnv:
         self._decision_s_sum += decision_s
         self.trace.append((len(self.trace), applied, reward, cost,
                            self._t - t0, vid, followed))
-        state = None if terminal else self._state()
-        return StepOutcome(state, reward, cost, terminal)
+        return StepOutcome(reward, cost, terminal)
 
     def episode_metrics(self) -> EpisodeMetrics:
         if not self._terminal:
@@ -313,7 +318,11 @@ class CouplingEnv:
     # observation assembly
     # ------------------------------------------------------------------
 
-    def _state(self) -> np.ndarray:
+    def state(self) -> np.ndarray:
+        """The observation for the pending request: origin and destination
+        (normalized), SoC, link densities, then the station features."""
+        if not self._pending:
+            raise EnvError("no pending charging request")
         veh = self._vehicles[self._pending[0]]
         ox, oy = self.road.normalized_xy(veh.origin)
         dx, dy = self.road.normalized_xy(veh.dest)

@@ -25,7 +25,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
-from types import MethodType
 
 import numpy as np
 
@@ -145,7 +144,7 @@ def _critic_step(critic, opt, v, cache, target):
 
 @dataclass
 class EpisodeData:
-    states: np.ndarray          # (T, D) as fed to the networks
+    states: np.ndarray | None   # (T, D) as fed to the networks (None: greedy)
     actions: np.ndarray         # (T,) int
     logps: np.ndarray | None    # (T,) log-prob of the taken action (PPO)
     rewards: np.ndarray
@@ -373,10 +372,11 @@ class DQNAgent:
     def push(self, s, a, r, s_next, done):
         self.replay.append((s, a, r, s_next, done))
 
-    def learn_step(self, s, a, outcome, rng):
+    def learn_step(self, s, a, outcome, s_next, rng):
         """``rollout``'s on_step for DQN: store the transition (all-zero
-        next state at the terminal step), then take one update step."""
-        nxt = outcome.state if not outcome.terminal else np.zeros_like(s)
+        next state at the terminal step, where ``s_next`` is None), then
+        take one update step."""
+        nxt = np.zeros_like(s) if s_next is None else s_next
         self.push(s, a, outcome.reward, nxt, outcome.terminal)
         self.update_step(rng)
 
@@ -455,25 +455,32 @@ def rollout(env: CouplingEnv, policy, ep_seed,
     ``policy(s)`` gets the network input (the state, augmented with the
     forecast or zero-padded by ``pad``) and returns the action, or a tuple
     of the action and per-step extras (PPO: log-prob, V_r, V_c), which fill
-    the PPO-only columns; without extras those columns are None. The
+    the PPO-only columns; without extras those columns are None. With
+    ``policy=None`` the nearest-station rule, ``greedy_action``, picks
+    every station; no state is built, so ``states`` is None too. The
     decision time passed to the env covers the augmentation and the policy
-    call only. ``on_step(s, a, outcome)`` runs after each step.
+    call only. With a policy, ``on_step(s, a, outcome, s_next)`` runs after
+    each step, with the next raw state, or None at the terminal step.
     """
-    state = env.reset(ep_seed)
+    env.reset(ep_seed)
     if predictor is not None:
         predictor.start_episode()
         predictor.observe(env.windows)
+    state = None if policy is None else env.state()
     states, actions, extras, rewards, costs = [], [], [], [], []
     clock = time.perf_counter
     while True:
         t0 = clock()
-        if predictor is not None:
-            s_in = predictor.augment(state, env.windows)
-        elif pad:
-            s_in = np.concatenate([state, np.zeros(pad)])
+        if policy is None:
+            a = greedy_action(env)
         else:
-            s_in = state
-        a = policy(s_in)
+            if predictor is not None:
+                s_in = predictor.augment(state, env.windows)
+            elif pad:
+                s_in = np.concatenate([state, np.zeros(pad)])
+            else:
+                s_in = state
+            a = policy(s_in)
         dt = clock() - t0
         if type(a) is tuple:
             a, *extra = a
@@ -481,26 +488,28 @@ def rollout(env: CouplingEnv, policy, ep_seed,
         out = env.apply_action(a, decision_s=dt)
         if predictor is not None:
             predictor.observe(env.windows)
-        if on_step is not None:
-            on_step(s_in, a, out)
-        states.append(s_in)
+        if policy is not None:
+            state = None if out.terminal else env.state()
+            if on_step is not None:
+                on_step(s_in, a, out, state)
+            states.append(s_in)
         actions.append(a)
         rewards.append(out.reward)
         costs.append(out.cost)
         if out.terminal:
             break
-        state = out.state
     logps = values_r = values_c = None
     if extras:
         logps, values_r, values_c = (np.array(col) for col in zip(*extras))
-    return EpisodeData(np.array(states), np.array(actions, dtype=int), logps,
+    states = None if policy is None else np.array(states)
+    return EpisodeData(states, np.array(actions, dtype=int), logps,
                        np.array(rewards), np.array(costs), values_r, values_c,
                        env.episode_metrics())
 
 
-def greedy_action(env: CouplingEnv, state=None) -> int:
-    """Nearest station for the pending EV. ``state`` is unused; it lets
-    ``MethodType(greedy_action, env)`` serve as a ``rollout`` policy."""
+def greedy_action(env: CouplingEnv) -> int:
+    """Nearest station for the pending EV: ``rollout``'s policy when it is
+    given none."""
     return env.greedy_station(env.pending_vehicle.origin)
 
 
@@ -635,27 +644,33 @@ def evaluate(cfg: ScenarioConfig, method: str, agent=None, predictor=None,
     """Deterministic greedy-action rollouts; one record per seed in ``seeds``.
 
     Every setting comes from ``cfg`` (driver compliance included) and the
-    state layout from the agent's ``tag``. The predictor, when present,
-    keeps forecasting but never trains during evaluation.
+    state layout from the agent's ``tag``. ``greedy`` runs ``rollout`` with
+    ``policy=None``: the nearest-station rule, with no state built. The
+    predictor, when present, keeps forecasting but never trains during
+    evaluation; its convergence flag is restored afterwards.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
     if method != "greedy" and agent is None:
         raise ValueError(f"method '{method}' needs a trained agent")
     env = CouplingEnv(cfg)
-    if predictor is not None:
-        predictor.model.converged = True      # freeze learning, keep predicting
-    # A bound method is the cheapest callable for the ~2 us greedy decision
-    # the timer covers; functools.partial measured ~10% slower.
     if method == "greedy":
-        policy, pad = MethodType(greedy_action, env), 0
+        policy, pad = None, 0
     else:
         policy, pad = agent.act_greedy, agent.tag["pad_width"]
+    if predictor is not None:
+        converged = predictor.model.converged
+        predictor.model.converged = True      # freeze learning, keep predicting
     records = []
-    for es in seeds:
-        ep = rollout(env, policy, int(es), predictor, pad)
-        records.append(EvalEpisode(int(es), ep.metrics, list(env.minute_log),
-                                   list(env.droop_log), list(env.trace)))
+    try:
+        for es in seeds:
+            ep = rollout(env, policy, int(es), predictor, pad)
+            records.append(EvalEpisode(int(es), ep.metrics,
+                                       list(env.minute_log),
+                                       list(env.droop_log), list(env.trace)))
+    finally:
+        if predictor is not None:
+            predictor.model.converged = converged
     return records
 
 

@@ -107,6 +107,12 @@ class RoadNetwork:
         for nid in self.out_links:
             self.out_links[nid].sort()
         self.link_ids = tuple(sorted(self.links))
+        # link capacities (length * lanes) and jam densities in link_ids
+        # order, the operands of TrafficSim.density_vector
+        self.link_cap = np.array([self.link_params[lid][1]
+                                  for lid in self.link_ids])
+        self.link_kjam = np.array([self.link_params[lid][3]
+                                   for lid in self.link_ids])
 
         xs = [p[0] for p in self.nodes.values()]
         ys = [p[1] for p in self.nodes.values()]
@@ -287,7 +293,7 @@ class TrafficSim:
     def __init__(self, net: RoadNetwork, battery=None):
         self.net = net
         self.battery = battery          # BatteryParams for EV energy drain
-        self.counts = {lid: 0 for lid in net.links}
+        self.counts = dict.fromkeys(net.link_ids, 0)    # in link_ids order
         self.driving = []
         self.drained = []               # set by step, in driving order
         self.now = 0                    # ticks stepped or idled so far
@@ -347,13 +353,12 @@ class TrafficSim:
                             self._memo(lid, self.counts[lid], self._dt)[0])
 
     def density_vector(self):
-        """Normalized densities over links, sorted by link id, clipped to 1."""
-        params = self.net.link_params
-        out = np.empty(len(self.net.link_ids))
-        for i, lid in enumerate(self.net.link_ids):
-            _, cap, _, kjam = params[lid]
-            out[i] = min((self.counts[lid] / cap) / kjam, 1.0)
-        return out
+        """Normalized densities over links, sorted by link id, clipped to 1:
+        ``min((count / cap) / kjam, 1.0)`` per link, as one array
+        operation per step (``counts`` holds the links in that order)."""
+        net = self.net
+        counts = np.fromiter(self.counts.values(), float, len(net.link_ids))
+        return np.minimum((counts / net.link_cap) / net.link_kjam, 1.0)
 
     def _memo(self, lid, count, dt):
         """``step``'s memo for link ``lid`` holding ``count`` vehicles: the

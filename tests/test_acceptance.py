@@ -214,12 +214,11 @@ def test_c04_gae_matches_double_sum(capsys):
 
 def _full_episode(cfg, seed, policy):
     env = CouplingEnv(cfg)
-    state = env.reset(seed)
+    env.reset(seed)
     while True:
-        out = env.apply_action(policy(state, env))
+        out = env.apply_action(policy(env.state(), env))
         if out.terminal:
             return env, env.episode_metrics()
-        state = out.state
 
 
 def test_c05_travel_time_duality(capsys, reduced_cfg, tiny_cfg):

@@ -1,6 +1,7 @@
 """Environment tests: rewards, costs, duality, compliance, determinism,
 the shared power-flow memo."""
 
+import copy
 import functools
 import gc
 import math
@@ -80,14 +81,13 @@ def tiny_cfg(tmp_path_factory):
 
 
 def run_episode(env, seed, policy):
-    state = env.reset(seed)
+    env.reset(seed)
     outcomes = []
     while True:
-        out = env.apply_action(policy(state, env))
+        out = env.apply_action(policy(env.state(), env))
         outcomes.append(out)
         if out.terminal:
             return outcomes, env.episode_metrics()
-        state = out.state
 
 
 def random_policy(rng):
@@ -271,9 +271,58 @@ def test_random_decision_figures_match_the_per_tick_logs(cfg, ep_seed,
     check_decision_figures(cfg, ep_seed, policy_seed)
 
 
+def episode_outputs(cfg, ep_seed, policy_seed, read_state):
+    """Play one random-action episode on a fresh env with its own copy of
+    the feeder (so both runs start from an empty power-flow memo), calling
+    ``state()`` before every decision when ``read_state``. Returns the
+    episode's outputs as one repr, floats as bits (None: no control
+    request)."""
+    env = CouplingEnv(replace(cfg, power_net=copy.deepcopy(cfg.power_net)))
+    try:
+        env.reset(ep_seed)
+    except EnvError:
+        return None
+    rng = np.random.default_rng(policy_seed)
+    while True:
+        if read_state:
+            env.state()
+        if env.apply_action(int(rng.integers(env.action_dim))).terminal:
+            break
+    with pytest.raises(EnvError, match="no pending"):
+        env.state()
+    return repr((
+        env.trace,
+        [(t, occ.tobytes(), kw, sp) for t, occ, kw, sp in env.minute_log],
+        env.droop_log,
+        [(feats.tobytes(), demand.tobytes()) for feats, demand in env.windows],
+        env.episode_metrics()))
+
+
+def check_reading_state_moves_nothing(cfg, ep_seed, policy_seed):
+    read = episode_outputs(cfg, ep_seed, policy_seed, read_state=True)
+    assert read == episode_outputs(cfg, ep_seed, policy_seed,
+                                   read_state=False)
+    return read
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          phases=NO_SHRINK)
+@given(cfg=scenarios(), ep_seed=st.integers(0, 50),
+       policy_seed=st.integers(0, 50))
+def test_random_episodes_do_not_depend_on_reading_the_state(cfg, ep_seed,
+                                                            policy_seed):
+    check_reading_state_moves_nothing(cfg, ep_seed, policy_seed)
+
+
+def test_case_a_does_not_depend_on_reading_the_state():
+    cfg = load_scenario(evgrid.DATA_DIR / "case_a.yaml")
+    assert check_reading_state_moves_nothing(cfg, 0, 0) is not None
+
+
 def test_reset_state_and_history(tiny_cfg):
     env = CouplingEnv(tiny_cfg)
-    state = env.reset(0)
+    env.reset(0)
+    state = env.state()
     assert state.shape == (env.state_dim,)
     assert env.state_dim == 5 + 19 + 9 * 2
     assert np.all(np.isfinite(state))

@@ -2,11 +2,11 @@
 
 from dataclasses import replace
 from functools import partial
-from types import MethodType
 
 import numpy as np
 import pytest
 
+import evgrid.srl as srl
 from evgrid.env import CouplingEnv
 from evgrid.nn import log_softmax
 from evgrid.predictor import OnlinePredictor
@@ -355,7 +355,7 @@ def test_rollout_collects_every_policy_kind(tiny_cfg):
     pg, _ = build_agent(tiny_cfg, env, "reinforce")
     rng = np.random.default_rng(0)
     runs = {
-        "greedy": (MethodType(greedy_action, env), None),
+        "greedy": (None, None),
         "ppo": (lambda s: ppo.act(s, rng), None),
         "dqn": (lambda s: dqn.act(s, rng, 0.5),
                 partial(dqn.learn_step, rng=rng)),
@@ -366,9 +366,12 @@ def test_rollout_collects_every_policy_kind(tiny_cfg):
         ep = rollout(env, policy, 21, on_step=on_step)
         n = steps[kind] = ep.metrics.n_steps
         assert n > 0
-        for col in (ep.states, ep.actions, ep.rewards, ep.costs):
+        for col in (ep.actions, ep.rewards, ep.costs):
             assert len(col) == n, kind
-        assert ep.states.shape == (n, env.state_dim)
+        if kind == "greedy":
+            assert ep.states is None
+        else:
+            assert ep.states.shape == (n, env.state_dim)
         ppo_cols = (ep.logps, ep.values_r, ep.values_c)
         if kind == "ppo":
             assert all(col.shape == (n,) for col in ppo_cols)
@@ -449,6 +452,43 @@ def test_eval_compliance_zero_matches_greedy(tiny_cfg):
     assert applied_a == applied_b
     assert all(row[6] for row in greedy[0].trace)       # full compliance
     assert not any(row[6] for row in forced[0].trace)   # forced overrides
+
+
+def test_greedy_decisions_go_through_greedy_action(tiny_cfg, monkeypatch):
+    """Greedy evaluation looks ``srl.greedy_action`` up by name at each
+    decision, so a patch of that name (a tracer's decision span) sees
+    every one."""
+    vids = []
+
+    def counting(env):
+        vids.append(env.pending_vehicle.vid)
+        return greedy_action(env)
+
+    monkeypatch.setattr(srl, "greedy_action", counting)
+    ev = evaluate(tiny_cfg, "greedy", seeds=(0,))
+    assert len(vids) == ev[0].metrics.n_steps > 0
+    assert vids == [row[5] for row in ev[0].trace]
+
+
+def test_evaluate_leaves_the_predictor_as_it_found_it(tiny_cfg, monkeypatch):
+    """``evaluate`` freezes the forecaster for its episodes only: one that
+    was still training trains on afterwards, also when evaluation fails."""
+    early = replace(tiny_cfg.predictor, batch=8, min_buffer=10,
+                    train_every=10)
+    res = train(short(replace(tiny_cfg, predictor=early), 1), "opsrl", seed=1)
+    model = res.predictor.model
+    losses = list(model.losses)
+    assert losses and not model.converged
+    evaluate(tiny_cfg, "opsrl", res.agent, res.predictor, seeds=(5,))
+    assert not model.converged and model.losses == losses
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("rollout failed")
+
+    monkeypatch.setattr(srl, "rollout", failing)
+    with pytest.raises(RuntimeError, match="rollout failed"):
+        evaluate(tiny_cfg, "opsrl", res.agent, res.predictor, seeds=(5,))
+    assert not model.converged and model.losses == losses
 
 
 def test_dqn_and_pg_training_smoke(tiny_cfg):

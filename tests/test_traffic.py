@@ -24,6 +24,8 @@ from evgrid.traffic import (
     shortest_path,
 )
 
+from strategies import random_road
+
 
 class _Battery:
     capacity_kwh = 24.0
@@ -183,6 +185,30 @@ def test_density_vector_clips_at_one():
         v.route = [1]
         sim.enter_road(v)
     assert sim.density_vector()[0] == 1.0
+
+
+def test_density_vector_matches_the_per_link_formula():
+    """The array form gives each link's ``min((count / cap) / kjam, 1.0)``
+    bit for bit, on networks whose links are given out of id order and
+    counts on both sides of the clip."""
+    rng = np.random.default_rng(0)
+    nets = [load_road_network(evgrid.DATA_DIR / "nguyen_dupuis")]
+    for _ in range(30):
+        base = random_road(rng, int(rng.integers(3, 9)),
+                           int(rng.integers(0, 10)))
+        order = rng.permutation(len(base.link_ids))
+        nets.append(RoadNetwork(base.nodes, [base.links[base.link_ids[i]]
+                                             for i in order]))
+    for net in nets:
+        sim = TrafficSim(net)
+        for _ in range(5):
+            for lid in net.link_ids:
+                sim.counts[lid] = int(rng.integers(0, 250))
+            want = np.empty(len(net.link_ids))
+            for i, lid in enumerate(net.link_ids):
+                _, cap, _, kjam = net.link_params[lid]
+                want[i] = min((sim.counts[lid] / cap) / kjam, 1.0)
+            assert sim.density_vector().tobytes() == want.tobytes()
 
 
 def test_record_trip_times_cv_and_ev():

@@ -36,7 +36,8 @@ and depends only on the feeder and the per-bus loads, so a reused figure
 is the float a new solve would give. The memo keeps the ``PF_MEMO_CAP``
 most recently used load patterns per feeder and dies with the feeder.
 ``EpisodeMetrics.pf_lookups`` and ``pf_solves`` count an episode's reads
-and its misses; the misses depend on what the memo already held.
+and its misses, and ``pf_iterations`` the Newton-Raphson iterations of
+those solves; the misses depend on what the memo already held.
 
 Time advances in 1 s ticks. Within a tick: droop boundary first, then
 departures (pausing for decisions before any movement), then movement,
@@ -142,6 +143,7 @@ class EpisodeMetrics:
     # of which solved anew (memo misses); it depends on what the feeder's
     # memo held, so equal episodes compare equal whatever it reads
     pf_solves: int = field(compare=False)
+    pf_iterations: int = field(compare=False)   # NR iterations of those solves
 
 
 def greedy_station(road, stations, origin):
@@ -247,6 +249,7 @@ class CouplingEnv:
         self._interval_peak = None
         self._pf_lookups = 0
         self._pf_solves = 0
+        self._pf_iterations = 0
         self.minute_log = []    # rows as in the module docstring
         self.windows = []       # rows as in the module docstring
         self.droop_log = []     # (t, v_avg, setpoint kW, occupancy tuple)
@@ -312,6 +315,7 @@ class CouplingEnv:
             ticks_coasted=self._ticks_coasted,
             pf_lookups=self._pf_lookups,
             pf_solves=self._pf_solves,
+            pf_iterations=self._pf_iterations,
         )
 
     # ------------------------------------------------------------------
@@ -571,6 +575,7 @@ class CouplingEnv:
             return figures
         sol = solve_power_flow(self.power, loads)
         self._pf_solves += 1
+        self._pf_iterations += sol.iterations
         figures = (voltage_deviation(sol, self.cfg.reward.v_ref),
                    average_voltage(sol))
         memo[key] = figures

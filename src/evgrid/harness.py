@@ -9,12 +9,12 @@ Output conventions: ``metrics.csv`` and ``summary.csv`` carry only
 simulation-derived quantities and are byte-identical across re-runs;
 wall-clock figures live in ``timing.csv``, next to each episode's simulated
 ticks, how many of them were crossed without a per-tick pass (see
-``CouplingEnv._skip``), and its power-flow lookups and solves, which
-depend on what earlier runs on the feeder left in its memo (see
-``CouplingEnv._power_flow``). Every run directory gets a
-``manifest.json`` with the seeds, build info and ``config_hash`` of the
-effective config, which covers every setting, defaults included, and both
-networks' tables.
+``CouplingEnv._skip``), and its power-flow lookups, solves and the
+solves' Newton-Raphson iterations, which depend on what earlier runs on
+the feeder left in its memo (see ``CouplingEnv._power_flow``). Every run
+directory gets a ``manifest.json`` with the seeds, build info and
+``config_hash`` of the effective config, which covers every setting,
+defaults included, and both networks' tables.
 An episode in which no EV finished charging has no mean wait+charge time:
 its ``wct_min`` field is empty, and ``summary.csv`` and ``report`` average
 that metric over the episodes that define it and count those.
@@ -70,6 +70,7 @@ class MetricsRecord:
     ticks_coasted: int
     pf_lookups: int             # in timing.csv only, as pf_solves depends
     pf_solves: int              # on what the feeder's memo already held
+    pf_iterations: int          # NR iterations of the episode's solves
 
     def __post_init__(self):
         for name in ("ttt_s", "cvv", "wct_min", "et_s", "dt_mean_s"):
@@ -153,9 +154,10 @@ def write_metrics(out, records):
               ["method", "seed", "ttt_s", "cvv", "wct_min"], rows)
     write_csv(Path(out) / "timing.csv",
               ["method", "seed", "et_s", "dt_mean_s", "ticks",
-               "ticks_coasted", "pf_lookups", "pf_solves"],
+               "ticks_coasted", "pf_lookups", "pf_solves", "pf_iterations"],
               [(r.method, r.seed, repr(r.et_s), repr(r.dt_mean_s), r.ticks,
-                r.ticks_coasted, r.pf_lookups, r.pf_solves) for r in records])
+                r.ticks_coasted, r.pf_lookups, r.pf_solves, r.pf_iterations)
+               for r in records])
 
 
 METRICS = ("ttt_s", "cvv", "wct_min")
@@ -331,7 +333,7 @@ def _record(method, seed, m, et_s):
     """The MetricsRecord of one evaluated episode's EpisodeMetrics ``m``."""
     return MetricsRecord(method, seed, m.ttt_s, m.cvv, m.wct_min, et_s,
                          m.dt_mean_s, m.ticks, m.ticks_coasted, m.pf_lookups,
-                         m.pf_solves)
+                         m.pf_solves, m.pf_iterations)
 
 
 def run_train(cfg, method, seeds, out, trace=False, progress=None):

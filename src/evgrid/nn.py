@@ -5,6 +5,13 @@ parameters as an ordered ``{name: array}`` dict (live references), and every
 backward pass returns a gradient dict with matching keys, so the optimizer
 and the checkpoint format stay trivial.
 
+A policy decision runs three small ``DenseNet`` forwards and one
+``categorical_sample``, so both keep Python overhead off that path:
+``DenseNet`` holds its layers' keys and live ``(w, b)`` arrays from
+construction, and the sampler walks the probabilities once with the same
+left-to-right additions ``np.cumsum`` makes, so it picks the index
+``np.searchsorted`` on the cumulative sums would.
+
 Initialization conventions:
   * dense / input-to-hidden weights: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))
   * recurrent (hidden-to-hidden) weights: orthogonal, per gate block
@@ -50,7 +57,15 @@ def orthogonal(rng, rows: int, cols: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class DenseNet:
-    """Feed-forward stack with tanh hidden layers and identity output."""
+    """Feed-forward stack with tanh hidden layers and identity output.
+
+    Each layer's keys and ``(w, b)`` arrays are bound once, at
+    construction, in ``_layers``, which ``forward`` and ``backward`` walk
+    with no per-layer key formatting. The arrays are the ``param_dict()``
+    values themselves, so every in-place write (Adam, ``assign_params``,
+    DQN's target sync) is what the next pass reads; a value must be
+    written into the dict's array, never rebound to a new one.
+    """
 
     def __init__(self, sizes, rng):
         if len(sizes) < 2:
@@ -60,10 +75,9 @@ class DenseNet:
         for k in range(len(sizes) - 1):
             self._params[f"w{k}"] = fan_in_uniform(rng, sizes[k], (sizes[k], sizes[k + 1]))
             self._params[f"b{k}"] = np.zeros(sizes[k + 1])
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.sizes) - 1
+        self._layers = [(f"w{k}", f"b{k}", self._params[f"w{k}"], self._params[f"b{k}"])
+                        for k in range(len(sizes) - 1)]
+        self._hidden = self._layers[:-1]
 
     def param_dict(self):
         return self._params
@@ -71,27 +85,34 @@ class DenseNet:
     def forward(self, x):
         """x: (batch, in) or (in,). Returns (output, cache)."""
         squeeze = x.ndim == 1
-        h = np.atleast_2d(np.asarray(x, dtype=float))
+        h = np.asarray(x, dtype=float)
+        if squeeze:
+            h = h[None]
         acts = [h]
-        for k in range(self.n_layers):
-            z = h @ self._params[f"w{k}"] + self._params[f"b{k}"]
-            h = np.tanh(z) if k < self.n_layers - 1 else z
+        for _, _, w, b in self._hidden:
+            h = np.tanh(h @ w + b)
             acts.append(h)
-        out = h[0] if squeeze else h
-        return out, (acts, squeeze)
+        _, _, w, b = self._layers[-1]
+        h = h @ w + b
+        acts.append(h)
+        return (h[0] if squeeze else h), (acts, squeeze)
 
     def backward(self, cache, grad_out):
         """grad_out matches forward output shape. Returns (grads, grad_x)."""
         acts, squeeze = cache
-        g = np.atleast_2d(np.asarray(grad_out, dtype=float))
+        g = np.asarray(grad_out, dtype=float)
+        if g.ndim == 1:
+            g = g[None]
         grads = {}
-        for k in range(self.n_layers - 1, -1, -1):
-            h_in, h_out = acts[k], acts[k + 1]
-            if k < self.n_layers - 1:
+        last = len(self._layers) - 1
+        for k in range(last, -1, -1):
+            wk, bk, w, _ = self._layers[k]
+            if k < last:
+                h_out = acts[k + 1]
                 g = g * (1.0 - h_out * h_out)    # through tanh
-            grads[f"w{k}"] = h_in.T @ g
-            grads[f"b{k}"] = g.sum(axis=0)
-            g = g @ self._params[f"w{k}"].T
+            grads[wk] = acts[k].T @ g
+            grads[bk] = g.sum(axis=0)
+            g = g @ w.T
         return grads, (g[0] if squeeze else g)
 
 
@@ -274,9 +295,23 @@ def log_softmax(logits):
 
 
 def categorical_sample(probs, rng):
-    """Inverse-CDF sample; probs (n,) -> int index."""
+    """Inverse-CDF sample; non-negative float64 probs (n,) -> int index.
+
+    One ``rng.random()`` draw ``u``, then one pass that adds the
+    probabilities left to right, as ``np.cumsum`` does, and returns the
+    first index whose running sum exceeds ``u``, or the last index when
+    none does: ``searchsorted(cumsum(probs), u, side="right")`` clipped to
+    [0, n-1], without its numpy call overhead on a handful of elements. A
+    NaN running sum counts as exceeding ``u``, as NaN sorts last for
+    ``searchsorted``.
+    """
     u = rng.random()
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
+    acc = 0.0
+    for i, p in enumerate(probs.tolist()):
+        acc += p
+        if not acc <= u:
+            return i
+    return len(probs) - 1
 
 
 # ---------------------------------------------------------------------------

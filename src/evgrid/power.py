@@ -12,6 +12,14 @@ two positions of each of the n-1 lines, so ``PowerNetwork`` precomputes
 those positions, their admittances and where they land in the PQ-reduced
 real Jacobian; each iteration then evaluates the entries elementwise in
 O(n) and scatters them into the matrix handed to the dense linear solve.
+That matrix is allocated once per solve: ``_jacobian`` rewrites the same
+structural positions in place each iteration, and the other entries stay
+zero. One mismatch vector [dP; dQ] serves both the convergence test and
+the right-hand side, and |V| is taken once per iteration for the Jacobian,
+the polar update and the returned magnitudes. What is left of a solve is
+mostly the dense LU in ``np.linalg.solve``: about three quarters of an
+ieee69 solve (0.14-0.16 ms of each of its ~4 iterations) and under half of
+an ieee33 one, with BLAS on one thread.
 
 Every solve starts flat (all voltages 1+0j). A warm start from the previous
 solution would save an iteration or two, but it would make a solution
@@ -225,10 +233,13 @@ def bus_injections(net: PowerNetwork, extra_load_kw=None):
     return (-(p_kw) - 1j * q_kvar) / net.s_base_kva
 
 
-def _jacobian(net: PowerNetwork, v: np.ndarray, i_bus: np.ndarray) -> np.ndarray:
-    """Real Jacobian of the PQ mismatches [dP; dQ] w.r.t. [theta_pq; |V|_pq].
+def _jacobian(net: PowerNetwork, v: np.ndarray, v_abs: np.ndarray,
+              i_bus: np.ndarray, jac: np.ndarray) -> None:
+    """Fill the real Jacobian ``jac`` (2m x 2m) of the PQ mismatches
+    [dP; dQ] w.r.t. [theta_pq; |V|_pq] in place; ``v_abs`` is ``np.abs(v)``.
 
-    Uses the complex-form derivatives of S = V conj(I), I = Ybus V:
+    Only the structural entries are written; the caller keeps the others
+    zero. Uses the complex-form derivatives of S = V conj(I), I = Ybus V:
     off the diagonal dS_i/dtheta_k = -j V_i conj(Y_ik V_k) and
     dS_i/d|V_k| = V_i conj(Y_ik V_k / |V_k|); the diagonal adds
     j V_i conj(I_i) and conj(I_i) V_i / |V_i| respectively.
@@ -238,15 +249,13 @@ def _jacobian(net: PowerNetwork, v: np.ndarray, i_bus: np.ndarray) -> np.ndarray
     yv = net._jac_y * v[cols]
     v_rows = v[rows]
     ds_dth = -1j * v_rows * np.conj(yv)
-    ds_dvm = v_rows * np.conj(yv / np.abs(v[cols]))
+    ds_dvm = v_rows * np.conj(yv / v_abs[cols])
     v_pq = v[pq]
     i_conj = np.conj(i_bus[pq])
     ds_dth[:m] += 1j * v_pq * i_conj
-    ds_dvm[:m] += i_conj * (v_pq / np.abs(v_pq))
-    jac = np.zeros(4 * m * m)
-    jac[net._jac_flat] = np.concatenate(
+    ds_dvm[:m] += i_conj * (v_pq / v_abs[pq])
+    jac.reshape(-1)[net._jac_flat] = np.concatenate(
         [ds_dth.real, ds_dvm.real, ds_dth.imag, ds_dvm.imag])
-    return jac.reshape(2 * m, 2 * m)
 
 
 def solve_power_flow(net: PowerNetwork, extra_load_kw=None,
@@ -254,26 +263,34 @@ def solve_power_flow(net: PowerNetwork, extra_load_kw=None,
     """Newton-Raphson solve from a flat start.
 
     Mismatch convergence is max |S_calc - S_spec| component-wise below
-    ``tol`` (per-unit). Raises PowerFlowError with the mismatch trace if the
-    iteration cap is hit.
+    ``tol`` (per-unit). Raises ValueError for a ``tol`` that is not a
+    positive finite number or a negative ``max_iter``, and PowerFlowError
+    with the mismatch trace if the iteration cap is hit.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     n = len(net.buses)
     s_spec = bus_injections(net, extra_load_kw)
     pq = net.pq_indices
+    m = len(pq)
     v = np.ones(n, dtype=complex)
+    jac = np.zeros((2 * m, 2 * m))
 
     trace = []
     for it in range(max_iter + 1):
         i_bus = net.ybus @ v
         s_calc = v * np.conj(i_bus)
-        dp = (s_calc.real - s_spec.real)[pq]
-        dq = (s_calc.imag - s_spec.imag)[pq]
-        max_mis = float(max(np.max(np.abs(dp)), np.max(np.abs(dq))))
+        mis = np.concatenate([(s_calc.real - s_spec.real)[pq],
+                              (s_calc.imag - s_spec.imag)[pq]])
+        max_mis = float(np.abs(mis).max())
         trace.append(max_mis)
+        v_abs = np.abs(v)
         if max_mis < tol:
             return PFSolution(
                 bus_ids=net.bus_ids,
-                v_mag=np.abs(v),
+                v_mag=v_abs,
                 v_ang=np.angle(v),
                 iterations=it,
                 max_mismatch_pu=max_mis,
@@ -281,19 +298,17 @@ def solve_power_flow(net: PowerNetwork, extra_load_kw=None,
         if it == max_iter:
             break
 
-        jac = _jacobian(net, v, i_bus)
-        rhs = -np.concatenate([dp, dq])
+        _jacobian(net, v, v_abs, i_bus, jac)
         try:
-            step = np.linalg.solve(jac, rhs)
+            step = np.linalg.solve(jac, -mis)
         except np.linalg.LinAlgError as exc:
             raise PowerFlowError(f"singular Jacobian at iteration {it}") from exc
 
-        m = len(pq)
         ang = np.angle(v)
-        mag = np.abs(v)
+        mag = v_abs             # the Jacobian is built; update in place
         ang[pq] += step[:m]
         mag[pq] += step[m:]
-        if np.any(mag <= 0):
+        if (mag <= 0).any():
             raise PowerFlowError(
                 f"voltage collapse (non-positive magnitude) at iteration {it}"
             )
@@ -301,7 +316,7 @@ def solve_power_flow(net: PowerNetwork, extra_load_kw=None,
 
     raise PowerFlowError(
         f"no convergence in {max_iter} iterations; mismatch trace: "
-        + ", ".join(f"{m:.3e}" for m in trace)
+        + ", ".join(f"{x:.3e}" for x in trace)
     )
 
 

@@ -43,6 +43,11 @@ from .traffic import RoadNetwork, Vehicle, load_road_network
 # Seconds between the env's load samples (one ``minute_log`` row each).
 SAMPLE_S = 60
 
+# libyaml's scanner and parser where PyYAML was built with them. The
+# constructor and resolver are PyYAML's Python ones either way, so both
+# loaders build the same document from the same text.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ScenarioError(ValueError):
     """Configuration that cannot be run."""
@@ -316,7 +321,7 @@ def _resolve_net(name, base_dir):
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: parse error: {exc}") from exc
     if not isinstance(doc, dict):

@@ -1,11 +1,14 @@
-"""The LSTM and forecaster fast paths against frozen copies of the code they
-replaced, bit for bit.
+"""The network, sampler, forecaster and power-flow fast paths against
+frozen copies of the code they replaced, bit for bit.
 
 The references below are the masked two-formula sigmoid, the LSTM
 forward/backward with one sigmoid call per gate and a concatenated ``dz``,
-and the minibatch gather that stacked the buffer's pairs per minibatch.
-Every comparison is on the int64 view of the float64 results, so a
-difference in the last bit, in the sign of a zero or in a NaN payload fails.
+the minibatch gather that stacked the buffer's pairs per minibatch, the
+dense forward/backward that looked each parameter up by a formatted key,
+the ``cumsum``/``searchsorted`` categorical sampler, and the Newton-Raphson
+solve that allocated a new Jacobian per iteration. Every comparison is on
+the int64 view of the float64 results, so a difference in the last bit, in
+the sign of a zero or in a NaN payload fails.
 """
 
 import numpy as np
@@ -15,9 +18,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import evgrid
-from evgrid.nn import LSTM, _sigmoid
+from evgrid.nn import LSTM, DenseNet, _sigmoid, categorical_sample
+from evgrid.power import (PFSolution, PowerFlowError, bus_injections,
+                          load_power_network, solve_power_flow)
 from evgrid.predictor import PredictorBuffer, Seq2SeqForecaster, _gather
 from evgrid.scenario import load_scenario
+
+from test_power import _shuffled_radial
 
 FAST = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -127,6 +134,97 @@ def ref_lstm_backward(net, cache, grad_outputs, grad_state=None):
                     dx = dx * masks[layer - 1, t]
                 dx_up = dx
     return grads, grad_inputs, (dh_next, dc_next)
+
+
+def ref_dense_forward(net, x):
+    params = net.param_dict()
+    n_layers = len(net.sizes) - 1
+    squeeze = x.ndim == 1
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    acts = [h]
+    for k in range(n_layers):
+        z = h @ params[f"w{k}"] + params[f"b{k}"]
+        h = np.tanh(z) if k < n_layers - 1 else z
+        acts.append(h)
+    out = h[0] if squeeze else h
+    return out, (acts, squeeze)
+
+
+def ref_dense_backward(net, cache, grad_out):
+    params = net.param_dict()
+    n_layers = len(net.sizes) - 1
+    acts, squeeze = cache
+    g = np.atleast_2d(np.asarray(grad_out, dtype=float))
+    grads = {}
+    for k in range(n_layers - 1, -1, -1):
+        h_in, h_out = acts[k], acts[k + 1]
+        if k < n_layers - 1:
+            g = g * (1.0 - h_out * h_out)
+        grads[f"w{k}"] = h_in.T @ g
+        grads[f"b{k}"] = g.sum(axis=0)
+        g = g @ params[f"w{k}"].T
+    return grads, (g[0] if squeeze else g)
+
+
+def ref_categorical_sample(probs, rng):
+    u = rng.random()
+    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
+
+
+def ref_jacobian(net, v, i_bus):
+    rows, cols, pq = net._jac_rows, net._jac_cols, net.pq_indices
+    m = len(pq)
+    yv = net._jac_y * v[cols]
+    v_rows = v[rows]
+    ds_dth = -1j * v_rows * np.conj(yv)
+    ds_dvm = v_rows * np.conj(yv / np.abs(v[cols]))
+    v_pq = v[pq]
+    i_conj = np.conj(i_bus[pq])
+    ds_dth[:m] += 1j * v_pq * i_conj
+    ds_dvm[:m] += i_conj * (v_pq / np.abs(v_pq))
+    jac = np.zeros(4 * m * m)
+    jac[net._jac_flat] = np.concatenate(
+        [ds_dth.real, ds_dvm.real, ds_dth.imag, ds_dvm.imag])
+    return jac.reshape(2 * m, 2 * m)
+
+
+def ref_solve_power_flow(net, extra_load_kw=None, tol=1e-8, max_iter=30):
+    n = len(net.buses)
+    s_spec = bus_injections(net, extra_load_kw)
+    pq = net.pq_indices
+    v = np.ones(n, dtype=complex)
+    trace = []
+    for it in range(max_iter + 1):
+        i_bus = net.ybus @ v
+        s_calc = v * np.conj(i_bus)
+        dp = (s_calc.real - s_spec.real)[pq]
+        dq = (s_calc.imag - s_spec.imag)[pq]
+        max_mis = float(max(np.max(np.abs(dp)), np.max(np.abs(dq))))
+        trace.append(max_mis)
+        if max_mis < tol:
+            return PFSolution(bus_ids=net.bus_ids, v_mag=np.abs(v),
+                              v_ang=np.angle(v), iterations=it,
+                              max_mismatch_pu=max_mis)
+        if it == max_iter:
+            break
+        jac = ref_jacobian(net, v, i_bus)
+        rhs = -np.concatenate([dp, dq])
+        try:
+            step = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise PowerFlowError(f"singular Jacobian at iteration {it}") from exc
+        m = len(pq)
+        ang = np.angle(v)
+        mag = np.abs(v)
+        ang[pq] += step[:m]
+        mag[pq] += step[m:]
+        if np.any(mag <= 0):
+            raise PowerFlowError(
+                f"voltage collapse (non-positive magnitude) at iteration {it}")
+        v = mag * np.exp(1j * ang)
+    raise PowerFlowError(
+        f"no convergence in {max_iter} iterations; mismatch trace: "
+        + ", ".join(f"{m:.3e}" for m in trace))
 
 
 def ref_gather(pairs, idx):
@@ -312,3 +410,186 @@ def test_train_step_matches_reference(scenario, iters):
         y, _ = ref.head.forward(out[0])
         assert same_bits(preds[j], y[0])
         x = y[None, :, :]
+
+
+# ---------------------------------------------------------------------------
+# dense stack
+# ---------------------------------------------------------------------------
+
+def _dense_case(seed):
+    rng = np.random.default_rng(seed)
+    sizes = [int(k) for k in rng.integers(1, 13, size=rng.integers(2, 6))]
+    net = DenseNet(sizes, np.random.default_rng(seed + 1))
+    for p in net.param_dict().values():     # trained-looking, non-zero biases
+        p += rng.normal(scale=0.5, size=p.shape)
+    batch = int(rng.integers(1, 9))
+    x2 = rng.normal(scale=2.0, size=(batch, sizes[0]))
+    g2 = rng.normal(size=(batch, sizes[-1]))
+    return net, ((x2[0], g2[0]), (x2, g2))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dense_matches_reference(seed):
+    net, cases = _dense_case(seed)
+    for x, grad_out in cases:
+        out, (acts, squeeze) = net.forward(x)
+        r_out, (r_acts, r_squeeze) = ref_dense_forward(net, x)
+        assert same_bits(out, r_out) and squeeze == r_squeeze
+        assert len(acts) == len(r_acts)
+        assert all(same_bits(a, r) for a, r in zip(acts, r_acts))
+        grads, grad_x = net.backward((acts, squeeze), grad_out)
+        r_grads, r_grad_x = ref_dense_backward(net, (r_acts, r_squeeze),
+                                               grad_out)
+        assert list(grads) == list(r_grads)
+        assert all(same_bits(grads[k], r_grads[k]) for k in grads)
+        assert same_bits(grad_x, r_grad_x)
+
+
+def test_dense_reads_its_parameters_live():
+    """A write into ``param_dict()``'s arrays is what the next pass reads."""
+    net = DenseNet([3, 4, 2], np.random.default_rng(0))
+    x = np.array([0.5, -1.0, 2.0])
+    before, _ = net.forward(x)
+    params = net.param_dict()
+    assert list(params) == ["w0", "b0", "w1", "b1"]
+    params["w1"][...] = 0.0
+    params["b1"][...] = [7.0, -3.0]
+    out, cache = net.forward(x)
+    assert not np.array_equal(out, before)
+    assert same_bits(out, np.array([7.0, -3.0]))
+    params["w1"][0, 1] = 2.0
+    out, cache = net.forward(x)
+    r_out, _ = ref_dense_forward(net, x)
+    assert same_bits(out, r_out) and out[1] != -3.0
+    _, grad_x = net.backward(cache, np.array([0.0, 1.0]))
+    _, r_grad_x = ref_dense_backward(net, ref_dense_forward(net, x)[1],
+                                     np.array([0.0, 1.0]))
+    assert same_bits(grad_x, r_grad_x) and np.any(grad_x != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# categorical sampler
+# ---------------------------------------------------------------------------
+
+class FixedDraw:
+    """An rng stub whose every ``random()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
+def _probability_vectors(rng, count):
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        kind = i % 5
+        if kind == 0:
+            p = rng.dirichlet(np.ones(n))
+        elif kind == 1:                     # one-hot
+            p = np.zeros(n)
+            p[rng.integers(n)] = 1.0
+        elif kind == 2:                     # near-degenerate
+            p = rng.random(n) * 1e-12
+            p[rng.integers(n)] = 1.0 - p.sum()
+        elif kind == 3:                     # as the agents make them
+            z = rng.normal(scale=rng.choice([0.1, 3.0, 40.0]), size=n)
+            z = z - z.max()
+            p = np.exp(z - np.log(np.exp(z).sum()))
+        else:                               # sums a few ulps off 1
+            p = rng.dirichlet(np.ones(n)) * (1.0 + rng.integers(-4, 5) * 1e-16)
+        yield p
+
+
+def test_sampler_matches_searchsorted_on_random_vectors():
+    data = np.random.default_rng(11)
+    for k, p in enumerate(_probability_vectors(data, 12_000)):
+        r1 = np.random.default_rng(k)
+        r2 = np.random.default_rng(k)
+        assert categorical_sample(p, r1) == ref_categorical_sample(p, r2)
+        assert r1.bit_generator.state == r2.bit_generator.state   # one draw
+
+
+def test_sampler_matches_searchsorted_on_cumulative_boundaries():
+    """``u`` exactly on each running sum, one ulp either side of it, and at
+    or past the last sum (where both pick the last index). A NaN running sum
+    is no draw an rng makes, so it is left out as a ``u``."""
+    data = np.random.default_rng(12)
+    vectors = list(_probability_vectors(data, 500))
+    vectors += [np.array([0.25, 0.25, 0.5]), np.array([0.0, 0.0, 1.0]),
+                np.array([0.5, 0.0, 0.0, 0.5]), np.array([0.1] * 3),
+                np.array([np.nan, 0.5]), np.array([0.5, np.nan, 0.5]),
+                np.array([0.0, np.inf])]
+    for p in vectors:
+        cum = np.cumsum(p)
+        draws = [0.0, 1.0 - 2.0 ** -53, cum[-1], cum[-1] + 1.0]
+        for c in cum:
+            draws += [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)]
+        for u in (u for u in draws if not np.isnan(u)):
+            stub, ref = FixedDraw(float(u)), FixedDraw(float(u))
+            assert categorical_sample(p, stub) == ref_categorical_sample(p, ref)
+            assert stub.calls == 1
+
+
+# ---------------------------------------------------------------------------
+# power flow
+# ---------------------------------------------------------------------------
+
+def _same_solve(net, loads, **kw):
+    """Both solvers on one case: equal bits, or equal errors."""
+    try:
+        want = ref_solve_power_flow(net, loads, **kw)
+    except PowerFlowError as exc:
+        with pytest.raises(type(exc)) as got:
+            solve_power_flow(net, loads, **kw)
+        assert str(got.value) == str(exc)
+        return None
+    sol = solve_power_flow(net, loads, **kw)
+    assert same_bits(sol.v_mag, want.v_mag)
+    assert same_bits(sol.v_ang, want.v_ang)
+    assert sol.iterations == want.iterations
+    assert same_bits(np.float64(sol.max_mismatch_pu),
+                     np.float64(want.max_mismatch_pu))
+    assert sol.bus_ids == want.bus_ids
+    return sol
+
+
+def _station_loads(net, rng, scale):
+    pq = [b.bus_id for b in net.buses if b.kind == "pq"]
+    buses = rng.choice(pq, size=min(5, len(pq)), replace=False)
+    return {int(b): float(rng.uniform(0.0, scale)) for b in buses}
+
+
+@pytest.mark.parametrize("feeder", ["ieee33", "ieee69", "shuffled"])
+def test_power_flow_matches_reference(feeder):
+    rng = np.random.default_rng(31)
+    solved = 0
+    for k in range(25):
+        if feeder == "shuffled":
+            net, _, _ = _shuffled_radial(rng, int(rng.integers(2, 45)))
+        elif k == 0:
+            net = load_power_network(evgrid.DATA_DIR / feeder)
+        loads = None if k == 0 else _station_loads(net, rng, 1500.0)
+        solved += _same_solve(net, loads) is not None
+        _same_solve(net, loads, max_iter=2)     # the trace of a short cap
+    assert solved == 25
+
+
+@pytest.mark.parametrize("feeder", ["ieee33", "ieee69", "shuffled"])
+def test_power_flow_failures_match_reference(feeder):
+    """Loads no solve can carry: the same error type and message, mismatch
+    trace included."""
+    rng = np.random.default_rng(32)
+    if feeder == "shuffled":
+        net, _, _ = _shuffled_radial(rng, 30)
+    else:
+        net = load_power_network(evgrid.DATA_DIR / feeder)
+    failed = 0
+    for scale in (3e4, 1e5, 1e6, 1e8):
+        loads = {b.bus_id: scale * float(rng.random())
+                 for b in net.buses if b.kind == "pq"}
+        failed += _same_solve(net, loads) is None
+    assert failed >= 3

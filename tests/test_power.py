@@ -177,7 +177,8 @@ def test_jacobian_matches_central_differences(feeder):
     m = len(net.pq_indices)
     x = np.concatenate([rng.uniform(-0.05, 0.05, m), rng.uniform(0.9, 1.05, m)])
     v = _voltages(net, x)
-    jac = _jacobian(net, v, net.ybus @ v)
+    jac = np.zeros((2 * m, 2 * m))
+    _jacobian(net, v, np.abs(v), net.ybus @ v, jac)
     h = 1e-6
     fd = np.empty((2 * m, 2 * m))
     for k in range(2 * m):
@@ -296,6 +297,26 @@ def test_nonconvergence_raises_with_trace():
     extra = {b.bus_id: 1e6 for b in net.buses if b.kind == "pq"}
     with pytest.raises(PowerFlowError):
         solve_power_flow(net, extra_load_kw=extra)
+
+
+@pytest.mark.parametrize("kw,error", [
+    ({"tol": np.nan}, "tol must be a positive finite number, got nan"),
+    ({"tol": 0.0}, "tol must be a positive finite number, got 0.0"),
+    ({"tol": -1e-8}, "tol must be a positive finite number, got -1e-08"),
+    ({"tol": np.inf}, "tol must be a positive finite number, got inf"),
+    ({"max_iter": -1}, "max_iter must be >= 0, got -1"),
+])
+def test_bad_solver_settings_rejected_before_solving(kw, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        solve_power_flow(_net33(), **kw)
+
+
+def test_zero_iteration_cap_checks_the_flat_start_only():
+    net = _net33()
+    with pytest.raises(PowerFlowError, match=r"no convergence in 0 iterations; "
+                       r"mismatch trace: \d\.\d{3}e-\d\d$"):
+        solve_power_flow(net, max_iter=0)
+    assert solve_power_flow(net, tol=1.0, max_iter=0).iterations == 0
 
 
 def test_missing_base_header_rejected(tmp_path):

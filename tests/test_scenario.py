@@ -3,12 +3,15 @@
 import json
 import re
 from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import evgrid
-from evgrid.harness import main
+import evgrid.scenario as scenario_module
+from evgrid.harness import config_hash, main
 from evgrid.scenario import (
     BatteryParams,
     DemandSpec,
@@ -271,6 +274,58 @@ def test_cross_section_rules_hold_for_configs_built_in_code(tmp_path,
 def test_parse_error_reports_location(tmp_path):
     with pytest.raises(ScenarioError, match="parse error"):
         load_scenario(_write(tmp_path, "stations: [\n"))
+
+
+PERFBENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+
+LOADER_EDGE_CASES = [
+    MINIMAL.replace("name: mini", 'name: "3.5"'),       # a quoted number
+    MINIMAL.replace("name: mini", "name: 1e3"),         # a string in YAML 1.1
+    MINIMAL.replace("seed: 3", "seed: 1_000")
+    + "training: {lr: 3.0e-4, hidden: [48, 24]}\n",
+    MINIMAL + "demand: {od_mode: table, od_table: [[1, 2, 2.0], [4, 3, 1]]}\n",
+    MINIMAL + "demand: {rate_veh_per_h: 1e3}\n",        # rejected: a string
+    MINIMAL + "demand: {rate_veh_per_h: '600'}\n",      # rejected: quoted
+]
+
+
+def _load_with(loader, path, monkeypatch):
+    """The config's settings and hash under ``loader``, or its error."""
+    monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+    try:
+        cfg = load_scenario(path)
+    except ScenarioError as exc:
+        return type(exc), str(exc)
+    settings = [(f.name, getattr(cfg, f.name)) for f in fields(cfg)
+                if f.name not in ("road_net", "power_net")]
+    return repr(settings), config_hash(cfg)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML was built without libyaml (no CSafeLoader)")
+def test_libyaml_and_python_loaders_give_the_same_configs(tmp_path,
+                                                          monkeypatch):
+    assert scenario_module._YAML_LOADER is yaml.CSafeLoader
+    paths = [evgrid.DATA_DIR / "case_a.yaml", evgrid.DATA_DIR / "reduced.yaml",
+             PERFBENCH_SCENARIOS / "case_a_ieee69.yaml"]
+    paths += [_write(tmp_path, text, name=f"edge{i}.yaml")
+              for i, text in enumerate(LOADER_EDGE_CASES)]
+    results = []
+    for path in paths:
+        c = _load_with(yaml.CSafeLoader, path, monkeypatch)
+        py = _load_with(yaml.SafeLoader, path, monkeypatch)
+        assert c == py, path
+        results.append(c)
+    assert "'3.5'" in results[3][0] and "'1e3'" in results[4][0]
+    assert "('seed', 1000)" in results[5][0] and "0.0003" in results[5][0]
+    assert "((1, 2, 2.0), (4, 3, 1))" in results[6][0]
+    assert results[-2][1].endswith("got '1e3'")
+    assert results[-1][1].endswith("got '600'")
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        bad = _write(tmp_path, "stations: [\n", name="bad.yaml")
+        with pytest.raises(ScenarioError, match=re.escape(f"{bad}: parse error")):
+            load_scenario(bad)
 
 
 def test_trip_counts_and_spacing():

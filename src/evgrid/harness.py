@@ -9,9 +9,10 @@ Output conventions: ``metrics.csv`` and ``summary.csv`` carry only
 simulation-derived quantities and are byte-identical across re-runs;
 wall-clock figures live in ``timing.csv``, next to each episode's simulated
 ticks, how many of them were crossed without a per-tick pass (see
-``CouplingEnv._skip``), and its power-flow lookups, solves and the
-solves' Newton-Raphson iterations, which depend on what earlier runs on
-the feeder left in its memo (see ``CouplingEnv._power_flow``). Every run
+``CouplingEnv._skip``), its power-flow lookups, solves and the solves'
+Newton-Raphson iterations, which depend on what earlier runs on the
+feeder left in its memo (see ``CouplingEnv._power_flow``), and how many
+vehicles completed their trips and how many EVs were stranded. Every run
 directory gets a ``manifest.json`` with the seeds, build info and
 ``config_hash`` of the effective config, which covers every setting,
 defaults included, and both networks' tables.
@@ -71,6 +72,8 @@ class MetricsRecord:
     pf_lookups: int             # in timing.csv only, as pf_solves depends
     pf_solves: int              # on what the feeder's memo already held
     pf_iterations: int          # NR iterations of the episode's solves
+    n_completed: int            # vehicles that finished their trips and
+    n_stranded: int             # EVs that ran flat, in timing.csv only
 
     def __post_init__(self):
         for name in ("ttt_s", "cvv", "wct_min", "et_s", "dt_mean_s"):
@@ -154,9 +157,11 @@ def write_metrics(out, records):
               ["method", "seed", "ttt_s", "cvv", "wct_min"], rows)
     write_csv(Path(out) / "timing.csv",
               ["method", "seed", "et_s", "dt_mean_s", "ticks",
-               "ticks_coasted", "pf_lookups", "pf_solves", "pf_iterations"],
+               "ticks_coasted", "pf_lookups", "pf_solves", "pf_iterations",
+               "n_completed", "n_stranded"],
               [(r.method, r.seed, repr(r.et_s), repr(r.dt_mean_s), r.ticks,
-                r.ticks_coasted, r.pf_lookups, r.pf_solves, r.pf_iterations)
+                r.ticks_coasted, r.pf_lookups, r.pf_solves, r.pf_iterations,
+                r.n_completed, r.n_stranded)
                for r in records])
 
 
@@ -333,7 +338,8 @@ def _record(method, seed, m, et_s):
     """The MetricsRecord of one evaluated episode's EpisodeMetrics ``m``."""
     return MetricsRecord(method, seed, m.ttt_s, m.cvv, m.wct_min, et_s,
                          m.dt_mean_s, m.ticks, m.ticks_coasted, m.pf_lookups,
-                         m.pf_solves, m.pf_iterations)
+                         m.pf_solves, m.pf_iterations, m.n_completed,
+                         m.n_stranded)
 
 
 def run_train(cfg, method, seeds, out, trace=False, progress=None):

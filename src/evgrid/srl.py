@@ -30,7 +30,8 @@ import numpy as np
 
 from .env import CouplingEnv, EnvError, EpisodeMetrics
 from .nn import (Adam, DenseNet, assign_params, categorical_sample,
-                 load_params, log_softmax, prefixed, save_params)
+                 load_params, log_softmax, log_softmax_1d, prefixed,
+                 save_params, stack_layers)
 from .power import PowerFlowError
 from .predictor import OnlinePredictor
 from .scenario import ScenarioConfig, TrainConfig
@@ -169,6 +170,18 @@ class LagrangePPOAgent:
 
     With ``constrained=False`` the cost critic and multiplier stay frozen
     and the agent is plain reward-only PPO.
+
+    The three nets share their hidden widths, so ``act`` runs them as one:
+    each hidden layer lives in a ``(3, in, out)`` stack (actor, reward
+    critic, cost critic) and the critics' output layers in a ``(2, h, 1)``
+    one (``nn.stack_layers``), and a decision makes one matmul, add and
+    tanh per hidden layer, the actor's head on slice 0 and one matmul for
+    both values. Every product is the one ``DenseNet.forward`` makes, so
+    the outputs keep their bits. The nets' ``param_dict()`` arrays are
+    views of the stacks, which ``ppo_update``, ``act_greedy``, Adam and
+    checkpoints use as before. ``copy.deepcopy`` and pickle copy each view
+    on its own, so they would part the nets from the stacks; a copy goes
+    through ``save_checkpoint`` and ``load_checkpoint``.
     """
 
     def __init__(self, state_dim, n_actions, tc: TrainConfig, rng,
@@ -177,6 +190,9 @@ class LagrangePPOAgent:
         self.actor = DenseNet([state_dim, *hidden, n_actions], rng)
         self.critic_r = DenseNet([state_dim, *hidden, 1], rng)
         self.critic_c = DenseNet([state_dim, *hidden, 1], rng)
+        nets = (self.actor, self.critic_r, self.critic_c)
+        self._hidden = [stack_layers(nets, k) for k in range(len(hidden))]
+        self._values = stack_layers(nets[1:], len(hidden))
         self.state_dim = state_dim
         self.n_actions = n_actions
         self.tc = tc
@@ -188,13 +204,16 @@ class LagrangePPOAgent:
 
     def act(self, state, rng):
         """Sample an action; returns (action, logp, V_r, V_c)."""
-        s = np.asarray(state, dtype=float)
-        logits, _ = self.actor.forward(s)
-        lp = log_softmax(logits)
+        h = np.asarray(state, dtype=float)[None]        # (1, d), shared
+        for w, b in self._hidden:
+            h = np.tanh(np.matmul(h, w) + b)            # (3, 1, width)
+        h_actor, h_values = (h[0], h[1:]) if self._hidden else (h, h)
+        _, _, w, b = self.actor._layers[-1]
+        lp = log_softmax_1d((h_actor @ w + b)[0])
         a = categorical_sample(np.exp(lp), rng)
-        vr = float(self.critic_r.forward(s)[0][0])
-        vc = float(self.critic_c.forward(s)[0][0])
-        return a, float(lp[a]), vr, vc
+        w, b = self._values
+        v = np.matmul(h_values, w) + b                  # (2, 1, 1)
+        return a, float(lp[a]), float(v[0, 0, 0]), float(v[1, 0, 0])
 
     def act_greedy(self, state) -> int:
         logits, _ = self.actor.forward(np.asarray(state, dtype=float))
@@ -302,7 +321,7 @@ class PolicyGradientAgent:
 
     def act(self, state, rng) -> int:
         logits, _ = self.actor.forward(np.asarray(state, dtype=float))
-        return categorical_sample(np.exp(log_softmax(logits)), rng)
+        return categorical_sample(np.exp(log_softmax_1d(logits)), rng)
 
     act_greedy = LagrangePPOAgent.act_greedy
 

@@ -5,11 +5,15 @@ The references below are the masked two-formula sigmoid, the LSTM
 forward/backward with one sigmoid call per gate and a concatenated ``dz``,
 the minibatch gather that stacked the buffer's pairs per minibatch, the
 dense forward/backward that looked each parameter up by a formatted key,
-the ``cumsum``/``searchsorted`` categorical sampler, and the Newton-Raphson
-solve that allocated a new Jacobian per iteration. Every comparison is on
-the int64 view of the float64 results, so a difference in the last bit, in
-the sign of a zero or in a NaN payload fails.
+the ``cumsum``/``searchsorted`` categorical sampler, the ``keepdims``
+log-softmax, the constrained agent's decision as three separate dense
+forwards on standalone parameter arrays, and the Newton-Raphson solve that
+allocated a new Jacobian per iteration. Every comparison is on the int64
+view of the float64 results, so a difference in the last bit, in the sign
+of a zero or in a NaN payload fails.
 """
+
+import types
 
 import numpy as np
 import pytest
@@ -18,11 +22,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import evgrid
-from evgrid.nn import LSTM, DenseNet, _sigmoid, categorical_sample
+from evgrid.nn import (LSTM, DenseNet, _sigmoid, assign_params,
+                       categorical_sample, log_softmax, log_softmax_1d)
 from evgrid.power import (PFSolution, PowerFlowError, bus_injections,
                           load_power_network, solve_power_flow)
 from evgrid.predictor import PredictorBuffer, Seq2SeqForecaster, _gather
-from evgrid.scenario import load_scenario
+from evgrid.scenario import TrainConfig, load_scenario
+from evgrid.srl import (EpisodeData, LagrangePPOAgent, load_checkpoint,
+                        ppo_update, save_checkpoint)
 
 from test_power import _shuffled_radial
 
@@ -169,6 +176,30 @@ def ref_dense_backward(net, cache, grad_out):
 def ref_categorical_sample(probs, rng):
     u = rng.random()
     return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
+
+
+def ref_log_softmax(logits):
+    z = np.asarray(logits, dtype=float)
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _standalone(net):
+    """``net``'s sizes and fresh copies of its parameters, which
+    ``ref_dense_forward`` reads like a net whose arrays are no stack's
+    slices."""
+    params = {k: v.copy() for k, v in net.param_dict().items()}
+    return types.SimpleNamespace(sizes=net.sizes, param_dict=lambda: params)
+
+
+def ref_act(agent, state, rng):
+    s = np.asarray(state, dtype=float)
+    logits, _ = ref_dense_forward(_standalone(agent.actor), s)
+    lp = ref_log_softmax(logits)
+    a = ref_categorical_sample(np.exp(lp), rng)
+    vr = float(ref_dense_forward(_standalone(agent.critic_r), s)[0][0])
+    vc = float(ref_dense_forward(_standalone(agent.critic_c), s)[0][0])
+    return a, float(lp[a]), vr, vc
 
 
 def ref_jacobian(net, v, i_bus):
@@ -532,6 +563,188 @@ def test_sampler_matches_searchsorted_on_cumulative_boundaries():
             stub, ref = FixedDraw(float(u)), FixedDraw(float(u))
             assert categorical_sample(p, stub) == ref_categorical_sample(p, ref)
             assert stub.calls == 1
+
+
+# ---------------------------------------------------------------------------
+# log-softmax
+# ---------------------------------------------------------------------------
+
+def test_log_softmax_special_values():
+    """Ties, infinities, NaN (with a payload) and magnitudes up to 1e300,
+    in rows of one to four, through the 1-D form and the 2-D form."""
+    payload_nan = np.array([0x7FF0000000000123], dtype=np.int64).view(float)[0]
+    rows = [[0.0], [-0.0], [np.inf], [-np.inf], [np.nan], [1e300],
+            [1.0, 1.0], [2.0, -1.0, 2.0], [0.0, -0.0], [-5.0] * 4,
+            [np.inf, 0.0], [-np.inf, 1.0], [-np.inf, -np.inf], [np.inf, np.inf],
+            [np.inf, -np.inf, 0.0], [np.nan, 1.0], [1.0, payload_nan],
+            [-payload_nan, np.inf], [1e300, -1e300], [1e300, 1e300, 0.0],
+            [-1e300, 3.0], [1.7e308, -1.7e308], [SUB, -SUB, TINY],
+            [745.0, -745.0, 0.0, 709.0], [1e-300, 2e-300]]
+    with np.errstate(all="ignore"):
+        for row in rows:
+            x = np.array(row)
+            assert same_bits(log_softmax_1d(x), ref_log_softmax(x)), row
+            assert same_bits(log_softmax(x), ref_log_softmax(x)), row
+        grid = np.array([r + [0.0] * (4 - len(r)) for r in rows])
+        assert same_bits(log_softmax(grid), ref_log_softmax(grid))
+
+
+def test_log_softmax_matches_reference_on_random_rows():
+    rng = np.random.default_rng(13)
+    for k in range(3000):
+        n = int(rng.integers(1, 10))
+        scale = 10.0 ** float(rng.uniform(-3, 300)) if k % 3 == 0 \
+            else float(rng.choice([1e-3, 1.0, 40.0, 1e3]))
+        x = rng.normal(scale=scale, size=n)
+        if k % 7 == 0:
+            x[rng.integers(n)] = x.max()        # a tie at the maximum
+        assert same_bits(log_softmax_1d(x), ref_log_softmax(x))
+    for rows in (1, 5, 64):
+        x = rng.normal(scale=30.0, size=(rows, 7))
+        assert same_bits(log_softmax(x), ref_log_softmax(x))
+
+
+@FAST
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                               max_side=12),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+def test_log_softmax_matches_reference(x):
+    with np.errstate(all="ignore"):
+        want = ref_log_softmax(x)
+        assert same_bits(log_softmax(x), want)
+        if x.ndim == 1:
+            assert same_bits(log_softmax_1d(x), want)
+
+
+# ---------------------------------------------------------------------------
+# stacked decision path
+# ---------------------------------------------------------------------------
+
+HIDDEN = [(), (8,), (8, 8), (48, 24), (64, 64)]
+
+
+def _agent(hidden, state_dim, n_actions, seed):
+    agent = LagrangePPOAgent(state_dim, n_actions, TrainConfig(hidden=hidden),
+                             np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for p in agent.param_dict().values():   # trained-looking, non-zero biases
+        p += rng.normal(scale=0.3, size=p.shape)
+    return agent
+
+
+def _assert_act_matches(agent, states, seed):
+    """``act`` against ``ref_act`` on each state: the action, the bits of
+    its log-prob and both values, and the rng state after the draw."""
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    for s in states:
+        a, lp, vr, vc = agent.act(s, r1)
+        ra, rlp, rvr, rvc = ref_act(agent, s, r2)
+        assert a == ra
+        assert all(same_bits(np.float64(x), np.float64(y))
+                   for x, y in ((lp, rlp), (vr, rvr), (vc, rvc)))
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+
+@pytest.mark.parametrize("hidden", HIDDEN)
+def test_stacked_act_matches_three_forwards(hidden):
+    rng = np.random.default_rng(len(hidden) * 100 + sum(hidden))
+    for dim in (1, 2, 7, 17, 42, 64, 65, 97, 120):
+        agent = _agent(hidden, dim, int(rng.integers(1, 10)), dim)
+        for scale in (1e-3, 1.0, 1e3):
+            _assert_act_matches(agent, rng.normal(scale=scale, size=(8, dim)),
+                                dim)
+
+
+def test_stacked_layers_are_the_nets_parameters():
+    """Each net's ``param_dict()`` keeps its keys and order, and its
+    entries share memory with the stacks ``act`` reads."""
+    agent = _agent((8, 8), 5, 3, 0)
+    keys = ["w0", "b0", "w1", "b1", "w2", "b2"]
+    nets = (agent.actor, agent.critic_r, agent.critic_c)
+    assert all(list(net.param_dict()) == keys for net in nets)
+    for k, (w, b) in enumerate(agent._hidden):
+        assert w.shape == (3, *agent.actor.param_dict()[f"w{k}"].shape)
+        assert b.shape == (3, 1, 8)
+        for i, net in enumerate(nets):
+            assert np.shares_memory(net.param_dict()[f"w{k}"], w[i])
+            assert np.shares_memory(net.param_dict()[f"b{k}"], b[i])
+    w, b = agent._values
+    assert w.shape == (2, 8, 1) and b.shape == (2, 1, 1)
+    for i, net in enumerate(nets[1:]):
+        assert np.shares_memory(net.param_dict()["w2"], w[i])
+
+
+def _episode(agent, states, rng):
+    acts = [agent.act(s, rng) for s in states]
+    a, lp, vr, vc = (np.array(col) for col in zip(*acts))
+    return EpisodeData(states, a.astype(int), lp, rng.normal(size=len(a)),
+                       np.abs(rng.normal(size=len(a))), vr, vc, None)
+
+
+def test_stacked_act_reads_updated_parameters(tmp_path):
+    """After Adam steps (``ppo_update``), ``assign_params`` and
+    ``load_checkpoint``, ``act`` still equals three forwards on the updated
+    nets: the stacks and the nets' parameters are one set of arrays."""
+    tc = TrainConfig(hidden=(48, 24), iters_per_epoch=3, lr=0.01)
+    agent = LagrangePPOAgent(6, 4, tc, np.random.default_rng(40))
+    agent.tag = {"method": 1, "state_dim": 6, "action_dim": 4, "pad_width": 0}
+    rng = np.random.default_rng(41)
+    states = rng.normal(size=(30, 6))
+    before = [agent.act(s, np.random.default_rng(0))[1:] for s in states]
+
+    ppo_update(agent, [_episode(agent, states[k::3], rng) for k in range(3)],
+               rng)
+    _assert_act_matches(agent, states, 1)
+    after = [agent.act(s, np.random.default_rng(0))[1:] for s in states]
+    assert after != before
+
+    assign_params(agent.param_dict(),
+                  {k: rng.normal(scale=0.5, size=v.shape)
+                   for k, v in agent.param_dict().items()})
+    _assert_act_matches(agent, states, 2)
+
+    save_checkpoint(tmp_path / "agent.bin", agent)
+    fresh = LagrangePPOAgent(6, 4, tc, np.random.default_rng(42))
+    fresh.tag = agent.tag
+    load_checkpoint(tmp_path / "agent.bin", fresh)
+    _assert_act_matches(fresh, states, 3)
+    assert [fresh.act(s, np.random.default_rng(0)) for s in states] \
+        == [agent.act(s, np.random.default_rng(0)) for s in states]
+
+
+def test_stacked_matmul_is_the_per_slice_product():
+    """The assumption the stacked ``act`` rests on: ``np.matmul`` over a
+    ``(k, n, m)`` stack makes, for every slice, the product a standalone
+    2-D array gives, on the agent's shapes (one row broadcast or stacked,
+    hidden and output layers, no hidden layer) and on the 64-row minibatch
+    products ``ppo_update`` makes with the slices as weights."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    why = (f"numpy {np.__version__} with {blas.get('name')} "
+           f"{blas.get('version')} gives a stacked np.matmul slice other bits "
+           f"than the standalone 2-D product; LagrangePPOAgent.act assumes "
+           f"numpy.matmul makes the same BLAS call per 2-D slice, so its "
+           f"outputs would move")
+    rng = np.random.default_rng(50)
+    for dim in (1, 2, 17, 42, 64, 65, 120, 137):
+        for hidden in HIDDEN:
+            sizes = [dim, *hidden]
+            h = rng.normal(size=(1, dim))
+            for k in range(len(hidden)):
+                w = rng.normal(size=(3, sizes[k], sizes[k + 1]))
+                got = np.matmul(h, w)
+                for i in range(3):
+                    x = h if h.ndim == 2 else h[i]
+                    assert same_bits(got[i], x.copy() @ w[i].copy()), why
+                    batch = rng.normal(size=(64, sizes[k]))
+                    assert same_bits(batch @ w[i], batch @ w[i].copy()), why
+                h = np.tanh(got)
+            w = rng.normal(size=(2, sizes[-1], 1))
+            hv = h if h.ndim == 2 else h[1:]
+            got = np.matmul(hv, w)
+            for i in range(2):
+                x = hv if hv.ndim == 2 else hv[i]
+                assert same_bits(got[i], x.copy() @ w[i].copy()), why
 
 
 # ---------------------------------------------------------------------------

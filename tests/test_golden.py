@@ -12,15 +12,19 @@ The test reruns them all and compares byte for byte.
 Floating-point results are reproducible per platform, not across Python
 or numpy versions, so ``manifest.json`` records the versions the files
 were made with, and the test fails on any other version. It also lists
-every pinned run. To regenerate (after checking that the outputs are
-meant to move), run from the repository root:
+every pinned run. To see whether the outputs moved, without writing
+anything, run from the repository root:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --check
 
-It prints the first difference of every CSV it changes, and how many
-changed, before it overwrites them.
+It prints the first difference of every CSV that moved and how many
+moved, and exits 1 when any did or when the versions or runs differ from
+the manifest's. To regenerate (after checking that the outputs are meant
+to move), run it without ``--check``: it prints the same report, then
+overwrites the files and the manifest.
 """
 
+import argparse
 import json
 import platform
 import shutil
@@ -109,21 +113,31 @@ def drift(root):
     return lines
 
 
+def manifest_mismatches():
+    """One line per way ``manifest.json`` does not describe this checkout:
+    other Python/numpy versions, or other runs than ``RUNS``."""
+    made = json.loads((GOLDEN / "manifest.json").read_text())
+    now = versions()
+    pinned = {k: made.get(k) for k in now}
+    lines = []
+    if pinned != now:
+        lines.append(f"golden outputs were made with {pinned} and this is "
+                     f"{now}; floating-point outputs are only "
+                     f"byte-reproducible per version")
+    if made.get("runs") != RUNS:
+        lines.append("manifest.json lists other runs than RUNS")
+    return lines
+
+
 def test_every_method_has_a_pinned_run():
     assert {run["method"] for run in RUNS.values()} == set(METHODS)
 
 
 def test_golden_outputs_are_byte_identical(tmp_path):
-    made = json.loads((GOLDEN / "manifest.json").read_text())
-    now = versions()
-    pinned = {k: made[k] for k in now}
-    assert pinned == now, (
-        f"golden outputs were made with {pinned} and this is {now}; "
-        f"floating-point outputs are only byte-reproducible per version, so "
-        f"regenerate them with `{REGENERATE}` and review the diff")
-    assert made["runs"] == RUNS, (
-        f"manifest.json lists other runs than RUNS; regenerate with "
-        f"`{REGENERATE}`")
+    mismatches = manifest_mismatches()
+    assert not mismatches, (
+        "; ".join(mismatches) + f"; regenerate with `{REGENERATE}` and "
+        f"review the diff")
 
     generate(tmp_path)
     assert csv_files(tmp_path) == csv_files(GOLDEN)
@@ -133,13 +147,69 @@ def test_golden_outputs_are_byte_identical(tmp_path):
                        + "\n".join(diffs))
 
 
-def main():
+def _snapshot(root):
+    return {p: p.read_bytes() for p in sorted(Path(root).rglob("*"))
+            if p.is_file()}
+
+
+def _fake_generate(edit):
+    """A ``generate`` that copies the goldens and then calls ``edit`` on
+    the copy's root."""
+    def fake(out):
+        shutil.copytree(GOLDEN, out, dirs_exist_ok=True)
+        (Path(out) / "manifest.json").unlink()
+        edit(Path(out))
+    return fake
+
+
+def _drift_one_file(root):
+    path = root / "train_ppolag_reduced" / "metrics.csv"
+    path.write_text(path.read_text().replace(",", ";", 1))
+
+
+def test_check_reports_drift_and_writes_nothing(monkeypatch, capsys):
+    before = _snapshot(GOLDEN)
+    monkeypatch.setattr(sys.modules[__name__], "generate",
+                        _fake_generate(_drift_one_file))
+    assert main(["--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("train_ppolag_reduced/metrics.csv: line 1: ")
+    assert out[-1] == "1 changed files"
+    assert _snapshot(GOLDEN) == before
+
+
+def test_check_passes_unmoved_outputs_and_fails_other_versions(monkeypatch,
+                                                               capsys):
+    before = _snapshot(GOLDEN)
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "generate", _fake_generate(lambda root: None))
+    assert main(["--check"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 changed files"
+    monkeypatch.setattr(module, "versions",
+                        lambda: {"python": "0.0", "numpy": "0.0"})
+    assert main(["--check"]) == 1
+    assert "golden outputs were made with" in capsys.readouterr().out
+    assert _snapshot(GOLDEN) == before
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description="Regenerate tests/golden/, or "
+                                "with --check only report what moved.")
+    p.add_argument("--check", action="store_true",
+                   help="write nothing; exit 1 on any drift or on other "
+                        "versions or runs than the manifest's")
+    check = p.parse_args(argv).check
     with tempfile.TemporaryDirectory() as tmp:
         generate(tmp)
         diffs = drift(tmp)
         for line in diffs:
             print(line)
         print(f"{len(diffs)} changed files")
+        if check:
+            mismatches = manifest_mismatches()
+            for line in mismatches:
+                print(line)
+            return 1 if diffs or mismatches else 0
         shutil.rmtree(GOLDEN, ignore_errors=True)
         shutil.copytree(tmp, GOLDEN)
     manifest = {**versions(), "runs": RUNS, "regenerate": REGENERATE}

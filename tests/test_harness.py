@@ -25,7 +25,7 @@ from evgrid.harness import (HarnessError, MetricsRecord, _parse_values,
 import evgrid.env as env_module
 from evgrid.env import CouplingEnv, EnvError
 from evgrid.nn import load_params, save_params
-from evgrid.scenario import FieldError, load_scenario
+from evgrid.scenario import FieldError, generate_trips, load_scenario
 from evgrid.srl import load_checkpoint, rollout, save_checkpoint
 
 from strategies import NO_SHRINK, scenarios
@@ -112,8 +112,8 @@ def train_run(scenario_path, tmp_path_factory):
 
 
 def test_metrics_record_validation():
-    counts = (8000, 6000, 300, 40, 160)  # ticks, coasted, PF lookups,
-                                         # solves, NR iterations
+    counts = (8000, 6000, 300, 40, 160, 70, 2)  # ticks, coasted, PF
+    # lookups, solves, NR iterations, completed, stranded
     r = MetricsRecord("ppo", 0, np.float64(3.0), 0.1, 2.0, 1.0, 0.01, *counts)
     assert type(r.ttt_s) is float and r.ttt_s == 3.0
     with pytest.raises(ValueError):
@@ -143,9 +143,23 @@ def test_all_stranded_wait_time_is_an_empty_field(tmp_path):
     assert report[3] == "greedy,wct_min,0,,"
 
 
+def test_timing_counts_completed_and_stranded_vehicles(tmp_path):
+    """``timing.csv`` ends with the episode's completed vehicles and
+    stranded EVs: none completes when every EV runs flat."""
+    p = tmp_path / "stranded.yaml"
+    p.write_text(STRANDED)
+    cfg = load_scenario(p)
+    run_eval(cfg, "greedy", [0], tmp_path / "run")
+    timing = (tmp_path / "run" / "timing.csv").read_text().splitlines()
+    assert timing[0].endswith(",pf_iterations,n_completed,n_stranded")
+    completed, stranded = timing[1].split(",")[-2:]
+    assert int(completed) == 0
+    assert int(stranded) == len(generate_trips(cfg, 0)) > 0
+
+
 def test_summary_and_report_average_the_defined_wait_times(tmp_path):
     records = [MetricsRecord("ppo", seed, 100.0 + seed, 0.5, wct, 1.0, 0.01,
-                             80, 60, 3, 1, 4)
+                             80, 60, 3, 1, 4, 9, 0)
                for seed, wct in enumerate((3.0, None, 5.0))]
     write_metrics(tmp_path, records)
     write_summary(tmp_path, records)
@@ -381,12 +395,15 @@ def test_train_run_artifacts(train_run):
     assert len(metrics) == 2 and metrics[1].startswith("ppo,0,")
     timing = (train_run / "timing.csv").read_text().splitlines()
     assert timing[0] == ("method,seed,et_s,dt_mean_s,ticks,ticks_coasted,"
-                         "pf_lookups,pf_solves,pf_iterations")
-    _, _, et, _, ticks, coasted, lookups, solves, iters = timing[1].split(",")
+                         "pf_lookups,pf_solves,pf_iterations,n_completed,"
+                         "n_stranded")
+    (_, _, et, _, ticks, coasted, lookups, solves, iters, completed,
+     stranded) = timing[1].split(",")
     assert float(et) > 0
     assert 0 < int(coasted) < int(ticks)
     assert int(lookups) > 0 and 0 <= int(solves) <= int(lookups)
     assert int(iters) >= 0
+    assert int(completed) > 0 and int(stranded) >= 0
     summary = (train_run / "summary.csv").read_text().splitlines()
     assert summary[0] == "method,metric,n_seeds,mean,std"
     assert len(summary) == 4  # ttt/cvv/wct for one method
@@ -408,8 +425,9 @@ def test_timing_counts_the_nr_iterations_of_each_solve(scenario_path,
     cfg = load_scenario(scenario_path)      # a new feeder, with an empty memo
     run_eval(cfg, "greedy", [0], tmp_path)
     timing = (tmp_path / "timing.csv").read_text().splitlines()
-    assert timing[0].endswith(",pf_solves,pf_iterations")
-    solves, iters = timing[1].split(",")[-2:]
+    header, row = timing[0].split(","), timing[1].split(",")
+    solves, iters = (row[header.index(k)] for k in ("pf_solves",
+                                                    "pf_iterations"))
     assert int(solves) == len(iterations) > 0
     assert int(iters) == sum(iterations) > 0
 

@@ -160,6 +160,8 @@ class ChargingStation:
                 veh.charged_kwh = charged
         self.synced += n
 
+    N_FEATURES = 9      # the length of ``state_features``
+
     def state_features(self, t: float) -> np.ndarray:
         """Raw 9-feature summary (counts, SoC stats, waiting stats, pending).
 

@@ -208,7 +208,8 @@ class CouplingEnv:
 
     @property
     def state_dim(self) -> int:
-        return 5 + self._n_links + 9 * len(self.cfg.stations)
+        return (5 + self._n_links
+                + ChargingStation.N_FEATURES * len(self.cfg.stations))
 
     @property
     def pending_vehicle(self):
@@ -339,7 +340,8 @@ class CouplingEnv:
     def _station_features(self) -> np.ndarray:
         """Per-station 9-feature blocks, counts scaled by pile count and
         waits by WAIT_NORM_S, concatenated in station order."""
-        out = np.empty(9 * len(self.stations))
+        k = ChargingStation.N_FEATURES
+        out = np.empty(k * len(self.stations))
         for i, cs in enumerate(self.stations):
             cs.sync(self._t)
             f = cs.state_features(float(self._t))
@@ -348,7 +350,7 @@ class CouplingEnv:
             f[6] /= WAIT_NORM_S
             f[7] /= WAIT_NORM_S
             f[8] /= cs.piles
-            out[9 * i:9 * i + 9] = f
+            out[k * i:k * i + k] = f
         return out
 
     # ------------------------------------------------------------------

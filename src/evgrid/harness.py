@@ -5,10 +5,14 @@ Verbs: ``train`` (per-seed training, checkpoints, curves, final metrics),
 ``sweep`` (one full run per axis value per seed), ``report`` (plot-ready
 CSVs from a finished run directory).
 
-Output conventions: ``metrics.csv`` and ``summary.csv`` carry only
-simulation-derived quantities and are byte-identical across re-runs;
-wall-clock figures live in ``timing.csv``, next to each episode's simulated
-ticks, how many of them were crossed without a per-tick pass (see
+Output conventions: an evaluated episode is one ``MetricsRecord``, the
+env's ``EpisodeMetrics`` with the method, seed and wall time, and its CSV
+columns are ``EpisodeMetrics`` fields named once. ``metrics.csv``,
+``summary.csv`` and ``sweep_summary.csv`` carry those in ``METRICS``, only
+simulation-derived quantities, and are byte-identical across re-runs.
+``timing.csv`` carries the wall-clock ``et_s`` and then those in
+``TIMING``: the mean decision time, the episode's simulated ticks, how
+many of them were crossed without a per-tick pass (see
 ``CouplingEnv._skip``), its power-flow lookups, solves and the solves'
 Newton-Raphson iterations, which depend on what earlier runs on the
 feeder left in its memo (see ``CouplingEnv._power_flow``), and how many
@@ -44,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import DATA_DIR, __version__
-from .env import CouplingEnv
+from .env import CouplingEnv, EpisodeMetrics
 from .scenario import ScenarioError, load_scenario
 from .srl import (METHODS, build_agent, evaluate, load_checkpoint,
                   save_checkpoint, train)
@@ -58,31 +62,34 @@ class HarnessError(ValueError):
     pass
 
 
+# The EpisodeMetrics fields that metrics.csv, summary.csv and
+# sweep_summary.csv carry, and those timing.csv carries after ``et_s``.
+METRICS = ("ttt_s", "cvv", "wct_min")
+TIMING = ("dt_mean_s", "ticks", "ticks_coasted", "pf_lookups", "pf_solves",
+          "pf_iterations", "n_completed", "n_stranded")
+
+
 @dataclass(frozen=True)
 class MetricsRecord:
+    """One evaluated episode's metrics and the wall seconds ``et_s`` of the
+    run that produced it (training included), in timing.csv only."""
     method: str
     seed: int
-    ttt_s: float
-    cvv: float
-    wct_min: float | None       # None when no EV finished
     et_s: float
-    dt_mean_s: float
-    ticks: int                  # of the episode, in timing.csv only
-    ticks_coasted: int
-    pf_lookups: int             # in timing.csv only, as pf_solves depends
-    pf_solves: int              # on what the feeder's memo already held
-    pf_iterations: int          # NR iterations of the episode's solves
-    n_completed: int            # vehicles that finished their trips and
-    n_stranded: int             # EVs that ran flat, in timing.csv only
+    metrics: EpisodeMetrics
 
     def __post_init__(self):
-        for name in ("ttt_s", "cvv", "wct_min", "et_s", "dt_mean_s"):
-            if name == "wct_min" and self.wct_min is None:
+        values = {name: getattr(self.metrics, name)
+                  for name in (*METRICS, "dt_mean_s")}
+        values["et_s"] = self.et_s
+        for name, v in values.items():
+            if name == "wct_min" and v is None:     # no EV finished
                 continue
-            v = float(getattr(self, name))
+            v = values[name] = float(v)
             if not np.isfinite(v) or v < 0:
                 raise HarnessError(f"{name} must be finite and >= 0, got {v}")
-            object.__setattr__(self, name, v)
+        object.__setattr__(self, "et_s", values.pop("et_s"))
+        object.__setattr__(self, "metrics", replace(self.metrics, **values))
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +157,17 @@ def field(value) -> str:
     return "" if value is None else repr(value)
 
 
+def columns(record, names):
+    """The CSV fields of ``record``'s metrics named in ``names``."""
+    return [field(getattr(record.metrics, name)) for name in names]
+
+
 def write_metrics(out, records):
-    rows = [(r.method, r.seed, repr(r.ttt_s), repr(r.cvv), field(r.wct_min))
-            for r in records]
-    write_csv(Path(out) / "metrics.csv",
-              ["method", "seed", "ttt_s", "cvv", "wct_min"], rows)
-    write_csv(Path(out) / "timing.csv",
-              ["method", "seed", "et_s", "dt_mean_s", "ticks",
-               "ticks_coasted", "pf_lookups", "pf_solves", "pf_iterations",
-               "n_completed", "n_stranded"],
-              [(r.method, r.seed, repr(r.et_s), repr(r.dt_mean_s), r.ticks,
-                r.ticks_coasted, r.pf_lookups, r.pf_solves, r.pf_iterations,
-                r.n_completed, r.n_stranded)
+    write_csv(Path(out) / "metrics.csv", ["method", "seed", *METRICS],
+              [(r.method, r.seed, *columns(r, METRICS)) for r in records])
+    write_csv(Path(out) / "timing.csv", ["method", "seed", "et_s", *TIMING],
+              [(r.method, r.seed, repr(r.et_s), *columns(r, TIMING))
                for r in records])
-
-
-METRICS = ("ttt_s", "cvv", "wct_min")
 
 
 def summary_rows(values):
@@ -189,7 +191,7 @@ def write_summary(out, records):
     for r in records:
         for metric in METRICS:
             values.setdefault((r.method, metric), []).append(
-                getattr(r, metric))
+                getattr(r.metrics, metric))
     write_csv(Path(out) / "summary.csv",
               ["method", "metric", "n_seeds", "mean", "std"],
               summary_rows(values))
@@ -334,14 +336,6 @@ def _load_cfg(args):
 # Verbs
 # ---------------------------------------------------------------------------
 
-def _record(method, seed, m, et_s):
-    """The MetricsRecord of one evaluated episode's EpisodeMetrics ``m``."""
-    return MetricsRecord(method, seed, m.ttt_s, m.cvv, m.wct_min, et_s,
-                         m.dt_mean_s, m.ticks, m.ticks_coasted, m.pf_lookups,
-                         m.pf_solves, m.pf_iterations, m.n_completed,
-                         m.n_stranded)
-
-
 def run_train(cfg, method, seeds, out, trace=False, progress=None):
     """Train per seed, then evaluate each checkpoint once for the metrics
     table. Returns the MetricsRecords."""
@@ -356,7 +350,7 @@ def run_train(cfg, method, seeds, out, trace=False, progress=None):
                         res.agent, res.predictor)
         evals = evaluate(cfg, method, res.agent, res.predictor,
                          seeds=(EVAL_SEED_BASE + seed,))
-        records.append(_record(method, seed, evals[0].metrics, et))
+        records.append(MetricsRecord(method, seed, et, evals[0].metrics))
         write_eval_artifacts(out, method, seed, evals, trace)
     write_metrics(out, records)
     write_summary(out, records)
@@ -366,7 +360,10 @@ def run_train(cfg, method, seeds, out, trace=False, progress=None):
 def run_eval(cfg, method, seeds, out, checkpoint=None, trace=False):
     out = Path(out)
     agent = predictor = None
-    if method != "greedy":
+    if method == "greedy":
+        if checkpoint is not None:
+            raise HarnessError("method 'greedy' takes no --checkpoint")
+    else:
         if checkpoint is None:
             raise HarnessError(f"method '{method}' needs --checkpoint")
         env = CouplingEnv(cfg)
@@ -377,7 +374,7 @@ def run_eval(cfg, method, seeds, out, checkpoint=None, trace=False):
         t0 = time.perf_counter()
         evals = evaluate(cfg, method, agent, predictor, seeds=(seed,))
         et = time.perf_counter() - t0
-        records.append(_record(method, seed, evals[0].metrics, et))
+        records.append(MetricsRecord(method, seed, et, evals[0].metrics))
         write_eval_artifacts(out, method, seed, evals, trace)
     write_metrics(out, records)
     write_summary(out, records)
@@ -404,11 +401,9 @@ def run_sweep(cfg, method, axis, values, seeds, out, trace=False):
         write_manifest(sub_out, sub_cfg, {"axis": axis, "value": value},
                        seeds)
         combined.extend((axis, repr(float(value)), r.method, r.seed,
-                         repr(r.ttt_s), repr(r.cvv), field(r.wct_min))
-                        for r in recs)
+                         *columns(r, METRICS)) for r in recs)
     write_csv(out / "sweep_summary.csv",
-              ["axis", "value", "method", "seed", "ttt_s", "cvv", "wct_min"],
-              combined)
+              ["axis", "value", "method", "seed", *METRICS], combined)
     return combined
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .charging import ChargingStation
 from .nn import LSTM, Adam, DenseNet, prefixed
 from .scenario import PredictorConfig, ScenarioConfig
 
@@ -195,7 +196,7 @@ class OnlinePredictor:
         self.piles = np.array([s.piles for s in cfg.stations], dtype=float)
         self.buffer = PredictorBuffer(p.enc_len, p.dec_len)
         self.model = Seq2SeqForecaster(
-            cfg.n_stations, 9 * cfg.n_stations, p,
+            cfg.n_stations, ChargingStation.N_FEATURES * cfg.n_stations, p,
             np.random.default_rng([seed, cfg.seed, 3]))
         self.train_log = []      # (buffer size at trigger, mean loss)
         self._memo = None

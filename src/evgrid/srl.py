@@ -153,6 +153,10 @@ class EpisodeData:
     values_r: np.ndarray | None     # critic outputs at collection time (PPO)
     values_c: np.ndarray | None
     metrics: EpisodeMetrics
+    seed: int                   # the episode seed the env was reset with
+    minute_log: list            # the env's logs of the episode, which its
+    droop_log: list             # next reset rebinds rather than clears
+    trace: list                 # one CouplingEnv.trace row per decision
 
 
 def episode_cost_return(ep: EpisodeData, gamma, discounted):
@@ -479,7 +483,9 @@ def rollout(env: CouplingEnv, policy, ep_seed,
     every station; no state is built, so ``states`` is None too. The
     decision time passed to the env covers the augmentation and the policy
     call only. With a policy, ``on_step(s, a, outcome, s_next)`` runs after
-    each step, with the next raw state, or None at the terminal step.
+    each step, with the next raw state, or None at the terminal step. The
+    record holds the env's metrics and its minute, droop and decision logs
+    themselves, not copies: the env's next ``reset`` binds new lists.
     """
     env.reset(ep_seed)
     if predictor is not None:
@@ -523,7 +529,8 @@ def rollout(env: CouplingEnv, policy, ep_seed,
     states = None if policy is None else np.array(states)
     return EpisodeData(states, np.array(actions, dtype=int), logps,
                        np.array(rewards), np.array(costs), values_r, values_c,
-                       env.episode_metrics())
+                       env.episode_metrics(), ep_seed, env.minute_log,
+                       env.droop_log, env.trace)
 
 
 def greedy_action(env: CouplingEnv) -> int:
@@ -555,8 +562,6 @@ def _curve_row(epoch, episodes, lam, predictor):
         "mean_cvv": float(np.mean([ep.metrics.cvv for ep in episodes])),
         "lam": lam,
         "predictor_loss": ploss,
-        "mean_reward": float(np.mean([ep.rewards.sum() for ep in episodes])),
-        "mean_cost": float(np.mean([ep.costs.sum() for ep in episodes])),
     }
 
 
@@ -649,18 +654,10 @@ def train(cfg: ScenarioConfig, method: str, seed: int,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvalEpisode:
-    seed: int
-    metrics: EpisodeMetrics
-    minute_log: list
-    droop_log: list
-    trace: list                 # CouplingEnv.trace rows, one per decision
-
-
 def evaluate(cfg: ScenarioConfig, method: str, agent=None, predictor=None,
              *, seeds):
-    """Deterministic greedy-action rollouts; one record per seed in ``seeds``.
+    """Deterministic greedy-action rollouts; one ``rollout`` record per seed
+    in ``seeds``.
 
     Every setting comes from ``cfg`` (driver compliance included) and the
     state layout from the agent's ``tag``. ``greedy`` runs ``rollout`` with
@@ -680,17 +677,11 @@ def evaluate(cfg: ScenarioConfig, method: str, agent=None, predictor=None,
     if predictor is not None:
         converged = predictor.model.converged
         predictor.model.converged = True      # freeze learning, keep predicting
-    records = []
     try:
-        for es in seeds:
-            ep = rollout(env, policy, int(es), predictor, pad)
-            records.append(EvalEpisode(int(es), ep.metrics,
-                                       list(env.minute_log),
-                                       list(env.droop_log), list(env.trace)))
+        return [rollout(env, policy, int(es), predictor, pad) for es in seeds]
     finally:
         if predictor is not None:
             predictor.model.converged = converged
-    return records
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ def _synth_episode(agent, rng, T, cost, dim):
         VR.append(vr); VC.append(vc)
     return EpisodeData(np.array(S), np.array(A, dtype=int), np.array(LP),
                        np.array(R), np.array(C), np.array(VR), np.array(VC),
-                       None)
+                       None, 0, [], [], [])
 
 
 def test_c07_lagrange_multiplier_dynamics(capsys):

@@ -679,7 +679,8 @@ def _episode(agent, states, rng):
     acts = [agent.act(s, rng) for s in states]
     a, lp, vr, vc = (np.array(col) for col in zip(*acts))
     return EpisodeData(states, a.astype(int), lp, rng.normal(size=len(a)),
-                       np.abs(rng.normal(size=len(a))), vr, vc, None)
+                       np.abs(rng.normal(size=len(a))), vr, vc, None, 0, [],
+                       [], [])
 
 
 def test_stacked_act_reads_updated_parameters(tmp_path):

@@ -23,7 +23,7 @@ from evgrid.harness import (HarnessError, MetricsRecord, _parse_values,
                             run_eval, run_report, write_csv, write_metrics,
                             write_summary)
 import evgrid.env as env_module
-from evgrid.env import CouplingEnv, EnvError
+from evgrid.env import CouplingEnv, EnvError, EpisodeMetrics
 from evgrid.nn import load_params, save_params
 from evgrid.scenario import FieldError, generate_trips, load_scenario
 from evgrid.srl import load_checkpoint, rollout, save_checkpoint
@@ -111,19 +111,37 @@ def train_run(scenario_path, tmp_path_factory):
     return out
 
 
-def test_metrics_record_validation():
-    counts = (8000, 6000, 300, 40, 160, 70, 2)  # ticks, coasted, PF
-    # lookups, solves, NR iterations, completed, stranded
-    r = MetricsRecord("ppo", 0, np.float64(3.0), 0.1, 2.0, 1.0, 0.01, *counts)
-    assert type(r.ttt_s) is float and r.ttt_s == 3.0
-    with pytest.raises(ValueError):
-        MetricsRecord("ppo", 0, -1.0, 0.1, 2.0, 1.0, 0.01, *counts)
-    with pytest.raises(ValueError):
-        MetricsRecord("ppo", 0, float("nan"), 0.1, 2.0, 1.0, 0.01, *counts)
-    with pytest.raises(ValueError):
-        MetricsRecord("ppo", 0, 3.0, 0.1, 2.0, float("inf"), 0.01, *counts)
-    assert MetricsRecord("ppo", 0, 3.0, 0.1, None, 1.0, 0.01,
-                         *counts).wct_min is None
+def episode_metrics(ttt_s=3.0, cvv=0.1, wct_min=2.0, dt_mean_s=0.01):
+    """An EpisodeMetrics with these figures and fixed counts."""
+    return EpisodeMetrics(
+        ttt_s=ttt_s, ttt_tick_s=ttt_s, cvv=cvv, wct_min=wct_min, n_steps=50,
+        n_completed=70, n_ev_completed=30, n_stranded=2, dt_mean_s=dt_mean_s,
+        ticks=8000, ticks_coasted=6000, pf_lookups=300, pf_solves=40,
+        pf_iterations=160)
+
+
+def test_metrics_record_validation(tmp_path):
+    for name in ("ttt_s", "cvv", "wct_min", "et_s", "dt_mean_s"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(HarnessError, match=name):
+                if name == "et_s":
+                    MetricsRecord("ppo", 0, bad, episode_metrics())
+                else:
+                    MetricsRecord("ppo", 0, 1.0,
+                                  episode_metrics(**{name: bad}))
+    assert MetricsRecord("ppo", 0, 1.0, episode_metrics(wct_min=None)) \
+        .metrics.wct_min is None
+    r = MetricsRecord("ppo", 0, np.float64(1.0), episode_metrics(
+        *(np.float64(v) for v in (3.0, 0.1, 2.0, 0.01))))
+    assert type(r.et_s) is float and type(r.metrics.ttt_s) is float
+    write_metrics(tmp_path, [r])
+    write_summary(tmp_path, [r])
+    for path in tmp_path.iterdir():
+        assert "np." not in path.read_text(), path.name
+    assert (tmp_path / "metrics.csv").read_text().splitlines()[1] \
+        == "ppo,0,3.0,0.1,2.0"
+    assert (tmp_path / "timing.csv").read_text().splitlines()[1] \
+        == "ppo,0,1.0,0.01,8000,6000,300,40,160,70,2"
 
 
 def test_all_stranded_wait_time_is_an_empty_field(tmp_path):
@@ -158,8 +176,8 @@ def test_timing_counts_completed_and_stranded_vehicles(tmp_path):
 
 
 def test_summary_and_report_average_the_defined_wait_times(tmp_path):
-    records = [MetricsRecord("ppo", seed, 100.0 + seed, 0.5, wct, 1.0, 0.01,
-                             80, 60, 3, 1, 4, 9, 0)
+    records = [MetricsRecord("ppo", seed, 1.0,
+                             episode_metrics(100.0 + seed, 0.5, wct))
                for seed, wct in enumerate((3.0, None, 5.0))]
     write_metrics(tmp_path, records)
     write_summary(tmp_path, records)
@@ -386,6 +404,20 @@ def test_eval_requires_checkpoint(tiny_cfg, tmp_path):
         run_eval(tiny_cfg, "ppo", [0], tmp_path)
 
 
+def test_greedy_eval_rejects_a_checkpoint(scenario_path, tmp_path, capsys):
+    """greedy takes no checkpoint: naming one, even a missing file, exits 1
+    before any episode runs or any file is written."""
+    out = tmp_path / "ev"
+    rc = main(["eval", "--scenario", str(scenario_path), "--method",
+               "greedy", "--checkpoint", str(tmp_path / "nonexistent.bin"),
+               "--seeds", "0", "--out", str(out)])
+    assert rc == 1
+    assert last_error(capsys) == {
+        "type": "HarnessError",
+        "message": "method 'greedy' takes no --checkpoint"}
+    assert not out.exists()
+
+
 def test_train_run_artifacts(train_run):
     assert (train_run / "checkpoint_ppo_s0.bin").exists()
     curve = (train_run / "training_curve_ppo_s0.csv").read_text().splitlines()
@@ -547,6 +579,10 @@ def test_main_sweep_and_errors(scenario_path, tmp_path, capsys):
     assert rows[1].startswith("ev_fraction,0.16666666666666666,greedy,1,")
     subdirs = [p for p in out.iterdir() if p.is_dir()]
     assert len(subdirs) == 1 and (subdirs[0] / "metrics.csv").exists()
+    # after axis and value, each row is its sub-run's metrics.csv row
+    sub_rows = (subdirs[0] / "metrics.csv").read_text().splitlines()
+    assert len(rows) == len(sub_rows) == 2
+    assert rows[1].split(",", 2)[2] == sub_rows[1]
     sub_doc = json.loads((subdirs[0] / "manifest.json").read_text())
     top_doc = json.loads((out / "manifest.json").read_text())
     assert sub_doc["config_sha256"] != top_doc["config_sha256"]

@@ -165,7 +165,7 @@ def synth_episode(agent, rng, T, reward_fn, cost_fn, dim):
         VC.append(vc)
     return EpisodeData(np.array(S), np.array(A, dtype=int), np.array(LP),
                        np.array(R), np.array(C), np.array(VR), np.array(VC),
-                       None)
+                       None, 0, [], [], [])
 
 
 def test_ratio_identity_at_first_pass():
@@ -452,6 +452,21 @@ def test_eval_compliance_zero_matches_greedy(tiny_cfg):
     assert applied_a == applied_b
     assert all(row[6] for row in greedy[0].trace)       # full compliance
     assert not any(row[6] for row in forced[0].trace)   # forced overrides
+
+
+def test_evaluate_keeps_each_episodes_logs(tiny_cfg):
+    """Each record of a multi-seed evaluation keeps its own episode's seed,
+    minute, droop and decision logs, as evaluating that seed alone gives:
+    the next episode's reset does not clear the lists a record holds."""
+    def logs(ep):
+        return repr((ep.seed, ep.minute_log, ep.droop_log, ep.trace))
+
+    both = evaluate(tiny_cfg, "greedy", seeds=(5, 6))
+    alone = [evaluate(tiny_cfg, "greedy", seeds=(s,))[0] for s in (5, 6)]
+    assert [ep.seed for ep in both] == [5, 6]
+    assert all(ep.minute_log and ep.trace for ep in both)
+    assert [logs(ep) for ep in both] == [logs(ep) for ep in alone]
+    assert logs(both[0]) != logs(both[1])
 
 
 def test_greedy_decisions_go_through_greedy_action(tiny_cfg, monkeypatch):

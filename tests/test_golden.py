@@ -7,7 +7,9 @@ run on reduced, and a 2-epoch x 3-episode training run on reduced of
 every other trainable method (each training run with seed 0: its training
 curve plus the evaluation of the trained agent). The opsrl run is long
 enough for its forecaster to train, so the augmented state is pinned too.
-The test reruns them all and compares byte for byte.
+Each training run's checkpoint is pinned by its SHA-256, which
+``manifest.json`` records under ``checkpoints``. The test reruns them all
+and compares the CSVs byte for byte and the checkpoints by digest.
 
 Floating-point results are reproducible per platform, not across Python
 or numpy versions, so ``manifest.json`` records the versions the files
@@ -17,14 +19,15 @@ anything, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py --check
 
-It prints the first difference of every CSV that moved and how many
-moved, and exits 1 when any did or when the versions or runs differ from
+It prints the first difference of every CSV that moved, the old and new
+digest of every checkpoint that moved, and how many files moved, and exits 1 when any did or when the versions or runs differ from
 the manifest's. To regenerate (after checking that the outputs are meant
 to move), run it without ``--check``: it prints the same report, then
 overwrites the files and the manifest.
 """
 
 import argparse
+import hashlib
 import json
 import platform
 import shutil
@@ -71,7 +74,8 @@ def versions():
 
 
 def generate(out):
-    """Write the pinned runs' byte-reproducible CSVs under out/<run>/."""
+    """Write the pinned runs' byte-reproducible CSVs under out/<run>/ and
+    return the SHA-256 of each checkpoint, by its path under ``out``."""
     out = Path(out)
     for name, run in RUNS.items():
         cfg = load_scenario(evgrid.DATA_DIR / f"{run['scenario']}.yaml")
@@ -81,9 +85,14 @@ def generate(out):
             cfg = replace(cfg, training=replace(cfg.training,
                                                 **run["training"]))
             run_train(cfg, run["method"], run["seeds"], out / name)
-    for path in out.glob("*/*"):
+    digests = {}
+    for path in sorted(out.glob("*/*")):
+        if path.suffix == ".bin":
+            digests[path.relative_to(out).as_posix()] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
         if path.suffix != ".csv" or path.name == "timing.csv":
             path.unlink()
+    return digests
 
 
 def csv_files(root):
@@ -98,9 +107,15 @@ def first_difference(a: Path, b: Path):
     return f"golden has {len(la)} lines, now {len(lb)}"
 
 
-def drift(root):
-    """One line per CSV that differs between tests/golden/ and ``root``,
-    naming its first difference."""
+def manifest():
+    return json.loads((GOLDEN / "manifest.json").read_text())
+
+
+def drift(root, checkpoints):
+    """One line per file that differs between the goldens and a
+    ``generate`` run: each CSV in tests/golden/ and ``root``, naming its
+    first difference, and each checkpoint digest in ``manifest.json`` and
+    ``checkpoints``, naming both digests' first 16 digits."""
     root = Path(root)
     lines = []
     for name in sorted(set(csv_files(GOLDEN)) | set(csv_files(root))):
@@ -110,13 +125,21 @@ def drift(root):
             lines.append(f"{name}: only in {side}")
         elif gold.read_bytes() != new.read_bytes():
             lines.append(f"{name}: {first_difference(gold, new)}")
+    pinned = manifest().get("checkpoints", {})
+    for name in sorted(set(pinned) | set(checkpoints)):
+        if name not in pinned or name not in checkpoints:
+            side = "golden" if name in pinned else "new"
+            lines.append(f"{name}: only in {side}")
+        elif pinned[name] != checkpoints[name]:
+            lines.append(f"{name}: SHA-256 golden {pinned[name][:16]}, now "
+                         f"{checkpoints[name][:16]}")
     return lines
 
 
 def manifest_mismatches():
     """One line per way ``manifest.json`` does not describe this checkout:
     other Python/numpy versions, or other runs than ``RUNS``."""
-    made = json.loads((GOLDEN / "manifest.json").read_text())
+    made = manifest()
     now = versions()
     pinned = {k: made.get(k) for k in now}
     lines = []
@@ -139,9 +162,11 @@ def test_golden_outputs_are_byte_identical(tmp_path):
         "; ".join(mismatches) + f"; regenerate with `{REGENERATE}` and "
         f"review the diff")
 
-    generate(tmp_path)
+    checkpoints = generate(tmp_path)
     assert csv_files(tmp_path) == csv_files(GOLDEN)
-    diffs = drift(tmp_path)
+    assert len(checkpoints) == sum(run["verb"] == "train"
+                                   for run in RUNS.values())
+    diffs = drift(tmp_path, checkpoints)
     assert not diffs, ("outputs moved from tests/golden/ (regenerate with "
                        f"`{REGENERATE}` only if that is intended):\n"
                        + "\n".join(diffs))
@@ -153,16 +178,19 @@ def _snapshot(root):
 
 
 def _fake_generate(edit):
-    """A ``generate`` that copies the goldens and then calls ``edit`` on
-    the copy's root."""
+    """A ``generate`` that copies the golden CSVs, returns the pinned
+    checkpoint digests, and first calls ``edit`` on the copy's root and a
+    copy of the digests."""
     def fake(out):
         shutil.copytree(GOLDEN, out, dirs_exist_ok=True)
         (Path(out) / "manifest.json").unlink()
-        edit(Path(out))
+        digests = dict(manifest()["checkpoints"])
+        edit(Path(out), digests)
+        return digests
     return fake
 
 
-def _drift_one_file(root):
+def _drift_one_file(root, checkpoints):
     path = root / "train_ppolag_reduced" / "metrics.csv"
     path.write_text(path.read_text().replace(",", ";", 1))
 
@@ -178,11 +206,29 @@ def test_check_reports_drift_and_writes_nothing(monkeypatch, capsys):
     assert _snapshot(GOLDEN) == before
 
 
+def _move_one_checkpoint(root, checkpoints):
+    checkpoints["train_dqn_reduced/checkpoint_dqn_s0.bin"] = "0" * 64
+
+
+def test_check_reports_a_moved_checkpoint(monkeypatch, capsys):
+    before = _snapshot(GOLDEN)
+    pinned = manifest()["checkpoints"]
+    monkeypatch.setattr(sys.modules[__name__], "generate",
+                        _fake_generate(_move_one_checkpoint))
+    assert main(["--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    name = "train_dqn_reduced/checkpoint_dqn_s0.bin"
+    assert out == [f"{name}: SHA-256 golden {pinned[name][:16]}, now "
+                   f"{'0' * 16}", "1 changed files"]
+    assert _snapshot(GOLDEN) == before
+
+
 def test_check_passes_unmoved_outputs_and_fails_other_versions(monkeypatch,
                                                                capsys):
     before = _snapshot(GOLDEN)
     module = sys.modules[__name__]
-    monkeypatch.setattr(module, "generate", _fake_generate(lambda root: None))
+    monkeypatch.setattr(module, "generate",
+                        _fake_generate(lambda root, checkpoints: None))
     assert main(["--check"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "0 changed files"
     monkeypatch.setattr(module, "versions",
@@ -200,8 +246,8 @@ def main(argv=None):
                         "versions or runs than the manifest's")
     check = p.parse_args(argv).check
     with tempfile.TemporaryDirectory() as tmp:
-        generate(tmp)
-        diffs = drift(tmp)
+        checkpoints = generate(tmp)
+        diffs = drift(tmp, checkpoints)
         for line in diffs:
             print(line)
         print(f"{len(diffs)} changed files")
@@ -212,9 +258,10 @@ def main(argv=None):
             return 1 if diffs or mismatches else 0
         shutil.rmtree(GOLDEN, ignore_errors=True)
         shutil.copytree(tmp, GOLDEN)
-    manifest = {**versions(), "runs": RUNS, "regenerate": REGENERATE}
+    made = {**versions(), "runs": RUNS, "checkpoints": checkpoints,
+            "regenerate": REGENERATE}
     (GOLDEN / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        json.dumps(made, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(csv_files(GOLDEN))} files under {GOLDEN}")
 
 

@@ -88,6 +88,7 @@ lazy state above), so an episode is the same whether or not it is read.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -229,7 +230,7 @@ class CouplingEnv:
         warmup = cfg.demand.warmup_s
         if not any(v.is_ev and v.depart_s >= warmup for v in self._vehicles):
             raise EnvError("scenario generates no control-phase charging "
-                           "requests (is ev_fraction zero?)")
+                           "requests (do all EV trips depart during warm-up?)")
         self._compliance_rng = np.random.default_rng([seed, cfg.seed, 1])
         self.stations = [ChargingStation(s.cs_id, s.node, s.bus, s.piles)
                          for s in cfg.stations]
@@ -266,7 +267,13 @@ class CouplingEnv:
     def apply_action(self, cs_index: int, decision_s: float = 0.0) -> StepOutcome:
         if self._terminal or not self._pending:
             raise EnvError("no pending charging request")
-        idx = int(cs_index)
+        try:    # Python and numpy integers only; a bool is no station
+            if isinstance(cs_index, bool):
+                raise TypeError
+            idx = operator.index(cs_index)
+        except TypeError:
+            raise EnvError(f"station index must be an integer, got "
+                           f"{cs_index!r}") from None
         if not 0 <= idx < self.action_dim:
             raise EnvError(f"station index {idx} out of range "
                            f"[0, {self.action_dim})")

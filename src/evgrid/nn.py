@@ -5,18 +5,9 @@ parameters as an ordered ``{name: array}`` dict (live references), and every
 backward pass returns a gradient dict with matching keys, so the optimizer
 and the checkpoint format stay trivial.
 
-A constrained agent's decision runs its actor and both critics on one
-state, so ``stack_layers`` keeps their equal-shaped layers in stacked
-``(nets, in, out)`` weight and ``(nets, 1, out)`` bias arrays, and each
-net's ``param_dict()`` entries are views of its slice. One ``np.matmul``
-over a stack makes the BLAS call a standalone 2-D product makes, slice by
-slice on the same strides, so a stacked forward has the bits of the
-separate ones. Stacking rebinds the nets' parameters once, at the agent's
-construction and before any optimizer exists; after that the views are
-only ever written in place, like any other parameter. ``DenseNet`` holds
-its layers' keys and live ``(w, b)`` arrays from construction, and
-``categorical_sample`` walks the probabilities once with the same
-left-to-right additions ``np.cumsum`` makes, so it picks the index
+``DenseNet`` holds its layers' keys and live ``(w, b)`` arrays from
+construction, and ``categorical_sample`` walks the probabilities once with
+the same left-to-right additions ``np.cumsum`` makes, so it picks the index
 ``np.searchsorted`` on the cumulative sums would.
 
 Initialization conventions:
@@ -71,8 +62,7 @@ class DenseNet:
     with no per-layer key formatting. The arrays are the ``param_dict()``
     values themselves, so every in-place write (Adam, ``assign_params``,
     DQN's target sync) is what the next pass reads; a value must be
-    written into the dict's array, never rebound to a new one
-    (``stack_layers``, before any optimizer exists, is the one exception).
+    written into the dict's array, never rebound to a new one.
     """
 
     def __init__(self, sizes, rng):
@@ -83,11 +73,8 @@ class DenseNet:
         for k in range(len(sizes) - 1):
             self._params[f"w{k}"] = fan_in_uniform(rng, sizes[k], (sizes[k], sizes[k + 1]))
             self._params[f"b{k}"] = np.zeros(sizes[k + 1])
-        self._bind()
-
-    def _bind(self):
         self._layers = [(f"w{k}", f"b{k}", self._params[f"w{k}"], self._params[f"b{k}"])
-                        for k in range(len(self.sizes) - 1)]
+                        for k in range(len(sizes) - 1)]
         self._hidden = self._layers[:-1]
 
     def param_dict(self):
@@ -125,25 +112,6 @@ class DenseNet:
             grads[bk] = g.sum(axis=0)
             g = g @ w.T
         return grads, (g[0] if squeeze else g)
-
-
-def stack_layers(nets, k):
-    """Move layer ``k`` of ``nets``, all of one shape, into one stack.
-
-    Returns ``(w, b)``: the layers' weights as a ``(len(nets), in, out)``
-    array and their biases as a ``(len(nets), 1, out)`` one, copied in net
-    order. Each net's ``w{k}``/``b{k}`` entries become the views ``w[i]``
-    and ``b[i, 0]``, at the same place in its ``param_dict()``, so in-place
-    writes to either side are seen by both. Call it before an optimizer or
-    anything else holds the nets' arrays.
-    """
-    w = np.array([net._params[f"w{k}"] for net in nets])
-    b = np.array([net._params[f"b{k}"][None] for net in nets])
-    for i, net in enumerate(nets):
-        net._params[f"w{k}"] = w[i]
-        net._params[f"b{k}"] = b[i, 0]
-        net._bind()
-    return w, b
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,21 @@ class DemandSpec(Checked):
                                 "< soc_target <= 1")
         if self.od_mode == "table" and not self.od_table:
             raise ScenarioError("od_mode table needs demand.od_table")
+        if self.n_ev < 1:
+            raise ScenarioError(f"demand generates no EV trip: need "
+                                f"round(ev_fraction x trips) >= 1, got "
+                                f"round({self.ev_fraction} x {self.n_trips})")
+
+    @property
+    def n_trips(self) -> int:
+        """Trips per episode: one every 3600/rate s over warm-up + control."""
+        return int(round(self.rate_veh_per_h * (self.warmup_s + self.control_s)
+                         / 3600.0))
+
+    @property
+    def n_ev(self) -> int:
+        """How many of the episode's trips are EVs."""
+        return int(round(self.ev_fraction * self.n_trips))
 
 
 @dataclass(frozen=True)
@@ -410,13 +425,13 @@ def _validate_od(cfg: ScenarioConfig):
             if d not in road.reachable_from(o):
                 raise ScenarioError(f"od_table[{i}] pair {o}->{d} "
                                     f"is not routable")
-            if cfg.demand.ev_fraction > 0 and (o, d) not in ev_ok:
+            if (o, d) not in ev_ok:
                 raise ScenarioError(f"od_table[{i}] pair {o}->{d} cannot "
                                     f"reach every station")
     else:
         if not cv_feasible_pairs(cfg):
             raise ScenarioError("no feasible origin-destination pair")
-        if cfg.demand.ev_fraction > 0 and not ev_feasible_pairs(cfg):
+        if not ev_feasible_pairs(cfg):
             raise ScenarioError("no origin-destination pair can use "
                                 "every station")
 
@@ -425,15 +440,11 @@ def generate_trips(cfg: ScenarioConfig, seed: int):
     """Deterministic trip table for one episode."""
     d = cfg.demand
     spacing = 3600.0 / d.rate_veh_per_h
-    horizon = d.warmup_s + d.control_s
-    n = int(round(d.rate_veh_per_h * horizon / 3600.0))
-    if n == 0:
-        return []
+    n = d.n_trips
     rng = np.random.default_rng([seed, cfg.seed])
 
-    n_ev = int(round(d.ev_fraction * n))
     ev_flags = np.zeros(n, dtype=bool)
-    ev_flags[rng.permutation(n)[:n_ev]] = True
+    ev_flags[rng.permutation(n)[:d.n_ev]] = True
 
     if d.od_mode == "table":
         cv_pairs = ev_pairs = [row[:2] for row in d.od_table]
@@ -442,7 +453,7 @@ def generate_trips(cfg: ScenarioConfig, seed: int):
         cv_w = ev_w = weights / weights.sum()
     else:
         cv_pairs = cv_feasible_pairs(cfg)
-        ev_pairs = ev_feasible_pairs(cfg) if n_ev else cv_pairs
+        ev_pairs = ev_feasible_pairs(cfg)
         cv_w = ev_w = None
 
     trips = []

@@ -5,7 +5,9 @@ Each epoch the non-negative multiplier climbs on the observed mean episode
 cost, then 40 minibatch iterations ascend a clipped importance-ratio
 surrogate built from the combined advantage A_r - lambda * A_c (normalized
 after combination), updating actor, reward critic and cost critic in that
-order on the same minibatch. Baselines share the env and network substrate:
+order on the same minibatch. A decision runs the actor alone; the critics
+are only read by ``ppo_update``, which evaluates them on the epoch's states
+before its first minibatch. Baselines share the env and network substrate:
 nearest-station greedy, ``DQNAgent``, ``PolicyGradientAgent`` (REINFORCE
 without a critic, one-step actor-critic with one), and ``LagrangePPOAgent``
 unconstrained as reward-only PPO and as PPO on a min-max penalty-shaped
@@ -31,7 +33,7 @@ import numpy as np
 from .env import CouplingEnv, EnvError, EpisodeMetrics
 from .nn import (Adam, DenseNet, assign_params, categorical_sample,
                  load_params, log_softmax, log_softmax_1d, prefixed,
-                 save_params, stack_layers)
+                 save_params)
 from .power import PowerFlowError
 from .predictor import OnlinePredictor
 from .scenario import ScenarioConfig, TrainConfig
@@ -150,8 +152,6 @@ class EpisodeData:
     logps: np.ndarray | None    # (T,) log-prob of the taken action (PPO)
     rewards: np.ndarray
     costs: np.ndarray
-    values_r: np.ndarray | None     # critic outputs at collection time (PPO)
-    values_c: np.ndarray | None
     metrics: EpisodeMetrics
     seed: int                   # the episode seed the env was reset with
     minute_log: list            # the env's logs of the episode, which its
@@ -169,34 +169,27 @@ def episode_cost_return(ep: EpisodeData, gamma, discounted):
 # Constrained clipped-surrogate agent
 # ---------------------------------------------------------------------------
 
+def _sample(actor: DenseNet, state, rng):
+    """One forward of ``actor`` on ``state`` and a draw from the softmax of
+    its logits; returns the action and the log-probabilities."""
+    logits, _ = actor.forward(np.asarray(state, dtype=float))
+    lp = log_softmax_1d(logits)
+    return categorical_sample(np.exp(lp), rng), lp
+
+
 class LagrangePPOAgent:
     """Actor with reward and cost critics and a non-negative multiplier.
 
     With ``constrained=False`` the cost critic and multiplier stay frozen
-    and the agent is plain reward-only PPO.
-
-    The three nets share their hidden widths, so ``act`` runs them as one:
-    each hidden layer lives in a ``(3, in, out)`` stack (actor, reward
-    critic, cost critic) and the critics' output layers in a ``(2, h, 1)``
-    one (``nn.stack_layers``), and a decision makes one matmul, add and
-    tanh per hidden layer, the actor's head on slice 0 and one matmul for
-    both values. Every product is the one ``DenseNet.forward`` makes, so
-    the outputs keep their bits. The nets' ``param_dict()`` arrays are
-    views of the stacks, which ``ppo_update``, ``act_greedy``, Adam and
-    checkpoints use as before. ``copy.deepcopy`` and pickle copy each view
-    on its own, so they would part the nets from the stacks; a copy goes
-    through ``save_checkpoint`` and ``load_checkpoint``.
+    and the agent is plain reward-only PPO. A decision (``act``) runs the
+    actor only; ``ppo_update`` evaluates the critics.
     """
 
     def __init__(self, state_dim, n_actions, tc: TrainConfig, rng,
                  constrained=True):
-        hidden = list(tc.hidden)
-        self.actor = DenseNet([state_dim, *hidden, n_actions], rng)
-        self.critic_r = DenseNet([state_dim, *hidden, 1], rng)
-        self.critic_c = DenseNet([state_dim, *hidden, 1], rng)
-        nets = (self.actor, self.critic_r, self.critic_c)
-        self._hidden = [stack_layers(nets, k) for k in range(len(hidden))]
-        self._values = stack_layers(nets[1:], len(hidden))
+        self.actor = DenseNet([state_dim, *tc.hidden, n_actions], rng)
+        self.critic_r = DenseNet([state_dim, *tc.hidden, 1], rng)
+        self.critic_c = DenseNet([state_dim, *tc.hidden, 1], rng)
         self.state_dim = state_dim
         self.n_actions = n_actions
         self.tc = tc
@@ -207,17 +200,9 @@ class LagrangePPOAgent:
         self.opt_critic_c = Adam(self.critic_c.param_dict(), tc.lr)
 
     def act(self, state, rng):
-        """Sample an action; returns (action, logp, V_r, V_c)."""
-        h = np.asarray(state, dtype=float)[None]        # (1, d), shared
-        for w, b in self._hidden:
-            h = np.tanh(np.matmul(h, w) + b)            # (3, 1, width)
-        h_actor, h_values = (h[0], h[1:]) if self._hidden else (h, h)
-        _, _, w, b = self.actor._layers[-1]
-        lp = log_softmax_1d((h_actor @ w + b)[0])
-        a = categorical_sample(np.exp(lp), rng)
-        w, b = self._values
-        v = np.matmul(h_values, w) + b                  # (2, 1, 1)
-        return a, float(lp[a]), float(v[0, 0, 0]), float(v[1, 0, 0])
+        """Sample an action; returns (action, logp)."""
+        a, lp = _sample(self.actor, state, rng)
+        return a, float(lp[a])
 
     def act_greedy(self, state) -> int:
         logits, _ = self.actor.forward(np.asarray(state, dtype=float))
@@ -229,12 +214,38 @@ class LagrangePPOAgent:
                         vc=self.critic_c.param_dict())
 
 
+def critic_values(critic: DenseNet, states):
+    """``critic``'s value of each state row, one ``DenseNet.forward`` per
+    row. A batched forward over all rows would differ in the last bits."""
+    return np.array([critic.forward(s)[0][0] for s in states])
+
+
+def _gae_targets(critic, episodes, signals, tc: TrainConfig):
+    """GAE advantages of each episode's ``signals`` (rewards or costs)
+    against ``critic``'s values of its states, and the critic's regression
+    targets (advantage plus value), each concatenated over the episodes."""
+    adv, ret = [], []
+    for ep, signal in zip(episodes, signals):
+        v = critic_values(critic, ep.states)
+        a = compute_gae(signal, np.append(v, 0.0), tc.gamma, tc.gae_lambda)
+        adv.append(a)
+        ret.append(a + v)
+    return np.concatenate(adv), np.concatenate(ret)
+
+
 def ppo_update(agent: LagrangePPOAgent, episodes, rng):
     """One epoch of updates on a batch of complete episodes.
 
-    Order per epoch: multiplier, then ``iters_per_epoch`` minibatch rounds of
-    actor, reward critic, cost critic. Advantages are estimated against the
-    collection-time values, combined, then normalized. Returns loss stats.
+    Order per epoch: multiplier, then the critics' values of every state
+    (the cost critic's only when constrained, since nothing else reads cost
+    advantages), then ``iters_per_epoch`` minibatch rounds of actor, reward
+    critic, cost critic. Advantages are estimated against those values,
+    combined, then normalized. Returns loss stats.
+
+    The episodes must have been collected with the agent's current
+    parameters, so that the values are the ones the critics held at
+    collection time; ``train`` always satisfies this, as it updates once
+    per epoch, after the epoch's rollouts.
     """
     tc = agent.tc
     stats = {"j_c": 0.0}
@@ -245,25 +256,19 @@ def ppo_update(agent: LagrangePPOAgent, episodes, rng):
                                       tc.lambda_lr)
         stats["j_c"] = j_c
 
-    adv_r, adv_c, ret_r, ret_c = [], [], [], []
-    for ep in episodes:
-        a_r = compute_gae(ep.rewards, np.append(ep.values_r, 0.0),
-                          tc.gamma, tc.gae_lambda)
-        a_c = compute_gae(ep.costs, np.append(ep.values_c, 0.0),
-                          tc.gamma, tc.gae_lambda)
-        adv_r.append(a_r)
-        adv_c.append(a_c)
-        ret_r.append(a_r + ep.values_r)
-        ret_c.append(a_c + ep.values_c)
+    adv, ret_r = _gae_targets(agent.critic_r, episodes,
+                              [ep.rewards for ep in episodes], tc)
+    critic_plan = [(agent.critic_r, agent.opt_critic_r, ret_r, "critic_r_loss")]
+    if agent.constrained:
+        adv_c, ret_c = _gae_targets(agent.critic_c, episodes,
+                                    [ep.costs for ep in episodes], tc)
+        adv = combined_advantage(adv, adv_c, agent.lam)
+        critic_plan.append((agent.critic_c, agent.opt_critic_c, ret_c,
+                            "critic_c_loss"))
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     states = np.concatenate([ep.states for ep in episodes])
     actions = np.concatenate([ep.actions for ep in episodes])
     logp_old = np.concatenate([ep.logps for ep in episodes])
-    ret_r = np.concatenate(ret_r)
-    ret_c = np.concatenate(ret_c)
-    adv = combined_advantage(np.concatenate(adv_r), np.concatenate(adv_c),
-                             agent.lam) if agent.constrained \
-        else np.concatenate(adv_r)
-    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     n = len(states)
     batch = min(tc.batch, n)
@@ -284,11 +289,6 @@ def ppo_update(agent: LagrangePPOAgent, episodes, rng):
         agent.opt_actor.step(agent.actor.param_dict(), grads)
         stats["actor_loss"] = loss
         stats["entropy"] = info["entropy"]
-
-        critic_plan = [(agent.critic_r, agent.opt_critic_r, ret_r, "critic_r_loss")]
-        if agent.constrained:
-            critic_plan.append((agent.critic_c, agent.opt_critic_c, ret_c,
-                                "critic_c_loss"))
         for critic, opt, ret, key in critic_plan:
             v, vcache = critic.forward(states[mb])
             vloss = _critic_step(critic, opt, v, vcache, ret[mb])
@@ -324,8 +324,7 @@ class PolicyGradientAgent:
             if critic else None
 
     def act(self, state, rng) -> int:
-        logits, _ = self.actor.forward(np.asarray(state, dtype=float))
-        return categorical_sample(np.exp(log_softmax_1d(logits)), rng)
+        return _sample(self.actor, state, rng)[0]
 
     act_greedy = LagrangePPOAgent.act_greedy
 
@@ -334,11 +333,9 @@ class PolicyGradientAgent:
         (REINFORCE) or the mean squared TD error (actor-critic)."""
         s = np.asarray(states, dtype=float)
         if self.critic is None:
-            g = np.empty(len(rewards))
-            acc = 0.0
-            for t in range(len(rewards) - 1, -1, -1):
-                acc = rewards[t] + self.tc.gamma * acc
-                g[t] = acc
+            # the discounted return: GAE with zero values and lambda 1
+            g = compute_gae(rewards, np.zeros(len(rewards) + 1),
+                            self.tc.gamma, 1.0)
             if len(g) > 1 and g.std() > 1e-8:
                 g = (g - g.mean()) / g.std()
             lp = _pg_step(self.actor, self.opt_actor, s, actions, g)
@@ -476,11 +473,11 @@ def rollout(env: CouplingEnv, policy, ep_seed,
     """Run one episode of ``policy`` on the env reset with ``ep_seed``.
 
     ``policy(s)`` gets the network input (the state, augmented with the
-    forecast or zero-padded by ``pad``) and returns the action, or a tuple
-    of the action and per-step extras (PPO: log-prob, V_r, V_c), which fill
-    the PPO-only columns; without extras those columns are None. With
-    ``policy=None`` the nearest-station rule, ``greedy_action``, picks
-    every station; no state is built, so ``states`` is None too. The
+    forecast or zero-padded by ``pad``) and returns the action, or (PPO)
+    the action and its log-prob, which fill ``logps``; without log-probs
+    ``logps`` is None. With ``policy=None`` the nearest-station rule,
+    ``greedy_action``, picks every station; no state is built, so
+    ``states`` is None too. The
     decision time passed to the env covers the augmentation and the policy
     call only. With a policy, ``on_step(s, a, outcome, s_next)`` runs after
     each step, with the next raw state, or None at the terminal step. The
@@ -492,7 +489,7 @@ def rollout(env: CouplingEnv, policy, ep_seed,
         predictor.start_episode()
         predictor.observe(env.windows)
     state = None if policy is None else env.state()
-    states, actions, extras, rewards, costs = [], [], [], [], []
+    states, actions, logps, rewards, costs = [], [], [], [], []
     clock = time.perf_counter
     while True:
         t0 = clock()
@@ -508,8 +505,8 @@ def rollout(env: CouplingEnv, policy, ep_seed,
             a = policy(s_in)
         dt = clock() - t0
         if type(a) is tuple:
-            a, *extra = a
-            extras.append(extra)
+            a, logp = a
+            logps.append(logp)
         out = env.apply_action(a, decision_s=dt)
         if predictor is not None:
             predictor.observe(env.windows)
@@ -523,14 +520,11 @@ def rollout(env: CouplingEnv, policy, ep_seed,
         costs.append(out.cost)
         if out.terminal:
             break
-    logps = values_r = values_c = None
-    if extras:
-        logps, values_r, values_c = (np.array(col) for col in zip(*extras))
     states = None if policy is None else np.array(states)
-    return EpisodeData(states, np.array(actions, dtype=int), logps,
-                       np.array(rewards), np.array(costs), values_r, values_c,
-                       env.episode_metrics(), ep_seed, env.minute_log,
-                       env.droop_log, env.trace)
+    return EpisodeData(states, np.array(actions, dtype=int),
+                       np.array(logps) if logps else None, np.array(rewards),
+                       np.array(costs), env.episode_metrics(), ep_seed,
+                       env.minute_log, env.droop_log, env.trace)
 
 
 def greedy_action(env: CouplingEnv) -> int:

@@ -252,16 +252,16 @@ def test_c06_energy_ledger(capsys, reduced_cfg):
 
 
 def _synth_episode(agent, rng, T, cost, dim):
-    S, A, LP, R, C, VR, VC = [], [], [], [], [], [], []
+    S, A, LP, R, C = [], [], [], [], []
     for t in range(T):
         s = rng.normal(size=dim)
-        a, lp, vr, vc = agent.act(s, rng)
+        a, lp = agent.act(s, rng)
         S.append(s); A.append(a); LP.append(lp)
         R.append(rng.normal()); C.append(cost)
-        VR.append(vr); VC.append(vc)
-    return EpisodeData(np.array(S), np.array(A, dtype=int), np.array(LP),
-                       np.array(R), np.array(C), np.array(VR), np.array(VC),
-                       None, 0, [], [], [])
+    return EpisodeData(states=np.array(S), actions=np.array(A, dtype=int),
+                       logps=np.array(LP), rewards=np.array(R),
+                       costs=np.array(C), metrics=None, seed=0,
+                       minute_log=[], droop_log=[], trace=[])
 
 
 def test_c07_lagrange_multiplier_dynamics(capsys):

@@ -6,8 +6,9 @@ forward/backward with one sigmoid call per gate and a concatenated ``dz``,
 the minibatch gather that stacked the buffer's pairs per minibatch, the
 dense forward/backward that looked each parameter up by a formatted key,
 the ``cumsum``/``searchsorted`` categorical sampler, the ``keepdims``
-log-softmax, the constrained agent's decision as three separate dense
-forwards on standalone parameter arrays, and the Newton-Raphson solve that
+log-softmax, the constrained agent's decision and its two critic values
+as three separate dense forwards on standalone parameter arrays, and the
+Newton-Raphson solve that
 allocated a new Jacobian per iteration. Every comparison is on the int64
 view of the float64 results, so a difference in the last bit, in the sign
 of a zero or in a NaN payload fails.
@@ -28,8 +29,8 @@ from evgrid.power import (PFSolution, PowerFlowError, bus_injections,
                           load_power_network, solve_power_flow)
 from evgrid.predictor import PredictorBuffer, Seq2SeqForecaster, _gather
 from evgrid.scenario import TrainConfig, load_scenario
-from evgrid.srl import (EpisodeData, LagrangePPOAgent, load_checkpoint,
-                        ppo_update, save_checkpoint)
+from evgrid.srl import (EpisodeData, LagrangePPOAgent, critic_values,
+                        load_checkpoint, ppo_update, save_checkpoint)
 
 from test_power import _shuffled_radial
 
@@ -185,9 +186,8 @@ def ref_log_softmax(logits):
 
 
 def _standalone(net):
-    """``net``'s sizes and fresh copies of its parameters, which
-    ``ref_dense_forward`` reads like a net whose arrays are no stack's
-    slices."""
+    """``net``'s sizes and fresh copies of its parameters, for
+    ``ref_dense_forward`` to read apart from the live net."""
     params = {k: v.copy() for k, v in net.param_dict().items()}
     return types.SimpleNamespace(sizes=net.sizes, param_dict=lambda: params)
 
@@ -618,7 +618,7 @@ def test_log_softmax_matches_reference(x):
 
 
 # ---------------------------------------------------------------------------
-# stacked decision path
+# decision path and critic values
 # ---------------------------------------------------------------------------
 
 HIDDEN = [(), (8,), (8, 8), (48, 24), (64, 64)]
@@ -635,15 +635,21 @@ def _agent(hidden, state_dim, n_actions, seed):
 
 def _assert_act_matches(agent, states, seed):
     """``act`` against ``ref_act`` on each state: the action, the bits of
-    its log-prob and both values, and the rng state after the draw."""
+    its log-prob and the rng state after the draw. ``critic_values`` on the
+    states, as ``ppo_update`` calls it, gives the bits of ``ref_act``'s
+    per-decision V_r and V_c."""
     r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    want_r, want_c = [], []
     for s in states:
-        a, lp, vr, vc = agent.act(s, r1)
+        a, lp = agent.act(s, r1)
         ra, rlp, rvr, rvc = ref_act(agent, s, r2)
         assert a == ra
-        assert all(same_bits(np.float64(x), np.float64(y))
-                   for x, y in ((lp, rlp), (vr, rvr), (vc, rvc)))
+        assert same_bits(np.float64(lp), np.float64(rlp))
         assert r1.bit_generator.state == r2.bit_generator.state
+        want_r.append(rvr)
+        want_c.append(rvc)
+    assert same_bits(critic_values(agent.critic_r, states), np.array(want_r))
+    assert same_bits(critic_values(agent.critic_c, states), np.array(want_c))
 
 
 @pytest.mark.parametrize("hidden", HIDDEN)
@@ -656,49 +662,50 @@ def test_stacked_act_matches_three_forwards(hidden):
                                 dim)
 
 
-def test_stacked_layers_are_the_nets_parameters():
-    """Each net's ``param_dict()`` keeps its keys and order, and its
-    entries share memory with the stacks ``act`` reads."""
+def test_constrained_decision_is_one_actor_forward(monkeypatch):
     agent = _agent((8, 8), 5, 3, 0)
-    keys = ["w0", "b0", "w1", "b1", "w2", "b2"]
-    nets = (agent.actor, agent.critic_r, agent.critic_c)
-    assert all(list(net.param_dict()) == keys for net in nets)
-    for k, (w, b) in enumerate(agent._hidden):
-        assert w.shape == (3, *agent.actor.param_dict()[f"w{k}"].shape)
-        assert b.shape == (3, 1, 8)
-        for i, net in enumerate(nets):
-            assert np.shares_memory(net.param_dict()[f"w{k}"], w[i])
-            assert np.shares_memory(net.param_dict()[f"b{k}"], b[i])
-    w, b = agent._values
-    assert w.shape == (2, 8, 1) and b.shape == (2, 1, 1)
-    for i, net in enumerate(nets[1:]):
-        assert np.shares_memory(net.param_dict()["w2"], w[i])
+    nets = []
+    forward = DenseNet.forward
+
+    def spy(net, x):
+        nets.append(net)
+        return forward(net, x)
+
+    monkeypatch.setattr(DenseNet, "forward", spy)
+    agent.act(np.ones(5), np.random.default_rng(0))
+    assert nets == [agent.actor]
 
 
 def _episode(agent, states, rng):
-    acts = [agent.act(s, rng) for s in states]
-    a, lp, vr, vc = (np.array(col) for col in zip(*acts))
-    return EpisodeData(states, a.astype(int), lp, rng.normal(size=len(a)),
-                       np.abs(rng.normal(size=len(a))), vr, vc, None, 0, [],
-                       [], [])
+    a, lp = (np.array(col) for col in zip(*[agent.act(s, rng)
+                                             for s in states]))
+    return EpisodeData(states=states, actions=a.astype(int), logps=lp,
+                       rewards=rng.normal(size=len(a)),
+                       costs=np.abs(rng.normal(size=len(a))), metrics=None,
+                       seed=0, minute_log=[], droop_log=[], trace=[])
 
 
 def test_stacked_act_reads_updated_parameters(tmp_path):
     """After Adam steps (``ppo_update``), ``assign_params`` and
-    ``load_checkpoint``, ``act`` still equals three forwards on the updated
-    nets: the stacks and the nets' parameters are one set of arrays."""
+    ``load_checkpoint``, ``act`` and ``critic_values`` still equal the
+    frozen references on the updated nets."""
     tc = TrainConfig(hidden=(48, 24), iters_per_epoch=3, lr=0.01)
     agent = LagrangePPOAgent(6, 4, tc, np.random.default_rng(40))
     agent.tag = {"method": 1, "state_dim": 6, "action_dim": 4, "pad_width": 0}
     rng = np.random.default_rng(41)
     states = rng.normal(size=(30, 6))
-    before = [agent.act(s, np.random.default_rng(0))[1:] for s in states]
 
+    def outputs():
+        return ([agent.act(s, np.random.default_rng(0))[1] for s in states],
+                critic_values(agent.critic_r, states).tolist(),
+                critic_values(agent.critic_c, states).tolist())
+
+    before = outputs()
     ppo_update(agent, [_episode(agent, states[k::3], rng) for k in range(3)],
                rng)
     _assert_act_matches(agent, states, 1)
-    after = [agent.act(s, np.random.default_rng(0))[1:] for s in states]
-    assert after != before
+    after = outputs()
+    assert all(x != y for x, y in zip(after, before))
 
     assign_params(agent.param_dict(),
                   {k: rng.normal(scale=0.5, size=v.shape)
@@ -712,40 +719,6 @@ def test_stacked_act_reads_updated_parameters(tmp_path):
     _assert_act_matches(fresh, states, 3)
     assert [fresh.act(s, np.random.default_rng(0)) for s in states] \
         == [agent.act(s, np.random.default_rng(0)) for s in states]
-
-
-def test_stacked_matmul_is_the_per_slice_product():
-    """The assumption the stacked ``act`` rests on: ``np.matmul`` over a
-    ``(k, n, m)`` stack makes, for every slice, the product a standalone
-    2-D array gives, on the agent's shapes (one row broadcast or stacked,
-    hidden and output layers, no hidden layer) and on the 64-row minibatch
-    products ``ppo_update`` makes with the slices as weights."""
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    why = (f"numpy {np.__version__} with {blas.get('name')} "
-           f"{blas.get('version')} gives a stacked np.matmul slice other bits "
-           f"than the standalone 2-D product; LagrangePPOAgent.act assumes "
-           f"numpy.matmul makes the same BLAS call per 2-D slice, so its "
-           f"outputs would move")
-    rng = np.random.default_rng(50)
-    for dim in (1, 2, 17, 42, 64, 65, 120, 137):
-        for hidden in HIDDEN:
-            sizes = [dim, *hidden]
-            h = rng.normal(size=(1, dim))
-            for k in range(len(hidden)):
-                w = rng.normal(size=(3, sizes[k], sizes[k + 1]))
-                got = np.matmul(h, w)
-                for i in range(3):
-                    x = h if h.ndim == 2 else h[i]
-                    assert same_bits(got[i], x.copy() @ w[i].copy()), why
-                    batch = rng.normal(size=(64, sizes[k]))
-                    assert same_bits(batch @ w[i], batch @ w[i].copy()), why
-                h = np.tanh(got)
-            w = rng.normal(size=(2, sizes[-1], 1))
-            hv = h if h.ndim == 2 else h[1:]
-            got = np.matmul(hv, w)
-            for i in range(2):
-                x = hv if hv.ndim == 2 else hv[i]
-                assert same_bits(got[i], x.copy() @ w[i].copy()), why
 
 
 # ---------------------------------------------------------------------------

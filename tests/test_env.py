@@ -5,6 +5,7 @@ import copy
 import functools
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -336,9 +337,14 @@ def test_reset_state_and_history(tiny_cfg):
 
 
 def test_reset_without_control_requests(tmp_path):
+    """EV trips that all depart during warm-up pass the config checks but
+    leave no decision to make, which the env's per-seed check rejects."""
     p = tmp_path / "noev.yaml"
-    p.write_text(TINY.replace("ev_fraction: 0.5", "ev_fraction: 0.0"))
+    p.write_text(TINY.replace("control_s: 600", "control_s: 10"))
     cfg = load_scenario(p)
+    trips = generate_trips(cfg, 0)
+    assert any(t.is_ev for t in trips)
+    assert all(t.depart_s < cfg.demand.warmup_s for t in trips)
     with pytest.raises(EnvError, match="no control-phase"):
         CouplingEnv(cfg).reset(0)
 
@@ -463,6 +469,25 @@ def test_invalid_actions(tiny_cfg):
         env.apply_action(0)
     with pytest.raises(EnvError, match="not terminated"):
         CouplingEnv(tiny_cfg).episode_metrics()
+
+
+def test_non_integer_actions_are_rejected_before_any_draw(tiny_cfg):
+    """Only Python and numpy integers name a station: a float, a bool or a
+    string fails, naming the value, and leaves the decision log, the
+    pending request and the compliance stream as they were."""
+    env = CouplingEnv(tiny_cfg)
+    env.reset(0)
+    env.apply_action(0)
+    trace, pending = list(env.trace), list(env._pending)
+    rng_state = env._compliance_rng.bit_generator.state
+    for bad in (1.7, 1.0, np.float64(1.0), True, np.True_, "1", None):
+        with pytest.raises(EnvError, match=re.escape(
+                f"station index must be an integer, got {bad!r}")):
+            env.apply_action(bad)
+        assert env.trace == trace and list(env._pending) == pending
+        assert env._compliance_rng.bit_generator.state == rng_state
+    env.apply_action(np.int64(1))
+    assert env.trace[-1][1] in (0, 1) and type(env.trace[-1][1]) is int
 
 
 def test_stranded_vehicles_keep_duality(tmp_path):

@@ -602,6 +602,9 @@ def test_main_sweep_and_errors(scenario_path, tmp_path, capsys):
              "--seeds '3,3': seed 3 repeats"),
             ("decoder_length", "2.5", "0", "FieldError", dec_len),
             ("decoder_length", "2,2.5", "0", "FieldError", dec_len),
+            ("ev_fraction", "1/6,0", "0", "ScenarioError",
+             "demand generates no EV trip: need round(ev_fraction x trips) "
+             ">= 1, got round(0.0 x 36)"),
             # two values whose directory names would collide
             ("compliance_rate", "0.3333334,1/3", "0", "HarnessError",
              "sweep values 0.3333334 and 0.3333333333333333 share "

@@ -235,11 +235,8 @@ def test_every_config_field_has_a_table_entry(tmp_path):
         replace(cfg, seeds=(1, 1))
 
 
-UNREACHABLE_OD = (evgrid.DATA_DIR / "reduced.yaml").read_text().replace(
-    "  ev_fraction: 0.5\n  warmup_s: 1200\n  control_s: 3600\n"
-    "  od_mode: uniform\n",
-    "  ev_fraction: 0.0\n  warmup_s: 1200\n  control_s: 3600\n"
-    "  od_mode: table\n  od_table: [[1, 5], [1, 2]]\n")
+TABLE_OD = (evgrid.DATA_DIR / "reduced.yaml").read_text().replace(
+    "  od_mode: uniform\n", "  od_mode: table\n  od_table: [[1, 2]]\n")
 
 
 def test_cross_section_rules_hold_for_configs_built_in_code(tmp_path,
@@ -247,14 +244,14 @@ def test_cross_section_rules_hold_for_configs_built_in_code(tmp_path,
     """The warm-up and OD rules tie fields of two sections; they hold for a
     config built by ``replace`` (as a sweep builds one) as for a loaded
     one, and a loaded one's message names the file."""
-    assert "od_table" in UNREACHABLE_OD
-    path = _write(tmp_path, UNREACHABLE_OD, "cars.yaml")
-    cfg = load_scenario(path)           # no EVs: every pair is usable
+    assert "od_table" in TABLE_OD
+    path = _write(tmp_path, TABLE_OD, "table.yaml")
+    cfg = load_scenario(path)
     unreachable = "od_table[0] pair 1->5 cannot reach every station"
     with pytest.raises(ScenarioError, match=re.escape(unreachable)):
-        replace(cfg, demand=replace(cfg.demand, ev_fraction=0.5))
-    evs = _write(tmp_path, UNREACHABLE_OD.replace(
-        "ev_fraction: 0.0", "ev_fraction: 0.5"), "evs.yaml")
+        replace(cfg, demand=replace(cfg.demand, od_table=((1, 5), (1, 2))))
+    evs = _write(tmp_path, TABLE_OD.replace("[[1, 2]]", "[[1, 5], [1, 2]]"),
+                 "evs.yaml")
     with pytest.raises(ScenarioError, match=re.escape(f"{evs}: {unreachable}")):
         load_scenario(evs)
     with pytest.raises(ScenarioError, match=re.escape(
@@ -264,11 +261,11 @@ def test_cross_section_rules_hold_for_configs_built_in_code(tmp_path,
     # the sweep rejects the value before any run starts
     out = tmp_path / "sweep"
     rc = main(["sweep", "--scenario", str(path), "--method", "greedy",
-               "--sweep-axis", "ev_fraction", "--sweep-values", "0.5",
+               "--sweep-axis", "ev_fraction", "--sweep-values", "0.5,0",
                "--seeds", "0", "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1 and '"type": "ScenarioError"' in err
-    assert unreachable in err and not out.exists()
+    assert "demand generates no EV trip" in err and not out.exists()
 
 
 def test_parse_error_reports_location(tmp_path):
@@ -390,9 +387,17 @@ def test_ev_soc_bounds_and_cv_soc():
 def test_ev_fraction_zero_and_one(tmp_path):
     base = load_scenario(evgrid.DATA_DIR / "reduced.yaml")
     text = (evgrid.DATA_DIR / "reduced.yaml").read_text()
+    assert base.demand.n_trips == len(generate_trips(base, seed=0)) == 160
     p = _write(tmp_path, text.replace("ev_fraction: 0.5", "ev_fraction: 0.0"))
-    cfg0 = load_scenario(p)
-    assert sum(t.is_ev for t in generate_trips(cfg0, seed=0)) == 0
+    with pytest.raises(ScenarioError, match=re.escape(
+            "demand generates no EV trip: need round(ev_fraction x trips) "
+            ">= 1, got round(0.0 x 160)")):
+        load_scenario(p)
+    # the rule is on the rounded count: 0.003 x 160 rounds to 0, 1/160 to 1
+    with pytest.raises(ScenarioError, match="no EV trip"):
+        replace(base.demand, ev_fraction=0.003)
+    one = replace(base, demand=replace(base.demand, ev_fraction=1 / 160))
+    assert sum(t.is_ev for t in generate_trips(one, seed=0)) == 1
     p = _write(tmp_path, text.replace("ev_fraction: 0.5", "ev_fraction: 1.0"))
     cfg1 = load_scenario(p)
     trips = generate_trips(cfg1, seed=0)

@@ -149,23 +149,28 @@ def test_actor_objective_gradient_matches_fd():
             assert dlogits[i, j] == pytest.approx(fd, abs=1e-7, rel=1e-5)
 
 
-def synth_episode(agent, rng, T, reward_fn, cost_fn, dim):
+def episode(states, actions, logps, rewards, costs):
+    """An ``EpisodeData`` of the given columns and no env logs."""
+    return EpisodeData(states=states, actions=actions, logps=logps,
+                       rewards=rewards, costs=costs, metrics=None, seed=0,
+                       minute_log=[], droop_log=[], trace=[])
+
+
+def synth_episode(agent, rng, T, reward_fn, cost_fn, dim, state=None):
     """Roll a synthetic episode through the live policy so stored log-probs
-    match the actor exactly."""
-    S, A, LP, R, C, VR, VC = [], [], [], [], [], [], []
+    match the actor exactly. Each state is a copy of ``state``, or a fresh
+    normal draw when it is None."""
+    S, A, LP, R, C = [], [], [], [], []
     for t in range(T):
-        s = rng.normal(size=dim)
-        a, lp, vr, vc = agent.act(s, rng)
+        s = rng.normal(size=dim) if state is None else state.copy()
+        a, lp = agent.act(s, rng)
         S.append(s)
         A.append(a)
         LP.append(lp)
         R.append(reward_fn(t, a))
         C.append(cost_fn(t, a))
-        VR.append(vr)
-        VC.append(vc)
-    return EpisodeData(np.array(S), np.array(A, dtype=int), np.array(LP),
-                       np.array(R), np.array(C), np.array(VR), np.array(VC),
-                       None, 0, [], [], [])
+    return episode(np.array(S), np.array(A, dtype=int), np.array(LP),
+                   np.array(R), np.array(C))
 
 
 def test_ratio_identity_at_first_pass():
@@ -193,6 +198,42 @@ def test_lambda_climbs_by_alpha_jc_on_constant_cost():
         assert agent.lam - lam_prev == pytest.approx(0.035 * 1.0, abs=1e-12)
         assert agent.lam >= 0.0
         lam_prev = agent.lam
+
+
+def test_discounted_episode_cost_return_matches_a_loop():
+    rng = np.random.default_rng(30)
+    for T in (1, 2, 7, 60):
+        costs = np.abs(rng.normal(size=T))
+        ep = episode(None, np.zeros(T, dtype=int), None, np.zeros(T), costs)
+        assert srl.episode_cost_return(ep, 0.9, False) == float(costs.sum())
+        for gamma in (0.0, 0.5, 0.9, 0.97, 1.0):
+            want = 0.0
+            for t in range(T):
+                want += gamma ** t * costs[t]
+            got = srl.episode_cost_return(ep, gamma, True)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_discounted_dual_moves_lambda_by_the_discounted_cost():
+    """With ``discounted_dual`` one update moves the multiplier by
+    lambda_lr * (J_c^gamma - cost_budget), J_c^gamma the mean discounted
+    episode cost, and clamps it at 0."""
+    gamma = 0.9
+    j_c = 0.25 * sum(gamma ** t for t in range(5))   # 1.0239..., not 1.25
+    for lam0, cost_budget in ((0.0, 0.5), (0.01, 2.0)):
+        want = lam0 + 0.035 * (j_c - cost_budget)
+        tc = TrainConfig(hidden=(8,), iters_per_epoch=1, lambda_lr=0.035,
+                         gamma=gamma, cost_budget=cost_budget,
+                         discounted_dual=True)
+        agent = LagrangePPOAgent(3, 2, tc, np.random.default_rng(31))
+        agent.lam = lam0
+        rng = np.random.default_rng(32)
+        eps = [synth_episode(agent, rng, 5, lambda t, a: rng.normal(),
+                             lambda t, a: 0.25, 3) for _ in range(3)]
+        stats = ppo_update(agent, eps, rng)
+        assert stats["j_c"] == pytest.approx(j_c, rel=1e-12)
+        assert agent.lam == pytest.approx(max(0.0, want), rel=1e-12, abs=0.0)
+    assert want < 0.0 and agent.lam == 0.0      # the second case clamps
 
 
 def bandit_reward(a):
@@ -310,12 +351,11 @@ def test_bandit_ppo_variants():
         rng = np.random.default_rng(seed + 100)
         upd = np.random.default_rng(seed + 200)
         for _ in range(200):
+            # bandit states must be identical, not random
             eps = [synth_episode(agent, rng, 1,
                                  lambda t, a: bandit_reward(a),
-                                 lambda t, a: 0.0, 1) for _ in range(16)]
-            # bandit states must be identical, not random
-            for ep in eps:
-                ep.states[...] = 0.0
+                                 lambda t, a: 0.0, 1, state=np.zeros(1))
+                   for _ in range(16)]
             ppo_update(agent, eps, upd)
         assert policy_prob_best(agent) >= 0.95, f"constrained={constrained}"
         if constrained:
@@ -372,11 +412,10 @@ def test_rollout_collects_every_policy_kind(tiny_cfg):
             assert ep.states is None
         else:
             assert ep.states.shape == (n, env.state_dim)
-        ppo_cols = (ep.logps, ep.values_r, ep.values_c)
         if kind == "ppo":
-            assert all(col.shape == (n,) for col in ppo_cols)
+            assert ep.logps.shape == (n,)
         else:
-            assert all(col is None for col in ppo_cols), kind
+            assert ep.logps is None, kind
 
     replay = list(dqn.replay)
     n = steps["dqn"]

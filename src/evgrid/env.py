@@ -29,15 +29,18 @@ using the power flow at the previous interval's peak-load minute sample,
 sample in the interval, at the load of the boundary instant).
 
 Both read a power flow through ``CouplingEnv._power_flow``, which memoises
-the two figures it needs (the cost at ``v_ref`` and the bus-average
-voltage) per feeder: every env built on one ``PowerNetwork`` object, in
-any episode, seed or run of the process, reuses them. A solve starts flat
-and depends only on the feeder and the per-bus loads, so a reused figure
-is the float a new solve would give. The memo keeps the ``PF_MEMO_CAP``
-most recently used load patterns per feeder and dies with the feeder.
+three figures (the cost at ``v_ref``, the bus-average voltage and the
+lowest bus voltage) per feeder: every env built on one ``PowerNetwork``
+object, in any episode, seed or run of the process, reuses them. A solve
+starts flat and depends only on the feeder and the per-bus loads, so a
+reused figure is the float a new solve would give. The memo keeps the
+``PF_MEMO_CAP`` most recently used load patterns per feeder and dies with
+the feeder.
 ``EpisodeMetrics.pf_lookups`` and ``pf_solves`` count an episode's reads
 and its misses, and ``pf_iterations`` the Newton-Raphson iterations of
 those solves; the misses depend on what the memo already held.
+``EpisodeMetrics.v_min`` is the lowest bus voltage over every read, memo
+hits included, so it does not.
 
 Time advances in 1 s ticks. Within a tick: droop boundary first, then
 departures (pausing for decisions before any movement), then movement,
@@ -96,9 +99,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charging import ChargingStation, charging_loads_kw, droop_power
-from .power import average_voltage, solve_power_flow, voltage_deviation
+from .power import (average_voltage, min_voltage, solve_power_flow,
+                    voltage_deviation)
 from .scenario import (SAMPLE_S, RewardParams, ScenarioConfig,
-                       build_vehicle, generate_trips, samples_per_window)
+                       build_vehicle, generate_trips, has_control_request,
+                       samples_per_window)
 from .traffic import (DRIVE_CS, DRIVE_DEST, DONE, STRANDED, NoPathError,
                       TrafficSim, path_length_m, record_trip_times,
                       shortest_path)
@@ -106,10 +111,12 @@ from .traffic import (DRIVE_CS, DRIVE_DEST, DONE, STRANDED, NoPathError,
 TICK_S = 1.0
 WAIT_NORM_S = 600.0      # queue-wait scale used in station observations
 # Entries per feeder in the power-flow memo; full, with five station buses
-# per key, it holds about 0.8 MB (see ``CouplingEnv._power_flow``).
+# per key and three figures per entry, it holds about 0.96 MB (see
+# ``CouplingEnv._power_flow``).
 PF_MEMO_CAP = 2048
 
-# PowerNetwork -> OrderedDict {(v_ref, bus, kW, bus, kW, ...): (cost, v_avg)}
+# PowerNetwork -> OrderedDict
+#     {(v_ref, bus, kW, bus, kW, ...): (cost, v_avg, v_min)}
 # in least-recently-used order. Weak keys: a feeder's entries die with it.
 _PF_MEMOS = weakref.WeakKeyDictionary()
 
@@ -137,6 +144,7 @@ class EpisodeMetrics:
     n_completed: int
     n_ev_completed: int
     n_stranded: int
+    v_min: float           # lowest bus voltage (p.u.) of the power flows read
     dt_mean_s: float       # mean caller-reported decision latency
     ticks: int             # simulated ticks, warm-up included
     ticks_coasted: int     # of which crossed without a per-tick pass
@@ -227,8 +235,7 @@ class CouplingEnv:
                           for t in generate_trips(cfg, seed)]
         for veh in self._vehicles:
             veh.depart_s = float(math.ceil(veh.depart_s))   # align to ticks
-        warmup = cfg.demand.warmup_s
-        if not any(v.is_ev and v.depart_s >= warmup for v in self._vehicles):
+        if not has_control_request(cfg, seed):
             raise EnvError("scenario generates no control-phase charging "
                            "requests (do all EV trips depart during warm-up?)")
         self._compliance_rng = np.random.default_rng([seed, cfg.seed, 1])
@@ -252,6 +259,7 @@ class CouplingEnv:
         self._pf_lookups = 0
         self._pf_solves = 0
         self._pf_iterations = 0
+        self._v_min = math.inf
         self.minute_log = []    # rows as in the module docstring
         self.windows = []       # rows as in the module docstring
         self.droop_log = []     # (t, v_avg, setpoint kW, occupancy tuple)
@@ -318,6 +326,7 @@ class CouplingEnv:
             n_completed=len(self.completed),
             n_ev_completed=n_ev,
             n_stranded=len(self.stranded),
+            v_min=self._v_min,
             dt_mean_s=self._decision_s_sum / n_steps if n_steps else 0.0,
             ticks=self._t,
             ticks_coasted=self._ticks_coasted,
@@ -566,8 +575,9 @@ class CouplingEnv:
 
     def _power_flow(self, loads):
         """(voltage deviation cost at ``cfg.reward.v_ref``, bus-average
-        voltage) of the power flow with per-bus extra loads {bus: kW}, from
-        the feeder's memo (module docstring) or a new solve.
+        voltage, lowest bus voltage) of the power flow with per-bus extra
+        loads {bus: kW}, from the feeder's memo (module docstring) or a new
+        solve. The episode's ``v_min`` takes in the lowest voltage.
 
         The key holds ``v_ref`` and the loads with their bus ids, in bus
         order, since configs sharing a feeder may differ in both. A miss
@@ -581,13 +591,15 @@ class CouplingEnv:
         figures = memo.get(key)
         if figures is not None:
             memo.move_to_end(key)
-            return figures
-        sol = solve_power_flow(self.power, loads)
-        self._pf_solves += 1
-        self._pf_iterations += sol.iterations
-        figures = (voltage_deviation(sol, self.cfg.reward.v_ref),
-                   average_voltage(sol))
-        memo[key] = figures
-        if len(memo) > PF_MEMO_CAP:
-            memo.popitem(last=False)
+        else:
+            sol = solve_power_flow(self.power, loads)
+            self._pf_solves += 1
+            self._pf_iterations += sol.iterations
+            figures = (voltage_deviation(sol, self.cfg.reward.v_ref),
+                       average_voltage(sol), min_voltage(sol))
+            memo[key] = figures
+            if len(memo) > PF_MEMO_CAP:
+                memo.popitem(last=False)
+        if figures[2] < self._v_min:
+            self._v_min = figures[2]
         return figures

@@ -15,8 +15,9 @@ simulation-derived quantities, and are byte-identical across re-runs.
 many of them were crossed without a per-tick pass (see
 ``CouplingEnv._skip``), its power-flow lookups, solves and the solves'
 Newton-Raphson iterations, which depend on what earlier runs on the
-feeder left in its memo (see ``CouplingEnv._power_flow``), and how many
-vehicles completed their trips and how many EVs were stranded. Every run
+feeder left in its memo (see ``CouplingEnv._power_flow``), how many
+vehicles completed their trips and how many EVs were stranded, and the
+lowest bus voltage of the power flows the episode read. Every run
 directory gets a ``manifest.json`` with the seeds, build info and
 ``config_hash`` of the effective config, which covers every setting,
 defaults included, and both networks' tables.
@@ -30,6 +31,8 @@ checked config being the only copy: ``--compliance`` is written into its
 config hash covers it, and without ``--seeds`` a verb runs its ``seeds``.
 ``--trace`` only chooses whether ``write_eval_artifacts`` writes the
 decision log (``CouplingEnv.trace``, always recorded) to ``trace_*.csv``.
+Before its first episode, a verb checks that each episode seed it will run
+brings a control-phase charging request.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ import numpy as np
 
 from . import DATA_DIR, __version__
 from .env import CouplingEnv, EpisodeMetrics
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, check_control_requests, load_scenario
 from .srl import (METHODS, build_agent, evaluate, load_checkpoint,
-                  save_checkpoint, train)
+                  save_checkpoint, train, train_episode_seeds)
 
 EVAL_SEED_BASE = 990_000
 SWEEP_AXES = ("ev_fraction", "controller_interval", "decoder_length",
@@ -66,7 +69,7 @@ class HarnessError(ValueError):
 # sweep_summary.csv carry, and those timing.csv carries after ``et_s``.
 METRICS = ("ttt_s", "cvv", "wct_min")
 TIMING = ("dt_mean_s", "ticks", "ticks_coasted", "pf_lookups", "pf_solves",
-          "pf_iterations", "n_completed", "n_stranded")
+          "pf_iterations", "n_completed", "n_stranded", "v_min")
 
 
 @dataclass(frozen=True)
@@ -336,9 +339,18 @@ def _load_cfg(args):
 # Verbs
 # ---------------------------------------------------------------------------
 
+def episode_seeds(cfg, seeds):
+    """Every episode seed ``run_train`` runs for ``seeds``: each seed's
+    training episodes, then its evaluation episode."""
+    return [es for seed in seeds
+            for es in (*train_episode_seeds(cfg, seed), EVAL_SEED_BASE + seed)]
+
+
 def run_train(cfg, method, seeds, out, trace=False, progress=None):
     """Train per seed, then evaluate each checkpoint once for the metrics
-    table. Returns the MetricsRecords."""
+    table. Returns the MetricsRecords. Every episode seed is checked for a
+    control-phase request before the first episode."""
+    check_control_requests(cfg, episode_seeds(cfg, seeds))
     out = Path(out)
     records = []
     for seed in seeds:
@@ -358,6 +370,7 @@ def run_train(cfg, method, seeds, out, trace=False, progress=None):
 
 
 def run_eval(cfg, method, seeds, out, checkpoint=None, trace=False):
+    check_control_requests(cfg, seeds)
     out = Path(out)
     agent = predictor = None
     if method == "greedy":
@@ -383,7 +396,8 @@ def run_eval(cfg, method, seeds, out, checkpoint=None, trace=False):
 
 def run_sweep(cfg, method, axis, values, seeds, out, trace=False):
     """One run per axis value. Every value's config is built, and so
-    checked, and its directory name found unique before the first run."""
+    checked, its episode seeds checked for control-phase requests and its
+    directory name found unique before the first run."""
     out = Path(out)
     combined = []
     names = [f"{axis}_{value:g}" for value in values]
@@ -392,6 +406,9 @@ def run_sweep(cfg, method, axis, values, seeds, out, trace=False):
             raise HarnessError(f"sweep values {values[names.index(name)]!r} "
                                f"and {values[i]!r} share directory {name}")
     sub_cfgs = [apply_sweep_value(cfg, axis, value) for value in values]
+    for sub_cfg in sub_cfgs:
+        check_control_requests(sub_cfg, seeds if method == "greedy"
+                               else episode_seeds(sub_cfg, seeds))
     for name, value, sub_cfg in zip(names, values, sub_cfgs):
         sub_out = out / name
         if method == "greedy":

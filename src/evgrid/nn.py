@@ -81,19 +81,28 @@ class DenseNet:
         return self._params
 
     def forward(self, x):
-        """x: (batch, in) or (in,). Returns (output, cache)."""
-        squeeze = x.ndim == 1
+        """x: (batch, in), (in,), or a stack (n, 1, in) of one-row batches.
+        Returns (output, cache).
+
+        A row (in,) is computed as a 1-D vector: ``(in,) @ (in, k)`` makes
+        the matrix-vector BLAS call that a ``(1, in)`` batch makes, so the
+        output has the bits of that batch's row. The cache holds ``(1, n)``
+        views of the row's activations, which ``backward`` reads as a
+        one-row batch. Each slice of a stack makes that call as well, so
+        row ``i`` of its output has the bits of ``forward(x[i, 0])``, where
+        one ``(batch, in)`` product would not (a matrix-matrix call sums in
+        another order). ``backward`` takes 1-D and 2-D caches only.
+        """
         h = np.asarray(x, dtype=float)
-        if squeeze:
-            h = h[None]
-        acts = [h]
+        row = h.ndim == 1
+        acts = [h[None] if row else h]
         for _, _, w, b in self._hidden:
             h = np.tanh(h @ w + b)
-            acts.append(h)
+            acts.append(h[None] if row else h)
         _, _, w, b = self._layers[-1]
         h = h @ w + b
-        acts.append(h)
-        return (h[0] if squeeze else h), (acts, squeeze)
+        acts.append(h[None] if row else h)
+        return h, (acts, row)
 
     def backward(self, cache, grad_out):
         """grad_out matches forward output shape. Returns (grads, grad_x)."""

@@ -87,15 +87,15 @@ def convergence_check(losses, window: int = 10, smooth: int = 5,
     return abs(now - then) / max(abs(then), 1e-12) < tol
 
 
-def augment_state(state, prediction, piles) -> np.ndarray:
-    """Append pile-normalized, non-negative predictions to a state vector."""
+def forecast_slots(prediction, piles) -> np.ndarray:
+    """The state slots of a (dec_len, M) forecast: non-negative, divided by
+    each station's pile count, flattened window by window."""
     pred = np.asarray(prediction, dtype=float)
     piles = np.asarray(piles, dtype=float)
     if pred.ndim != 2 or pred.shape[1] != piles.shape[0]:
         raise ValueError(f"prediction shape {pred.shape} does not match "
                          f"{piles.shape[0]} stations")
-    scaled = np.clip(pred, 0.0, None) / piles
-    return np.concatenate([np.asarray(state, dtype=float), scaled.reshape(-1)])
+    return (np.clip(pred, 0.0, None) / piles).reshape(-1)
 
 
 class Seq2SeqForecaster:
@@ -187,7 +187,10 @@ class OnlinePredictor:
     it appends training pairs for newly closed windows one at a time and
     honors the online train trigger until convergence. ``predict(windows)``
     returns the latest (dec_len, M) forecast, memoized per (window count,
-    train count) within an episode.
+    train count) within an episode. ``augment`` keeps the state slots of
+    the last forecast it read, so a decision only appends them; it reads
+    the forecast through ``predict``, so a decision sees what ``predict``
+    gives.
     """
 
     def __init__(self, cfg: ScenarioConfig, seed: int):
@@ -199,7 +202,8 @@ class OnlinePredictor:
             cfg.n_stations, ChargingStation.N_FEATURES * cfg.n_stations, p,
             np.random.default_rng([seed, cfg.seed, 3]))
         self.train_log = []      # (buffer size at trigger, mean loss)
-        self._memo = None
+        self._memo = None        # (key, forecast)
+        self._slots = None       # (forecast, its state slots)
 
     def start_episode(self):
         self.buffer.rebase()
@@ -228,4 +232,9 @@ class OnlinePredictor:
         return self._memo[1]
 
     def augment(self, state, windows) -> np.ndarray:
-        return augment_state(state, self.predict(windows), self.piles)
+        """``state`` with the slots (``forecast_slots``) of
+        ``predict(windows)`` appended, built once per forecast object."""
+        pred = self.predict(windows)
+        if self._slots is None or self._slots[0] is not pred:
+            self._slots = (pred, forecast_slots(pred, self.piles))
+        return np.concatenate([state, self._slots[1]])

@@ -436,6 +436,33 @@ def _validate_od(cfg: ScenarioConfig):
                                 "every station")
 
 
+def _ev_trip_ids(d: DemandSpec, rng) -> np.ndarray:
+    """The first draw of an episode's trip table: the ids of its EV trips."""
+    return rng.permutation(d.n_trips)[:d.n_ev]
+
+
+def has_control_request(cfg: ScenarioConfig, seed: int) -> bool:
+    """Whether episode ``seed`` brings a control-phase charging request:
+    an EV trip whose departure ``vid * spacing``, aligned up to its tick as
+    ``CouplingEnv.reset`` aligns it, is at or after warm-up. Departures
+    rise with ``vid``, so the last EV trip decides. Only the first draw of
+    ``generate_trips`` is made."""
+    d = cfg.demand
+    last = int(_ev_trip_ids(d, np.random.default_rng([seed, cfg.seed])).max())
+    return math.ceil(last * (3600.0 / d.rate_veh_per_h)) >= d.warmup_s
+
+
+def check_control_requests(cfg: ScenarioConfig, seeds):
+    """Raise ``ScenarioError`` naming the first of the episode ``seeds``
+    without a control-phase charging request (``has_control_request``)."""
+    for seed in seeds:
+        if not has_control_request(cfg, seed):
+            raise ScenarioError(
+                f"episode seed {seed} generates no control-phase charging "
+                f"request: all {cfg.demand.n_ev} of its EV trips depart "
+                f"during the {cfg.demand.warmup_s:g} s warm-up")
+
+
 def generate_trips(cfg: ScenarioConfig, seed: int):
     """Deterministic trip table for one episode."""
     d = cfg.demand
@@ -444,7 +471,7 @@ def generate_trips(cfg: ScenarioConfig, seed: int):
     rng = np.random.default_rng([seed, cfg.seed])
 
     ev_flags = np.zeros(n, dtype=bool)
-    ev_flags[rng.permutation(n)[:d.n_ev]] = True
+    ev_flags[_ev_trip_ids(d, rng)] = True
 
     if d.od_mode == "table":
         cv_pairs = ev_pairs = [row[:2] for row in d.od_table]

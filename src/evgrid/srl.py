@@ -172,7 +172,7 @@ def episode_cost_return(ep: EpisodeData, gamma, discounted):
 def _sample(actor: DenseNet, state, rng):
     """One forward of ``actor`` on ``state`` and a draw from the softmax of
     its logits; returns the action and the log-probabilities."""
-    logits, _ = actor.forward(np.asarray(state, dtype=float))
+    logits, _ = actor.forward(state)
     lp = log_softmax_1d(logits)
     return categorical_sample(np.exp(lp), rng), lp
 
@@ -205,7 +205,7 @@ class LagrangePPOAgent:
         return a, float(lp[a])
 
     def act_greedy(self, state) -> int:
-        logits, _ = self.actor.forward(np.asarray(state, dtype=float))
+        logits, _ = self.actor.forward(state)
         return int(np.argmax(logits))
 
     def param_dict(self):
@@ -215,9 +215,10 @@ class LagrangePPOAgent:
 
 
 def critic_values(critic: DenseNet, states):
-    """``critic``'s value of each state row, one ``DenseNet.forward`` per
-    row. A batched forward over all rows would differ in the last bits."""
-    return np.array([critic.forward(s)[0][0] for s in states])
+    """``critic``'s value of each state row (T, D), from one forward of the
+    (T, 1, D) stack: each row gets the bits of ``critic.forward(row)``
+    (see ``DenseNet.forward``), where a (T, D) batch would not."""
+    return critic.forward(states[:, None, :])[0][:, 0, 0]
 
 
 def _gae_targets(critic, episodes, signals, tc: TrainConfig):
@@ -386,7 +387,7 @@ class DQNAgent:
         return self.act_greedy(state)
 
     def act_greedy(self, state) -> int:
-        qv, _ = self.q.forward(np.asarray(state, dtype=float))
+        qv, _ = self.q.forward(state)
         return int(np.argmax(qv))
 
     def push(self, s, a, r, s_next, done):
@@ -489,6 +490,7 @@ def rollout(env: CouplingEnv, policy, ep_seed,
         predictor.start_episode()
         predictor.observe(env.windows)
     state = None if policy is None else env.state()
+    zeros = np.zeros(pad)
     states, actions, logps, rewards, costs = [], [], [], [], []
     clock = time.perf_counter
     while True:
@@ -499,7 +501,7 @@ def rollout(env: CouplingEnv, policy, ep_seed,
             if predictor is not None:
                 s_in = predictor.augment(state, env.windows)
             elif pad:
-                s_in = np.concatenate([state, np.zeros(pad)])
+                s_in = np.concatenate([state, zeros])
             else:
                 s_in = state
             a = policy(s_in)
@@ -573,12 +575,20 @@ def _penalty_shaped(ep, bounds):
                    - _minmax_norm(ep.costs, c_lo, c_hi))
 
 
+def train_episode_seeds(cfg: ScenarioConfig, seed: int) -> range:
+    """The episode seeds ``train`` runs for training seed ``seed``, in
+    order."""
+    first = seed * 1_000_000
+    return range(first, first + cfg.training.epochs
+                 * cfg.training.episodes_per_epoch)
+
+
 def train(cfg: ScenarioConfig, method: str, seed: int,
           progress=None) -> TrainResult:
     """Train one method on one seed; returns the agent and per-epoch curve.
 
     The run is ``cfg.training.epochs`` epochs of ``episodes_per_epoch``
-    episodes. Episode seeds advance deterministically from ``seed``; the
+    episodes, on the episode seeds ``train_episode_seeds`` gives; the
     policy, update and predictor random streams are seeded independently
     so that disabling augmentation leaves trajectories bit-identical. PPO
     methods update once per epoch, REINFORCE and actor-critic after each
@@ -589,6 +599,7 @@ def train(cfg: ScenarioConfig, method: str, seed: int,
     if method == "greedy":
         raise ValueError("greedy has no training phase; evaluate it directly")
     epochs, n_ep = cfg.training.epochs, cfg.training.episodes_per_epoch
+    ep_seeds = train_episode_seeds(cfg, seed)
     env = CouplingEnv(cfg)
     agent, predictor = build_agent(cfg, env, method, seed)
     pad = agent.tag["pad_width"]
@@ -615,8 +626,8 @@ def train(cfg: ScenarioConfig, method: str, seed: int,
             if method == "dqn":
                 eps = agent.epsilon(ep_index / total)
             try:
-                ep = rollout(env, policy, seed * 1_000_000 + ep_index,
-                             predictor, pad, on_step)
+                ep = rollout(env, policy, ep_seeds[ep_index], predictor,
+                             pad, on_step)
             except (EnvError, PowerFlowError) as exc:
                 raise RuntimeError(
                     f"{method} epoch {epoch} episode {k}: {exc}") from exc

@@ -6,7 +6,10 @@ directional training check retrains three methods on the bundled reduced
 scenario and is the long pole; everything else is seconds.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -309,20 +312,37 @@ def test_c08_charging_time_oracle(capsys):
             f"{ticks} ticks, end={v.t_charge_end} s (== 580 exactly)")
 
 
+def _train_curve(cfg, method, seed):
+    """One of criterion 9's trainings, in a pool worker: its curve and its
+    seconds."""
+    t0 = time.perf_counter()
+    curve = train(cfg, method, seed).curve
+    return curve, time.perf_counter() - t0
+
+
 @pytest.mark.slow
 def test_c09_directional_training_check(capsys, reduced_cfg):
     """Three methods, three bundled seeds, 100 epochs on the reduced
     scenario. The constrained method must end with lower voltage cost than
     unconstrained PPO, and the forecast-augmented method must match or beat
-    it on travel time once its predictor has frozen."""
+    it on travel time once its predictor has frozen.
+
+    The nine trainings are independent, so they run on a pool of spawned
+    processes, opsrl's first as they take longest. The verdict prints the
+    wall time and the trainings' summed time."""
     cfg = reduced_cfg
     seeds = list(cfg.seeds)
-    curves = {}
+    runs = [(method, seed) for method in ("opsrl", "ppolag", "ppo")
+            for seed in seeds]
     t0 = time.perf_counter()
-    for method in ("ppo", "ppolag", "opsrl"):
-        for seed in seeds:
-            curves[(method, seed)] = train(cfg, method, seed).curve
+    with ProcessPoolExecutor(max_workers=min(9, os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn")
+                             ) as pool:
+        futures = [pool.submit(_train_curve, cfg, *run) for run in runs]
+        results = dict(zip(runs, (f.result() for f in futures)))
     runtime = time.perf_counter() - t0
+    curves = {run: curve for run, (curve, _) in results.items()}
+    train_s = sum(seconds for _, seconds in results.values())
 
     def seed_mean(method, key):
         return np.array([[row[key] for row in curves[(method, s)]]
@@ -348,7 +368,8 @@ def test_c09_directional_training_check(capsys, reduced_cfg):
             f"final CVV ppolag={cvv_lag:.3f} < ppo={cvv_ppo:.3f}; "
             f"post-convergence (epochs {start}+) mean TTT "
             f"opsrl={ttt_op.mean():.0f} <= ppolag={ttt_lag.mean():.0f}; "
-            f"runtime={runtime/60:.1f} min (<45)")
+            f"runtime={runtime/60:.1f} min (<45), trainings "
+            f"{train_s/60:.1f} min summed")
 
 
 def test_c10_predictor_beats_mean_baseline(capsys):

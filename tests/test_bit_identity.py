@@ -721,6 +721,32 @@ def test_stacked_act_reads_updated_parameters(tmp_path):
         == [agent.act(s, np.random.default_rng(0)) for s in states]
 
 
+def test_stacked_matmul_is_the_per_slice_product():
+    """What ``DenseNet.forward`` on a row and ``critic_values`` rest on:
+    ``np.matmul`` makes the same product for a row ``(d,)``, a one-row
+    batch ``(1, d)`` and every slice of an ``(n, 1, d)`` stack, on the
+    agents' layer shapes (hidden layers, logits, one value) and with
+    inputs from 1e-3 to 1e3."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    why = (f"numpy {np.__version__} with {blas.get('name')} "
+           f"{blas.get('version')} gives a row, a one-row batch or a slice "
+           f"of a stack of one-row batches other bits; DenseNet.forward and "
+           f"srl.critic_values assume numpy.matmul makes the same BLAS call "
+           f"for each, so decisions and critic values would move")
+    rng = np.random.default_rng(50)
+    for dim in (1, 2, 17, 42, 64, 65, 120, 137):
+        for out in (1, 3, 8, 24, 48, 64):
+            w = rng.normal(size=(dim, out))
+            n = int(rng.integers(1, 80))
+            x = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+            stacked = np.matmul(x[:, None, :], w)
+            assert stacked.shape == (n, 1, out)
+            for i in range(n):
+                row = x[i] @ w
+                assert same_bits(x[i:i + 1] @ w, row[None]), why
+                assert same_bits(stacked[i], row[None]), why
+
+
 # ---------------------------------------------------------------------------
 # power flow
 # ---------------------------------------------------------------------------

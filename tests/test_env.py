@@ -20,10 +20,10 @@ import evgrid.env as env_module
 from evgrid.env import (TICK_S, CouplingEnv, EnvError, greedy_station,
                         later_peak, segment_reward)
 from evgrid.power import (PFSolution, PowerFlowError, PowerNetwork,
-                          average_voltage, load_power_network,
+                          average_voltage, load_power_network, min_voltage,
                           solve_power_flow, voltage_deviation)
 from evgrid.scenario import (SAMPLE_S, RewardParams, generate_trips,
-                             load_scenario)
+                             has_control_request, load_scenario)
 from evgrid.srl import evaluate, train
 
 from strategies import NO_SHRINK, scenarios
@@ -349,6 +349,30 @@ def test_reset_without_control_requests(tmp_path):
         CouplingEnv(cfg).reset(0)
 
 
+def test_control_request_check_agrees_with_the_trips():
+    """On reduced with one EV trip, whether an episode seed brings a
+    control-phase request depends on the seed. ``has_control_request``,
+    which makes only the trip table's first draw, says what the full trip
+    table says, and ``reset`` fails on exactly the seeds it flags."""
+    cfg = load_scenario(evgrid.DATA_DIR / "reduced.yaml")
+    cfg = replace(cfg, demand=replace(cfg.demand, ev_fraction=1 / 160))
+    assert cfg.demand.n_ev == 1
+    env = CouplingEnv(cfg)
+    warmup = cfg.demand.warmup_s
+    flagged, failed = [], []
+    for seed in range(40):
+        want = any(t.is_ev and math.ceil(t.depart_s) >= warmup
+                   for t in generate_trips(cfg, seed))
+        assert has_control_request(cfg, seed) == want, seed
+        if not want:
+            flagged.append(seed)
+        try:
+            env.reset(seed)
+        except EnvError:
+            failed.append(seed)
+    assert flagged == failed == [4, 5, 9, 12, 19, 21, 27, 29, 32, 33, 37]
+
+
 def test_step_count_matches_control_requests(tiny_cfg):
     env = CouplingEnv(tiny_cfg)
     _, metrics = run_episode(env, 3, random_policy(np.random.default_rng(0)))
@@ -637,7 +661,8 @@ def test_cold_and_warm_memos_give_identical_episodes(tiny_cfg):
         env.reset(0)
         sol = solve_power_flow(net, loads)
         assert env._power_flow(loads) == (voltage_deviation(sol),
-                                          average_voltage(sol))
+                                          average_voltage(sol),
+                                          min_voltage(sol))
     assert memo_reads(replace(tiny_cfg, power_net=new_feeder())) == cold
 
 

@@ -20,12 +20,13 @@ from evgrid import DATA_DIR
 from evgrid.harness import (HarnessError, MetricsRecord, _parse_values,
                             apply_sweep_value, build_agent, config_hash, main,
                             percentile98, resolve_scenario, resolve_seeds,
-                            run_eval, run_report, write_csv, write_metrics,
-                            write_summary)
+                            episode_seeds, run_eval, run_report, run_train,
+                            write_csv, write_metrics, write_summary)
 import evgrid.env as env_module
 from evgrid.env import CouplingEnv, EnvError, EpisodeMetrics
 from evgrid.nn import load_params, save_params
-from evgrid.scenario import FieldError, generate_trips, load_scenario
+from evgrid.scenario import (FieldError, ScenarioError, generate_trips,
+                             has_control_request, load_scenario)
 from evgrid.srl import load_checkpoint, rollout, save_checkpoint
 
 from strategies import NO_SHRINK, scenarios
@@ -115,9 +116,9 @@ def episode_metrics(ttt_s=3.0, cvv=0.1, wct_min=2.0, dt_mean_s=0.01):
     """An EpisodeMetrics with these figures and fixed counts."""
     return EpisodeMetrics(
         ttt_s=ttt_s, ttt_tick_s=ttt_s, cvv=cvv, wct_min=wct_min, n_steps=50,
-        n_completed=70, n_ev_completed=30, n_stranded=2, dt_mean_s=dt_mean_s,
-        ticks=8000, ticks_coasted=6000, pf_lookups=300, pf_solves=40,
-        pf_iterations=160)
+        n_completed=70, n_ev_completed=30, n_stranded=2, v_min=0.93,
+        dt_mean_s=dt_mean_s, ticks=8000, ticks_coasted=6000, pf_lookups=300,
+        pf_solves=40, pf_iterations=160)
 
 
 def test_metrics_record_validation(tmp_path):
@@ -141,7 +142,7 @@ def test_metrics_record_validation(tmp_path):
     assert (tmp_path / "metrics.csv").read_text().splitlines()[1] \
         == "ppo,0,3.0,0.1,2.0"
     assert (tmp_path / "timing.csv").read_text().splitlines()[1] \
-        == "ppo,0,1.0,0.01,8000,6000,300,40,160,70,2"
+        == "ppo,0,1.0,0.01,8000,6000,300,40,160,70,2,0.93"
 
 
 def test_all_stranded_wait_time_is_an_empty_field(tmp_path):
@@ -162,15 +163,16 @@ def test_all_stranded_wait_time_is_an_empty_field(tmp_path):
 
 
 def test_timing_counts_completed_and_stranded_vehicles(tmp_path):
-    """``timing.csv`` ends with the episode's completed vehicles and
-    stranded EVs: none completes when every EV runs flat."""
+    """``timing.csv`` ends with the episode's completed vehicles, stranded
+    EVs and lowest bus voltage: none completes when every EV runs flat."""
     p = tmp_path / "stranded.yaml"
     p.write_text(STRANDED)
     cfg = load_scenario(p)
     run_eval(cfg, "greedy", [0], tmp_path / "run")
     timing = (tmp_path / "run" / "timing.csv").read_text().splitlines()
-    assert timing[0].endswith(",pf_iterations,n_completed,n_stranded")
-    completed, stranded = timing[1].split(",")[-2:]
+    assert timing[0].endswith(",pf_iterations,n_completed,n_stranded,v_min")
+    completed, stranded, v_min = timing[1].split(",")[-3:]
+    assert 0.0 < float(v_min) <= 1.0
     assert int(completed) == 0
     assert int(stranded) == len(generate_trips(cfg, 0)) > 0
 
@@ -428,14 +430,15 @@ def test_train_run_artifacts(train_run):
     timing = (train_run / "timing.csv").read_text().splitlines()
     assert timing[0] == ("method,seed,et_s,dt_mean_s,ticks,ticks_coasted,"
                          "pf_lookups,pf_solves,pf_iterations,n_completed,"
-                         "n_stranded")
+                         "n_stranded,v_min")
     (_, _, et, _, ticks, coasted, lookups, solves, iters, completed,
-     stranded) = timing[1].split(",")
+     stranded, v_min) = timing[1].split(",")
     assert float(et) > 0
     assert 0 < int(coasted) < int(ticks)
     assert int(lookups) > 0 and 0 <= int(solves) <= int(lookups)
     assert int(iters) >= 0
     assert int(completed) > 0 and int(stranded) >= 0
+    assert 0.0 < float(v_min) < 1.0
     summary = (train_run / "summary.csv").read_text().splitlines()
     assert summary[0] == "method,metric,n_seeds,mean,std"
     assert len(summary) == 4  # ttt/cvv/wct for one method
@@ -468,6 +471,46 @@ def last_error(capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert err.startswith("ERROR ")
     return json.loads(err[len("ERROR "):])
+
+
+def test_a_seed_without_a_request_fails_before_the_first_episode(
+        scenario_path, tiny_cfg, tmp_path, monkeypatch, capsys):
+    """With one EV trip in 36, some episode seeds bring no control-phase
+    request. ``train``, ``eval`` and ``sweep`` name the first such seed of
+    all their episodes, training and evaluation ones alike, before they
+    run one or write anything."""
+    cfg = replace(tiny_cfg,
+                  demand=replace(tiny_cfg.demand, ev_fraction=1 / 36))
+    episodes = []
+    generate = env_module.generate_trips
+    monkeypatch.setattr(env_module, "generate_trips", lambda cfg, seed: (
+        episodes.append(seed) or generate(cfg, seed)))
+
+    def bad_episodes(seed):
+        return [es for es in episode_seeds(cfg, [seed])
+                if not has_control_request(cfg, es)]
+
+    good = [s for s in range(40) if has_control_request(cfg, s)]
+    bad = [s for s in range(40) if not has_control_request(cfg, s)]
+    eval_seeds = [good[0], bad[0], bad[1]]
+    with pytest.raises(ScenarioError, match=f"episode seed {bad[0]} generates "
+                       "no control-phase charging request"):
+        run_eval(cfg, "greedy", eval_seeds, tmp_path / "eval")
+    train_ok = next(s for s in range(40) if not bad_episodes(s))
+    train_bad = next(s for s in range(40) if bad_episodes(s))
+    with pytest.raises(ScenarioError, match=f"episode seed "
+                       f"{bad_episodes(train_bad)[0]} generates"):
+        run_train(cfg, "ppo", [train_ok, train_bad], tmp_path / "train")
+
+    rc = main(["sweep", "--scenario", str(scenario_path), "--method",
+               "greedy", "--sweep-axis", "ev_fraction", "--sweep-values",
+               "0.5,1/36", "--seeds", ",".join(map(str, eval_seeds)),
+               "--out", str(tmp_path / "sweep")])
+    assert rc == 1
+    err = last_error(capsys)
+    assert err["type"] == "ScenarioError"
+    assert err["message"].startswith(f"episode seed {bad[0]} generates")
+    assert episodes == [] and list(tmp_path.iterdir()) == []
 
 
 def test_eval_rejects_another_methods_checkpoint(train_run, scenario_path,

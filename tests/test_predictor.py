@@ -10,9 +10,10 @@ import pytest
 import evgrid
 from evgrid.charging import ChargingStation
 from evgrid.env import CouplingEnv
+import evgrid.predictor as predictor_module
 from evgrid.predictor import (OnlinePredictor, PredictorBuffer,
-                              Seq2SeqForecaster, augment_state,
-                              convergence_check)
+                              Seq2SeqForecaster, convergence_check,
+                              forecast_slots)
 from evgrid.scenario import PredictorConfig, load_scenario
 
 PRED = """\
@@ -205,22 +206,90 @@ def test_convergence_check_cases():
     assert convergence_check(drifting)
 
 
+def ref_augment_state(state, prediction, piles):
+    """The per-decision augmentation ``OnlinePredictor.augment`` replaced:
+    the state with the pile-normalized, non-negative forecast appended."""
+    pred = np.asarray(prediction, dtype=float)
+    piles = np.asarray(piles, dtype=float)
+    if pred.ndim != 2 or pred.shape[1] != piles.shape[0]:
+        raise ValueError(f"prediction shape {pred.shape} does not match "
+                         f"{piles.shape[0]} stations")
+    scaled = np.clip(pred, 0.0, None) / piles
+    return np.concatenate([np.asarray(state, dtype=float), scaled.reshape(-1)])
+
+
 def test_augment_scaling_and_shapes():
-    state = np.arange(7.0)
     pred = np.array([[-1.0, 4.0], [2.0, 8.0]])
-    out = augment_state(state, pred, piles=[2.0, 4.0])
-    assert out.shape == (11,)
-    np.testing.assert_array_equal(out[:7], state)
+    out = forecast_slots(pred, piles=[2.0, 4.0])
+    assert out.shape == (4,)
     # negatives clip to zero, then each column scales by its pile count
-    np.testing.assert_allclose(out[7:], [0.0, 1.0, 1.0, 2.0])
+    np.testing.assert_allclose(out, [0.0, 1.0, 1.0, 2.0])
 
-    zero = augment_state(state, np.zeros((2, 2)), piles=[2.0, 4.0])
-    np.testing.assert_array_equal(zero[7:], np.zeros(4))
+    zero = forecast_slots(np.zeros((2, 2)), piles=[2.0, 4.0])
+    np.testing.assert_array_equal(zero, np.zeros(4))
 
     with pytest.raises(ValueError):
-        augment_state(state, np.zeros((2, 3)), piles=[2.0, 4.0])
+        forecast_slots(np.zeros((2, 3)), piles=[2.0, 4.0])
     with pytest.raises(ValueError):
-        augment_state(state, np.zeros(4), piles=[2.0, 4.0])
+        forecast_slots(np.zeros(4), piles=[2.0, 4.0])
+
+
+def test_augment_builds_the_slots_once_per_forecast(monkeypatch):
+    """A whole opsrl episode on reduced: at every decision ``augment``
+    gives the bits of the old per-decision augmentation, and the slots are
+    computed once per forecast, though decisions outnumber forecasts."""
+    from evgrid.srl import LagrangePPOAgent, pad_width, rollout
+
+    forecasts, slots = [], []
+    predict, build = Seq2SeqForecaster.predict, forecast_slots
+
+    def counted_predict(model, snapshots, last_demand):
+        forecasts.append(len(slots))
+        return predict(model, snapshots, last_demand)
+
+    def counted_slots(prediction, piles):
+        slots.append(len(forecasts))
+        return build(prediction, piles)
+
+    monkeypatch.setattr(Seq2SeqForecaster, "predict", counted_predict)
+    monkeypatch.setattr(predictor_module, "forecast_slots", counted_slots)
+    cfg = load_scenario(evgrid.DATA_DIR / "reduced.yaml")
+    env = CouplingEnv(cfg)
+    pad = pad_width(cfg)
+    agent = LagrangePPOAgent(env.state_dim + pad, env.action_dim, cfg.training,
+                             np.random.default_rng(1))
+    predictor = OnlinePredictor(cfg, seed=3)
+    augment = predictor.augment
+    decisions = []
+
+    def checked_augment(state, windows):
+        got = augment(state, windows)
+        want = ref_augment_state(state, predictor.predict(windows),
+                                 predictor.piles)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        decisions.append(len(forecasts))
+        return got
+
+    predictor.augment = checked_augment
+    act_rng = np.random.default_rng(2)
+    ep = rollout(env, lambda s: agent.act(s, act_rng), 7, predictor, pad)
+    assert len(decisions) == len(ep.actions)
+    # each forecast is followed by its slots before the next forecast
+    assert forecasts == list(range(len(forecasts)))
+    assert slots == list(range(1, len(forecasts) + 1))
+    assert 1 < len(forecasts) < len(decisions)
+
+
+def test_a_misshapen_forecast_still_raises(pred_cfg):
+    """The forecast's shape is checked where its slots are built."""
+    op = OnlinePredictor(pred_cfg, seed=5)
+    windows = fake_episode_windows(np.random.default_rng(6), n_windows=4)
+    for bad in (np.zeros((2, 3)), np.zeros(4)):
+        op.model.predict = lambda snapshots, last_demand, bad=bad: bad
+        op.start_episode()
+        with pytest.raises(ValueError, match="does not match 2 stations"):
+            op.augment(np.zeros(5), windows)
 
 
 @pytest.fixture(scope="module")

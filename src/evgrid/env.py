@@ -57,6 +57,14 @@ link's end and a ``ChargingStation`` is stepped only from its ``due`` tick
 for bit. Whenever no vehicle is active and no station is due, ``_skip``
 jumps straight to the next departure, minute sample, droop boundary,
 vehicle wake or station due tick, and that tick then runs as above.
+Two of these the env keeps rather than scans for: the next departure
+tick ``_next_dep_t`` and the earliest station due tick ``_due``, refreshed
+wherever a station's ``due`` can move (``plan``, an arrival that starts
+charging, and the completions and queue promotions of the station pass).
+A tick that runs still runs only the passes with work in it:
+``_tick_pre`` (droop update, departures) only on a droop boundary, t = 0
+included, or at ``_next_dep_t``, and the station pass only once ``_due``
+has come.
 
 Lazy state catches up where it is read or written, not at each decision:
 a parked vehicle when it wakes or leaves the road, a station in ``plan``
@@ -247,6 +255,8 @@ class CouplingEnv:
         self._ticks_coasted = 0
         self._mid_tick = False
         self._next_dep = 0
+        self._next_dep_t = int(self._vehicles[0].depart_s)
+        self._due = math.inf        # earliest station due tick
         self._n_loaded = 0
         self._n_unfinished = len(self._vehicles)
         self._setpoint = cfg.droop.p_max_kw
@@ -380,7 +390,9 @@ class CouplingEnv:
             if not self._mid_tick:
                 if not self.sim.active:
                     self._skip()
-                self._tick_pre()
+                t = self._t
+                if t % self._droop_every == 0 or t >= self._next_dep_t:
+                    self._tick_pre()
                 self._mid_tick = True
                 if self._pending:
                     return False
@@ -401,15 +413,14 @@ class CouplingEnv:
         sample, vehicle wake, station due tick and safety cap. Every tick
         of it would add the same loaded count to the tick dual and to
         ``_load_ticks``, and integer-valued sums are exact, so
-        ``n_loaded * k`` adds what k ticks would. Call it only while no
-        vehicle is active.
+        ``n_loaded * k`` adds what k ticks would. The departure and station
+        due ticks are the kept ``_next_dep_t`` and ``_due``. Call it only
+        while no vehicle is active.
         """
         t = self._t
         k = min(SAMPLE_S - 1 - t % SAMPLE_S, -t % self._droop_every,
                 self._safety_cap - t, self.sim.next_wake() - t,
-                min(cs.due for cs in self.stations) - t)
-        if self._next_dep < len(self._vehicles):
-            k = min(k, int(self._vehicles[self._next_dep].depart_s) - t)
+                self._due - t, self._next_dep_t - t)
         if k <= 0:
             return
         self.sim.idle(k)
@@ -421,6 +432,9 @@ class CouplingEnv:
         self._ticks_coasted += k
 
     def _tick_pre(self):
+        """The droop update and the departures of tick ``_t``; ``_advance``
+        calls it only on a droop boundary (t = 0 included) or at the next
+        departure tick ``_next_dep_t``."""
         t = self._t
         replan = t == 0             # stations charge lazily from the start
         if t > 0 and t % self._droop_every == 0:
@@ -430,10 +444,13 @@ class CouplingEnv:
         if replan:
             for cs in self.stations:
                 cs.plan(t, TICK_S, self._setpoint, self.cfg.battery)
+            self._due = min(cs.due for cs in self.stations)
         vehicles = self._vehicles
         while self._next_dep < len(vehicles) and vehicles[self._next_dep].depart_s <= t:
             self._depart(vehicles[self._next_dep], t)
             self._next_dep += 1
+        self._next_dep_t = (int(vehicles[self._next_dep].depart_s)
+                            if self._next_dep < len(vehicles) else math.inf)
 
     def _tick_post(self):
         t = self._t
@@ -447,11 +464,23 @@ class CouplingEnv:
             arrivals.sort(key=lambda v: v.vid)
         for veh in arrivals:
             if veh.phase == DRIVE_CS:
-                cs = self.stations[self._cs_index[veh.cs_id]]
-                cs.sync(t)
-                cs.submit_arrival(veh, t_end)
+                self._arrive(self.stations[self._cs_index[veh.cs_id]], veh, t,
+                             t_end)
             else:
                 self._finish(veh, t_end)
+        if self._due <= t:
+            self._station_pass(t, t_end)
+        if self.sim.drained:
+            self._check_stranded(t_end)
+        self._t = t + 1
+        self._mid_tick = False
+        if self._t % SAMPLE_S == 0:
+            self._minute_sample()
+
+    def _station_pass(self, t, t_end):
+        """Step the stations due by tick ``t`` and re-route their finished
+        chargers, then refresh ``_due``: completions re-plan a station, and
+        queue promotions start charging."""
         battery = self.cfg.battery
         setpoint = self._setpoint
         for cs in self.stations:
@@ -470,12 +499,16 @@ class CouplingEnv:
                     veh.route = shortest_path(self.road, cs.node, veh.dest,
                                               self.sim.travel_times())
                     self.sim.enter_road(veh)
-        if self.sim.drained:
-            self._check_stranded(t_end)
-        self._t = t + 1
-        self._mid_tick = False
-        if self._t % SAMPLE_S == 0:
-            self._minute_sample()
+        self._due = min(cs.due for cs in self.stations)
+
+    def _arrive(self, cs, veh, t, t_arrive):
+        """``veh`` reaches station ``cs`` at ``t_arrive``, its tick ``t``
+        synced first. A start of charging can only bring ``cs.due``
+        forward, so ``_due`` takes the lower of the two."""
+        cs.sync(t)
+        cs.submit_arrival(veh, t_arrive)
+        if cs.due < self._due:
+            self._due = cs.due
 
     def _depart(self, veh, t):
         self._n_loaded += 1
@@ -494,8 +527,7 @@ class CouplingEnv:
         veh.cs_id = st.cs_id
         st.pending += 1
         if veh.origin == st.node:
-            st.sync(t)
-            st.submit_arrival(veh, float(t))
+            self._arrive(st, veh, t, float(t))
         else:
             veh.phase = DRIVE_CS
             veh.route = shortest_path(self.road, veh.origin, st.node,

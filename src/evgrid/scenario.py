@@ -387,20 +387,18 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def ev_feasible_pairs(cfg: ScenarioConfig):
-    """Ordered OD pairs usable by an EV regardless of station choice."""
+    """Ordered OD pairs usable by an EV regardless of station choice: from
+    an origin that reaches every station to a destination that every
+    station reaches."""
     road = cfg.road_net
+    dests = sorted(frozenset.intersection(
+        *(road.reachable_from(s.node) for s in cfg.stations)))
     pairs = []
     for o in sorted(road.nodes):
         ro = road.reachable_from(o)
         if any(s.node not in ro for s in cfg.stations):
             continue
-        usable = None
-        for s in cfg.stations:
-            rs = road.reachable_from(s.node)
-            usable = rs if usable is None else (usable & rs)
-        for d in sorted(usable):
-            if d != o:
-                pairs.append((o, d))
+        pairs.extend((o, d) for d in dests if d != o)
     return pairs
 
 

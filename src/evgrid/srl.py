@@ -36,7 +36,7 @@ from .nn import (Adam, DenseNet, assign_params, categorical_sample,
                  save_params)
 from .power import PowerFlowError
 from .predictor import OnlinePredictor
-from .scenario import ScenarioConfig, TrainConfig
+from .scenario import ScenarioConfig, TrainConfig, check_control_requests
 
 METHODS = ("opsrl", "ppolag", "ppo", "ppopenalty", "dqn", "reinforce",
            "actorcritic", "greedy")
@@ -588,11 +588,13 @@ def train(cfg: ScenarioConfig, method: str, seed: int,
     """Train one method on one seed; returns the agent and per-epoch curve.
 
     The run is ``cfg.training.epochs`` epochs of ``episodes_per_epoch``
-    episodes, on the episode seeds ``train_episode_seeds`` gives; the
-    policy, update and predictor random streams are seeded independently
-    so that disabling augmentation leaves trajectories bit-identical. PPO
-    methods update once per epoch, REINFORCE and actor-critic after each
-    episode, and DQN after each step (epsilon is fixed per episode).
+    episodes, on the episode seeds ``train_episode_seeds`` gives, which are
+    checked for a control-phase charging request before the first one
+    runs (``scenario.check_control_requests``); the policy, update and
+    predictor random streams are seeded independently so that disabling
+    augmentation leaves trajectories bit-identical. PPO methods update
+    once per epoch, REINFORCE and actor-critic after each episode, and DQN
+    after each step (epsilon is fixed per episode).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
@@ -600,6 +602,7 @@ def train(cfg: ScenarioConfig, method: str, seed: int,
         raise ValueError("greedy has no training phase; evaluate it directly")
     epochs, n_ep = cfg.training.epochs, cfg.training.episodes_per_epoch
     ep_seeds = train_episode_seeds(cfg, seed)
+    check_control_requests(cfg, ep_seeds)
     env = CouplingEnv(cfg)
     agent, predictor = build_agent(cfg, env, method, seed)
     pad = agent.tag["pad_width"]
@@ -668,12 +671,15 @@ def evaluate(cfg: ScenarioConfig, method: str, agent=None, predictor=None,
     state layout from the agent's ``tag``. ``greedy`` runs ``rollout`` with
     ``policy=None``: the nearest-station rule, with no state built. The
     predictor, when present, keeps forecasting but never trains during
-    evaluation; its convergence flag is restored afterwards.
+    evaluation; its convergence flag is restored afterwards. A seed without
+    a control-phase charging request fails before the first episode
+    (``scenario.check_control_requests``).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
     if method != "greedy" and agent is None:
         raise ValueError(f"method '{method}' needs a trained agent")
+    check_control_requests(cfg, seeds)
     env = CouplingEnv(cfg)
     if method == "greedy":
         policy, pad = None, 0

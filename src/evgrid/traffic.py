@@ -21,6 +21,13 @@ at tick start), which will move outputs. ``step`` also reports, in
 ``drained``, the EVs still on the road whose state of charge it drained to
 zero or below.
 
+What ``step`` reads of a link (distance per tick, length, and the reach
+beyond which a vehicle parks) and the planning cost ``travel_times``
+gives depend only on the link and its count, so a ``TrafficSim``
+computes each once per (link, count), by the expressions above, and looks
+it up after: a greedy case_a episode meets a few hundred such pairs in
+tens of thousands of reads.
+
 Most vehicles spend most ticks far from their link's end, where a tick
 only adds the link's distance per tick to their position (and spends its
 energy). ``step`` therefore *parks* such a vehicle: it leaves the per-tick
@@ -307,6 +314,8 @@ class TrafficSim:
         self._wakes = []
         self._seq = 0                   # entries so far, for driving order
         self._dt = None                 # tick length, fixed by the first step
+        self._memos = {}                # (lid, count) -> _memo's figures
+        self._times = {}                # (lid, count) -> planning travel time
 
     def enter_road(self, veh: Vehicle):
         """Start driving veh along veh.route (must be non-empty). Once a
@@ -321,22 +330,28 @@ class TrafficSim:
         self.driving.append(veh)
         self._seq += 1
         if lid in self._speed:
-            self._new_speed(lid, self.now,
-                            self._memo(lid, self.counts[lid], self._dt)[0])
+            self._new_speed(lid, self.now, self._memo(lid, self.counts[lid])[0])
         if self._dt is None or not self._park(self._seq, veh):
             self.active.append((self._seq, veh))
 
     def travel_times(self):
-        """Current planning costs: each link as seen by an entering vehicle.
-
-        Inlines ``length_m / link_speed`` on the precomputed link
-        parameters."""
-        counts = self.counts
+        """Current planning costs: each link as seen by an entering vehicle,
+        looked up per (link, count) in a table ``_travel_time`` fills."""
+        times = self._times
         out = {}
-        for lid, (length, cap, vf, kjam) in self.net.link_params.items():
-            v = vf * (1.0 - (counts[lid] / cap) / kjam)
-            out[lid] = length / (v if v > V_MIN_MS else V_MIN_MS)
+        for key in self.counts.items():
+            t = times.get(key)
+            if t is None:
+                t = times[key] = self._travel_time(*key)
+            out[key[0]] = t
         return out
+
+    def _travel_time(self, lid, count):
+        """``length_m / link_speed`` for ``lid`` holding ``count`` vehicles,
+        inlined on the precomputed link parameters."""
+        length, cap, vf, kjam = self.net.link_params[lid]
+        v = vf * (1.0 - (count / cap) / kjam)
+        return length / (v if v > V_MIN_MS else V_MIN_MS)
 
     def remove(self, veh: Vehicle):
         """Take a driving vehicle off the network (stranded-battery case)."""
@@ -349,8 +364,7 @@ class TrafficSim:
         else:
             self._unpark(rec)
         if lid in self._speed:
-            self._new_speed(lid, self.now,
-                            self._memo(lid, self.counts[lid], self._dt)[0])
+            self._new_speed(lid, self.now, self._memo(lid, self.counts[lid])[0])
 
     def density_vector(self):
         """Normalized densities over links, sorted by link id, clipped to 1:
@@ -360,17 +374,25 @@ class TrafficSim:
         counts = np.fromiter(self.counts.values(), float, len(net.link_ids))
         return np.minimum((counts / net.link_cap) / net.link_kjam, 1.0)
 
-    def _memo(self, lid, count, dt):
-        """``step``'s memo for link ``lid`` holding ``count`` vehicles: the
-        distance a vehicle covers in one tick there (``link_speed(links[lid],
-        count - 1) * dt`` on the precomputed link parameters; parked vehicles
-        move by it too), the link's length, and the distance from its end
-        beyond which a vehicle can park."""
+    def _memo(self, lid, count):
+        """``step``'s memo for link ``lid`` holding ``count`` vehicles,
+        looked up per (link, count) in a table ``_tick_figures`` fills."""
+        memo = self._memos.get((lid, count))
+        if memo is None:
+            memo = self._memos[lid, count] = self._tick_figures(lid, count)
+        return memo
+
+    def _tick_figures(self, lid, count):
+        """The distance a vehicle covers in one tick on ``lid`` holding
+        ``count`` vehicles (``link_speed(links[lid], count - 1) * dt`` on the
+        precomputed link parameters; parked vehicles move by it too), the
+        link's length, and the distance from its end beyond which a vehicle
+        can park. ``dt`` is the tick length the first ``step`` fixed."""
         length, cap, vf, kjam = self.net.link_params[lid]
+        dt = self._dt
         v = vf * (1.0 - ((count - 1) / cap) / kjam)
         return ((v if v > V_MIN_MS else V_MIN_MS) * dt, length,
-                (MIN_PARK_TICKS + 2)
-                * (vf if vf > V_MIN_MS else V_MIN_MS) * dt)
+                (MIN_PARK_TICKS + 2) * (vf if vf > V_MIN_MS else V_MIN_MS) * dt)
 
     def step(self, dt: float = 1.0):
         """Advance one tick. Returns vehicles whose route finished this tick
@@ -411,7 +433,7 @@ class TrafficSim:
             lid = route[idx]
             memo = speeds.get(lid)
             if memo is None:
-                memo = speeds[lid] = self._memo(lid, counts[lid], dt)
+                memo = speeds[lid] = self._memo(lid, counts[lid])
             remaining, length, reach = memo
             to_end = length - veh.pos_m
             finished = False
@@ -436,7 +458,7 @@ class TrafficSim:
                     # would have fixed its speed before the crosser joined.
                     if (lid not in speeds and parked_on[lid]
                             and self._parked_ahead(lid, seq)):
-                        speeds[lid] = self._memo(lid, counts[lid], dt)
+                        speeds[lid] = self._memo(lid, counts[lid])
                     counts[lid] += 1
                     changed.add(lid)
                     veh.pos_m = 0.0
@@ -526,7 +548,7 @@ class TrafficSim:
         speed = self._speed.get(lid)
         if speed is None:
             speed = self._speed[lid] = self._stretch(
-                now, self._memo(lid, self.counts[lid], self._dt)[0])
+                now, self._memo(lid, self.counts[lid])[0])
         rec = _Parked()
         rec.veh, rec.seq, rec.lid, rec.speed = veh, seq, lid, speed
         rec.synced = now
@@ -588,7 +610,7 @@ class TrafficSim:
         now = self.now
         for lid in changed:
             if lid in self._speed:
-                d = self._memo(lid, self.counts[lid], self._dt)[0]
+                d = self._memo(lid, self.counts[lid])[0]
                 memo = speeds.get(lid)
                 self._new_speed(lid, now - 1, d if memo is None else memo[0])
                 self._new_speed(lid, now, d)

@@ -4,6 +4,7 @@ import json
 import re
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from evgrid.scenario import (
     generate_trips,
     load_scenario,
 )
+from evgrid.traffic import RoadLink, RoadNetwork
 
 MINIMAL = """\
 name: mini
@@ -417,6 +419,35 @@ def test_ev_pairs_can_use_every_station():
     for t in trips:
         if t.is_ev:
             assert (t.origin, t.dest) in pairs
+
+
+def test_ev_pairs_are_every_pair_routed_through_any_station():
+    """``ev_feasible_pairs`` lists, in order, every (o, d) with o != d
+    where o reaches every station and every station reaches d, on random
+    networks that are not strongly connected and on case_a."""
+    rng = np.random.default_rng(5)
+    cases = [load_scenario(evgrid.DATA_DIR / "case_a.yaml")]
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        links = [RoadLink(lid, int(a), int(b), 100.0, 1, 10.0, 0.15)
+                 for lid, (a, b) in enumerate(
+                     (rng.choice(n, 2, replace=False) + 1
+                      for _ in range(int(rng.integers(1, 3 * n)))), 1)]
+        road = RoadNetwork({i: (float(i), 0.0) for i in range(1, n + 1)},
+                           links)
+        stations = [SimpleNamespace(node=int(rng.integers(1, n + 1)))
+                    for _ in range(int(rng.integers(1, 4)))]
+        cases.append(SimpleNamespace(road_net=road, stations=stations))
+    nonempty = 0
+    for cfg in cases:
+        reach = cfg.road_net.reachable_from
+        nodes = sorted(cfg.road_net.nodes)
+        want = [(o, d) for o in nodes for d in nodes if d != o
+                and all(s.node in reach(o) and d in reach(s.node)
+                        for s in cfg.stations)]
+        assert ev_feasible_pairs(cfg) == want
+        nonempty += bool(want)
+    assert 1 < nonempty < len(cases)
 
 
 def test_cv_pairs_are_routable():

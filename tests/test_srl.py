@@ -1,16 +1,21 @@
 """Learning-stack tests: GAE, clip math, multiplier, agents, rollouts."""
 
+import math
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+import evgrid
+import evgrid.env as env_module
 import evgrid.srl as srl
 from evgrid.env import CouplingEnv
 from evgrid.nn import log_softmax
 from evgrid.predictor import OnlinePredictor
-from evgrid.scenario import TrainConfig, load_scenario
+from evgrid.scenario import (ScenarioError, TrainConfig, has_control_request,
+                             load_scenario)
+from evgrid.traffic import TrafficSim
 from evgrid.srl import (DQNAgent, EpisodeData, LagrangePPOAgent,
                         PolicyGradientAgent, actor_objective, build_agent,
                         clipped_surrogate, combined_advantage, compute_gae,
@@ -19,6 +24,7 @@ from evgrid.srl import (DQNAgent, EpisodeData, LagrangePPOAgent,
                         save_checkpoint, train)
 
 from oracles import gae_double_sum
+from test_harness import TINY as HARNESS_TINY
 
 TINY = """\
 name: tiny
@@ -522,6 +528,92 @@ def test_greedy_decisions_go_through_greedy_action(tiny_cfg, monkeypatch):
     ev = evaluate(tiny_cfg, "greedy", seeds=(0,))
     assert len(vids) == ev[0].metrics.n_steps > 0
     assert vids == [row[5] for row in ev[0].trace]
+
+
+def test_greedy_ticks_run_only_the_passes_with_work(monkeypatch):
+    """On greedy case_a, seed 0: ``_tick_pre`` runs exactly on the ticks
+    with a departure or a droop boundary, the station pass only when a
+    station is due (and every tick with a due station runs it), ``_skip``
+    reads kept ticks equal to a scan of the vehicles and stations, and
+    the ``TrafficSim`` computes each (link, count) figure once."""
+    cfg = load_scenario(evgrid.DATA_DIR / "case_a.yaml")
+    pre_ticks, envs, figures, times = [], [], [], []
+    pre, post = CouplingEnv._tick_pre, CouplingEnv._tick_post
+    station_pass, skip = CouplingEnv._station_pass, CouplingEnv._skip
+    tick_figures, travel_time = TrafficSim._tick_figures, TrafficSim._travel_time
+
+    def tick_pre(self):
+        pre_ticks.append(self._t)
+        envs.append(self)
+        pre(self)
+
+    def tick_post(self):
+        t, self.passed = self._t, False
+        post(self)
+        assert self.passed or all(cs.due > t for cs in self.stations)
+
+    def pass_(self, t, t_end):
+        assert min(cs.due for cs in self.stations) <= t
+        self.passed = True
+        station_pass(self, t, t_end)
+
+    def skip_(self):
+        left = self._vehicles[self._next_dep:]
+        assert self._next_dep_t == (int(left[0].depart_s) if left
+                                    else math.inf)
+        assert self._due == min(cs.due for cs in self.stations)
+        skip(self)
+
+    def counted(log, fn):
+        def wrapped(self, lid, count):
+            log.append((id(self), lid, count))
+            return fn(self, lid, count)
+        return wrapped
+
+    monkeypatch.setattr(CouplingEnv, "_tick_pre", tick_pre)
+    monkeypatch.setattr(CouplingEnv, "_tick_post", tick_post)
+    monkeypatch.setattr(CouplingEnv, "_station_pass", pass_)
+    monkeypatch.setattr(CouplingEnv, "_skip", skip_)
+    monkeypatch.setattr(TrafficSim, "_tick_figures",
+                        counted(figures, tick_figures))
+    monkeypatch.setattr(TrafficSim, "_travel_time",
+                        counted(times, travel_time))
+    m = evaluate(cfg, "greedy", seeds=(0,))[0].metrics
+    env = envs[0]
+    departures = {int(v.depart_s) for v in env._vehicles}
+    boundaries = set(range(0, m.ticks, int(cfg.droop.interval_s)))
+    assert pre_ticks == sorted(departures | boundaries)
+    assert len(pre_ticks) < m.ticks - m.ticks_coasted
+    for log in (figures, times):
+        assert log and len(set(log)) == len(log)
+        assert {sim for sim, _, _ in log} == {id(env.sim)}
+
+
+def test_train_and_evaluate_check_their_seeds_before_an_episode(
+        tmp_path, monkeypatch):
+    """Called directly, ``train`` checks every training episode seed, and
+    ``evaluate`` every seed, for a control-phase charging request before
+    its first episode: with one EV trip in 36, the first seed without one
+    fails as a ``ScenarioError`` naming it, and no trips are drawn."""
+    p = tmp_path / "tinyharness.yaml"
+    p.write_text(HARNESS_TINY)
+    base = load_scenario(p)
+    cfg = short(replace(base, demand=replace(base.demand, ev_fraction=1 / 36)),
+                3)
+    draws = []
+    generate = env_module.generate_trips
+    monkeypatch.setattr(env_module, "generate_trips", lambda cfg, seed: (
+        draws.append(seed) or generate(cfg, seed)))
+    ep_seeds = srl.train_episode_seeds(cfg, 1)
+    bad = [es for es in ep_seeds if not has_control_request(cfg, es)]
+    good = [es for es in ep_seeds if has_control_request(cfg, es)]
+    assert bad and good[0] < bad[0]
+    with pytest.raises(ScenarioError, match=f"episode seed {bad[0]} generates "
+                       "no control-phase charging request"):
+        train(cfg, "ppo", 1)
+    with pytest.raises(ScenarioError, match=f"episode seed {bad[0]} "):
+        evaluate(cfg, "greedy", seeds=(good[0], bad[0]))
+    assert draws == []
 
 
 def test_evaluate_leaves_the_predictor_as_it_found_it(tiny_cfg, monkeypatch):

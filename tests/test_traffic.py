@@ -15,6 +15,7 @@ from evgrid.traffic import (
     NoPathError,
     RoadLink,
     RoadNetwork,
+    V_MIN_MS,
     TrafficSim,
     Vehicle,
     link_speed,
@@ -187,10 +188,24 @@ def test_density_vector_clips_at_one():
     assert sim.density_vector()[0] == 1.0
 
 
+def check_travel_times(sim):
+    """``sim.travel_times()`` is ``length_m / link_speed(link, count)`` per
+    link, bit for bit; returns how many links ran at the ``V_MIN_MS``
+    floor."""
+    links = sim.net.links
+    speeds = {lid: link_speed(links[lid], n) for lid, n in sim.counts.items()}
+    want = {lid: (links[lid].length_m / v).hex() for lid, v in speeds.items()}
+    assert {lid: t.hex() for lid, t in sim.travel_times().items()} == want
+    return sum(v == V_MIN_MS for v in speeds.values())
+
+
 def test_density_vector_matches_the_per_link_formula():
     """The array form gives each link's ``min((count / cap) / kjam, 1.0)``
     bit for bit, on networks whose links are given out of id order and
-    counts on both sides of the clip."""
+    counts on both sides of the clip. ``travel_times`` gives each link's
+    ``length_m / link_speed`` bit for bit on the same counts, on counts
+    drawn around each link's ``V_MIN_MS`` floor, and again on every count
+    after its table entry was filled."""
     rng = np.random.default_rng(0)
     nets = [load_road_network(evgrid.DATA_DIR / "nguyen_dupuis")]
     for _ in range(30):
@@ -199,8 +214,10 @@ def test_density_vector_matches_the_per_link_formula():
         order = rng.permutation(len(base.link_ids))
         nets.append(RoadNetwork(base.nodes, [base.links[base.link_ids[i]]
                                              for i in order]))
+    floored = links = 0
     for net in nets:
         sim = TrafficSim(net)
+        rounds = []
         for _ in range(5):
             for lid in net.link_ids:
                 sim.counts[lid] = int(rng.integers(0, 250))
@@ -209,6 +226,21 @@ def test_density_vector_matches_the_per_link_formula():
                 _, cap, _, kjam = net.link_params[lid]
                 want[i] = min((sim.counts[lid] / cap) / kjam, 1.0)
             assert sim.density_vector().tobytes() == want.tobytes()
+            check_travel_times(sim)
+            rounds.append(dict(sim.counts))
+        for _ in range(5):
+            for lid in net.link_ids:
+                # v = vf * (1 - (n / cap) / kjam) falls to V_MIN_MS here
+                _, cap, vf, kjam = net.link_params[lid]
+                edge = math.floor(cap * kjam * (1.0 - V_MIN_MS / vf))
+                sim.counts[lid] = max(0, edge + int(rng.integers(-1, 3)))
+            floored += check_travel_times(sim)
+            links += len(net.link_ids)
+            rounds.append(dict(sim.counts))
+        for counts in rounds:
+            sim.counts.update(counts)
+            check_travel_times(sim)
+    assert 0 < floored < links
 
 
 def test_record_trip_times_cv_and_ev():

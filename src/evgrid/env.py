@@ -37,8 +37,10 @@ reused figure is the float a new solve would give. The memo keeps the
 ``PF_MEMO_CAP`` most recently used load patterns per feeder and dies with
 the feeder.
 ``EpisodeMetrics.pf_lookups`` and ``pf_solves`` count an episode's reads
-and its misses, and ``pf_iterations`` the Newton-Raphson iterations of
-those solves; the misses depend on what the memo already held.
+and its misses, ``pf_iterations`` the iterations of those solves, each
+counted in whichever method returned it, and ``pf_fallbacks`` the solves
+that the Newton-Raphson fallback returned (see ``power.solve_power_flow``);
+the misses depend on what the memo already held.
 ``EpisodeMetrics.v_min`` is the lowest bus voltage over every read, memo
 hits included, so it does not.
 
@@ -160,7 +162,9 @@ class EpisodeMetrics:
     # of which solved anew (memo misses); it depends on what the feeder's
     # memo held, so equal episodes compare equal whatever it reads
     pf_solves: int = field(compare=False)
-    pf_iterations: int = field(compare=False)   # NR iterations of those solves
+    # iterations of those solves, by whichever method returned each
+    pf_iterations: int = field(compare=False)
+    pf_fallbacks: int = field(compare=False)    # of them, Newton's fallbacks
 
 
 def greedy_station(road, stations, origin):
@@ -269,10 +273,11 @@ class CouplingEnv:
         self._pf_lookups = 0
         self._pf_solves = 0
         self._pf_iterations = 0
+        self._pf_fallbacks = 0
         self._v_min = math.inf
         self.minute_log = []    # rows as in the module docstring
         self.windows = []       # rows as in the module docstring
-        self.droop_log = []     # (t, v_avg, setpoint kW, occupancy tuple)
+        self.droop_log = []     # (t, v_avg, setpoint kW, v_min, occupancy)
         self.completed = []
         self.stranded = []
         self.trace = []         # rows as in the module docstring
@@ -343,6 +348,7 @@ class CouplingEnv:
             pf_lookups=self._pf_lookups,
             pf_solves=self._pf_solves,
             pf_iterations=self._pf_iterations,
+            pf_fallbacks=self._pf_fallbacks,
         )
 
     # ------------------------------------------------------------------
@@ -599,11 +605,11 @@ class CouplingEnv:
 
     def _update_droop(self):
         peak = self._interval_peak or self._load_sample()
-        v_avg = self._power_flow(peak[1])[1]
+        _, v_avg, v_min = self._power_flow(peak[1])
         self._setpoint = droop_power(v_avg, self.cfg.droop)
         self._interval_peak = None
         occ = tuple(len(cs.queue) + len(cs.charging) for cs in self.stations)
-        self.droop_log.append((self._t, v_avg, self._setpoint, occ))
+        self.droop_log.append((self._t, v_avg, self._setpoint, v_min, occ))
 
     def _power_flow(self, loads):
         """(voltage deviation cost at ``cfg.reward.v_ref``, bus-average
@@ -627,6 +633,7 @@ class CouplingEnv:
             sol = solve_power_flow(self.power, loads)
             self._pf_solves += 1
             self._pf_iterations += sol.iterations
+            self._pf_fallbacks += sol.newton
             figures = (voltage_deviation(sol, self.cfg.reward.v_ref),
                        average_voltage(sol), min_voltage(sol))
             memo[key] = figures

@@ -13,11 +13,12 @@ simulation-derived quantities, and are byte-identical across re-runs.
 ``timing.csv`` carries the wall-clock ``et_s`` and then those in
 ``TIMING``: the mean decision time, the episode's simulated ticks, how
 many of them were crossed without a per-tick pass (see
-``CouplingEnv._skip``), its power-flow lookups, solves and the solves'
-Newton-Raphson iterations, which depend on what earlier runs on the
-feeder left in its memo (see ``CouplingEnv._power_flow``), how many
-vehicles completed their trips and how many EVs were stranded, and the
-lowest bus voltage of the power flows the episode read. Every run
+``CouplingEnv._skip``), its power-flow lookups, solves, the solves'
+iterations and how many of them fell back to Newton-Raphson, which depend
+on what earlier runs on the feeder left in its memo (see
+``CouplingEnv._power_flow``), how many vehicles completed their trips and
+how many EVs were stranded, and the lowest bus voltage of the power flows
+the episode read. Every run
 directory gets a ``manifest.json`` with the seeds, build info and
 ``config_hash`` of the effective config, which covers every setting,
 defaults included, and both networks' tables.
@@ -69,7 +70,8 @@ class HarnessError(ValueError):
 # sweep_summary.csv carry, and those timing.csv carries after ``et_s``.
 METRICS = ("ttt_s", "cvv", "wct_min")
 TIMING = ("dt_mean_s", "ticks", "ticks_coasted", "pf_lookups", "pf_solves",
-          "pf_iterations", "n_completed", "n_stranded", "v_min")
+          "pf_iterations", "pf_fallbacks", "n_completed", "n_stranded",
+          "v_min")
 
 
 @dataclass(frozen=True)
@@ -221,9 +223,9 @@ def write_eval_artifacts(out, method, seed, records, trace):
             minute_rows.append((i, rec.seed, repr(float(t)),
                                 repr(float(total_kw)), repr(float(setpoint)),
                                 *[repr(float(o)) for o in occ]))
-        for t, v_avg, setpoint, occ in rec.droop_log:
+        for t, v_avg, setpoint, v_min, occ in rec.droop_log:
             droop_rows.append((i, rec.seed, repr(float(t)), repr(float(v_avg)),
-                               repr(float(setpoint)),
+                               repr(float(setpoint)), repr(float(v_min)),
                                *[repr(float(o)) for o in occ]))
         for step, action, r, c, elapsed, vid, followed in rec.trace:
             step_rows.append((i, rec.seed, step, repr(float(r)),
@@ -237,7 +239,7 @@ def write_eval_artifacts(out, method, seed, records, trace):
               ["episode", "ep_seed", "t_s", "total_kw", "setpoint_kw",
                *occ_cols], minute_rows)
     write_csv(out / f"droop_{method}_s{seed}.csv",
-              ["episode", "ep_seed", "t_s", "v_avg", "setpoint_kw",
+              ["episode", "ep_seed", "t_s", "v_avg", "setpoint_kw", "v_min",
                *occ_cols], droop_rows)
     write_csv(out / f"steps_{method}_s{seed}.csv",
               ["episode", "ep_seed", "step", "reward", "cost"], step_rows)

@@ -4,6 +4,11 @@ Eleven checks with pinned tolerances, one visible verdict line each
 (printed past pytest's capture so the gate reads as a checklist). The
 directional training check retrains three methods on the bundled reduced
 scenario and is the long pole; everything else is seconds.
+
+Criterion 1 gates ``solve_power_flow`` as shipped: the Z-bus fixed point,
+falling back to Newton-Raphson, under the bounds first written for
+Newton-Raphson alone. On ieee33 at base load the fixed point returns after
+8 updates with a residual of 6.8e-11.
 """
 
 import multiprocessing

@@ -8,10 +8,10 @@ dense forward/backward that looked each parameter up by a formatted key,
 the ``cumsum``/``searchsorted`` categorical sampler, the ``keepdims``
 log-softmax, the constrained agent's decision and its two critic values
 as three separate dense forwards on standalone parameter arrays, and the
-Newton-Raphson solve that
-allocated a new Jacobian per iteration. Every comparison is on the int64
-view of the float64 results, so a difference in the last bit, in the sign
-of a zero or in a NaN payload fails.
+Newton-Raphson solve that allocated a new Jacobian per iteration, against
+``power._solve_newton``, the fallback of ``solve_power_flow``. Every
+comparison is on the int64 view of the float64 results, so a difference in
+the last bit, in the sign of a zero or in a NaN payload fails.
 """
 
 import types
@@ -25,8 +25,8 @@ from hypothesis.extra import numpy as hnp
 import evgrid
 from evgrid.nn import (LSTM, DenseNet, _sigmoid, assign_params,
                        categorical_sample, log_softmax, log_softmax_1d)
-from evgrid.power import (PFSolution, PowerFlowError, bus_injections,
-                          load_power_network, solve_power_flow)
+from evgrid.power import (PFSolution, PowerFlowError, _solve_newton,
+                          bus_injections, load_power_network)
 from evgrid.predictor import PredictorBuffer, Seq2SeqForecaster, _gather
 from evgrid.scenario import TrainConfig, load_scenario
 from evgrid.srl import (EpisodeData, LagrangePPOAgent, critic_values,
@@ -752,15 +752,16 @@ def test_stacked_matmul_is_the_per_slice_product():
 # ---------------------------------------------------------------------------
 
 def _same_solve(net, loads, **kw):
-    """Both solvers on one case: equal bits, or equal errors."""
+    """Both Newton-Raphson solvers on one case: equal bits, or equal errors.
+    ``_solve_newton`` is the fallback of ``solve_power_flow``."""
     try:
         want = ref_solve_power_flow(net, loads, **kw)
     except PowerFlowError as exc:
         with pytest.raises(type(exc)) as got:
-            solve_power_flow(net, loads, **kw)
+            _solve_newton(net, loads, **kw)
         assert str(got.value) == str(exc)
         return None
-    sol = solve_power_flow(net, loads, **kw)
+    sol = _solve_newton(net, loads, **kw)
     assert same_bits(sol.v_mag, want.v_mag)
     assert same_bits(sol.v_ang, want.v_ang)
     assert sol.iterations == want.iterations

@@ -172,7 +172,7 @@ def test_peak_ties_are_exact_and_keep_the_earliest(tmp_path):
     def power_flow(loads):
         solved.append(loads)
         sol = solve_power_flow(env.power, loads)
-        return voltage_deviation(sol), average_voltage(sol)
+        return voltage_deviation(sol), average_voltage(sol), min_voltage(sol)
 
     env._power_flow = power_flow
     env._update_droop()
@@ -473,10 +473,11 @@ def test_droop_log_consistency(tiny_cfg):
     assert env.droop_log, "droop controller never updated"
     assert env.droop_log[0][0] == 600
     d = tiny_cfg.droop
-    for t, v_avg, setpoint, occ in env.droop_log:
+    for t, v_avg, setpoint, v_min, occ in env.droop_log:
         assert t % 600 == 0
         assert setpoint == pytest.approx(droop_power(v_avg, d))
         assert d.p_min_kw <= setpoint <= d.p_max_kw
+        assert 0.0 < v_min <= v_avg
     # the 33-bus feeder at full base load sits below the upper droop knee
     assert all(row[2] < d.p_max_kw for row in env.droop_log)
 

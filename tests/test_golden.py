@@ -20,15 +20,20 @@ anything, run from the repository root:
     PYTHONPATH=src python tests/test_golden.py --check
 
 It prints the first difference of every CSV that moved, the old and new
-digest of every checkpoint that moved, and how many files moved, and exits 1 when any did or when the versions or runs differ from
-the manifest's. To regenerate (after checking that the outputs are meant
+digest of every checkpoint that moved, one summary per ``metrics.csv``
+that moved (whether ``ttt_s`` and ``wct_min`` are equal in every row, and
+the largest relative change of ``cvv``), and how many files moved, and
+exits 1 when any did or when the versions or runs differ from the
+manifest's. To regenerate (after checking that the outputs are meant
 to move), run it without ``--check``: it prints the same report, then
 overwrites the files and the manifest.
 """
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import platform
 import shutil
 import sys
@@ -136,6 +141,49 @@ def drift(root, checkpoints):
     return lines
 
 
+def _rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def _relative_change(old, new):
+    if old == new:
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def metrics_drift(root):
+    """One line per ``metrics.csv`` that differs between the goldens and
+    ``root``: whether ``ttt_s`` and ``wct_min`` are equal in every row, and
+    the largest relative change of ``cvv``, or that the files' columns or
+    (method, seed) rows differ."""
+    lines = []
+    for name in csv_files(GOLDEN):
+        gold, new = GOLDEN / name, Path(root) / name
+        if (Path(name).name != "metrics.csv" or not new.exists()
+                or gold.read_bytes() == new.read_bytes()):
+            continue
+        old_rows, new_rows = _rows(gold), _rows(new)
+        header = old_rows[0]
+        if (new_rows[0] != header
+                or not {"ttt_s", "cvv", "wct_min"} <= set(header)
+                or [r[:2] for r in old_rows] != [r[:2] for r in new_rows]):
+            lines.append(f"{name}: columns or (method, seed) rows differ")
+            continue
+        col = {c: header.index(c) for c in ("ttt_s", "cvv", "wct_min")}
+        pairs = list(zip(old_rows[1:], new_rows[1:]))
+
+        def equal(c):
+            same = all(a[col[c]] == b[col[c]] for a, b in pairs)
+            return f"{c} {'equal' if same else 'differs'}"
+
+        cvv = max(_relative_change(float(a[col["cvv"]]), float(b[col["cvv"]]))
+                  for a, b in pairs)
+        lines.append(f"{name}: {equal('ttt_s')}, {equal('wct_min')}, "
+                     f"cvv largest relative change {cvv:.1e}")
+    return lines
+
+
 def manifest_mismatches():
     """One line per way ``manifest.json`` does not describe this checkout:
     other Python/numpy versions, or other runs than ``RUNS``."""
@@ -206,6 +254,27 @@ def test_check_reports_drift_and_writes_nothing(monkeypatch, capsys):
     assert _snapshot(GOLDEN) == before
 
 
+def _move_two_metrics(root, checkpoints):
+    """One more second of travel time in the first row of one
+    ``metrics.csv`` and a CVV 2**-20 larger, relatively, in its second."""
+    path = root / "eval_greedy_reduced" / "metrics.csv"
+    rows = _rows(path)
+    ttt, cvv = rows[0].index("ttt_s"), rows[0].index("cvv")
+    rows[1][ttt] = repr(float(rows[1][ttt]) + 1.0)
+    rows[2][cvv] = repr(float(rows[2][cvv]) * (1.0 + 2.0 ** -20))
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+def test_check_summarises_each_moved_metrics_file(monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "generate",
+                        _fake_generate(_move_two_metrics))
+    assert main(["--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["eval_greedy_reduced/metrics.csv: ttt_s differs, "
+                       "wct_min equal, cvv largest relative change 9.5e-07",
+                       "1 changed files"]
+
+
 def _move_one_checkpoint(root, checkpoints):
     checkpoints["train_dqn_reduced/checkpoint_dqn_s0.bin"] = "0" * 64
 
@@ -248,7 +317,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         checkpoints = generate(tmp)
         diffs = drift(tmp, checkpoints)
-        for line in diffs:
+        for line in diffs + metrics_drift(tmp):
             print(line)
         print(f"{len(diffs)} changed files")
         if check:

@@ -25,6 +25,7 @@ from evgrid.harness import (HarnessError, MetricsRecord, _parse_values,
 import evgrid.env as env_module
 from evgrid.env import CouplingEnv, EnvError, EpisodeMetrics
 from evgrid.nn import load_params, save_params
+from evgrid.power import PowerNetwork
 from evgrid.scenario import (FieldError, ScenarioError, generate_trips,
                              has_control_request, load_scenario)
 from evgrid.srl import load_checkpoint, rollout, save_checkpoint
@@ -118,7 +119,7 @@ def episode_metrics(ttt_s=3.0, cvv=0.1, wct_min=2.0, dt_mean_s=0.01):
         ttt_s=ttt_s, ttt_tick_s=ttt_s, cvv=cvv, wct_min=wct_min, n_steps=50,
         n_completed=70, n_ev_completed=30, n_stranded=2, v_min=0.93,
         dt_mean_s=dt_mean_s, ticks=8000, ticks_coasted=6000, pf_lookups=300,
-        pf_solves=40, pf_iterations=160)
+        pf_solves=40, pf_iterations=160, pf_fallbacks=3)
 
 
 def test_metrics_record_validation(tmp_path):
@@ -142,7 +143,7 @@ def test_metrics_record_validation(tmp_path):
     assert (tmp_path / "metrics.csv").read_text().splitlines()[1] \
         == "ppo,0,3.0,0.1,2.0"
     assert (tmp_path / "timing.csv").read_text().splitlines()[1] \
-        == "ppo,0,1.0,0.01,8000,6000,300,40,160,70,2,0.93"
+        == "ppo,0,1.0,0.01,8000,6000,300,40,160,3,70,2,0.93"
 
 
 def test_all_stranded_wait_time_is_an_empty_field(tmp_path):
@@ -170,7 +171,8 @@ def test_timing_counts_completed_and_stranded_vehicles(tmp_path):
     cfg = load_scenario(p)
     run_eval(cfg, "greedy", [0], tmp_path / "run")
     timing = (tmp_path / "run" / "timing.csv").read_text().splitlines()
-    assert timing[0].endswith(",pf_iterations,n_completed,n_stranded,v_min")
+    assert timing[0].endswith(
+        ",pf_iterations,pf_fallbacks,n_completed,n_stranded,v_min")
     completed, stranded, v_min = timing[1].split(",")[-3:]
     assert 0.0 < float(v_min) <= 1.0
     assert int(completed) == 0
@@ -429,14 +431,14 @@ def test_train_run_artifacts(train_run):
     assert len(metrics) == 2 and metrics[1].startswith("ppo,0,")
     timing = (train_run / "timing.csv").read_text().splitlines()
     assert timing[0] == ("method,seed,et_s,dt_mean_s,ticks,ticks_coasted,"
-                         "pf_lookups,pf_solves,pf_iterations,n_completed,"
-                         "n_stranded,v_min")
-    (_, _, et, _, ticks, coasted, lookups, solves, iters, completed,
-     stranded, v_min) = timing[1].split(",")
+                         "pf_lookups,pf_solves,pf_iterations,pf_fallbacks,"
+                         "n_completed,n_stranded,v_min")
+    (_, _, et, _, ticks, coasted, lookups, solves, iters, fallbacks,
+     completed, stranded, v_min) = timing[1].split(",")
     assert float(et) > 0
     assert 0 < int(coasted) < int(ticks)
     assert int(lookups) > 0 and 0 <= int(solves) <= int(lookups)
-    assert int(iters) >= 0
+    assert int(iters) >= 0 and 0 <= int(fallbacks) <= int(solves)
     assert int(completed) > 0 and int(stranded) >= 0
     assert 0.0 < float(v_min) < 1.0
     summary = (train_run / "summary.csv").read_text().splitlines()
@@ -465,6 +467,22 @@ def test_timing_counts_the_nr_iterations_of_each_solve(scenario_path,
                                                     "pf_iterations"))
     assert int(solves) == len(iterations) > 0
     assert int(iters) == sum(iterations) > 0
+
+
+def test_timing_counts_the_newton_fallbacks(scenario_path, tmp_path):
+    """``pf_fallbacks`` counts the solves that Newton-Raphson returned: on
+    a feeder at three times its base load, every one of them."""
+    cfg = load_scenario(scenario_path)
+    net = cfg.power_net
+    heavy = PowerNetwork([replace(b, p_base_kw=3.0 * b.p_base_kw)
+                          for b in net.buses], net.lines, net.base_mva,
+                         net.base_kv)
+    run_eval(replace(cfg, power_net=heavy), "greedy", [0], tmp_path)
+    timing = (tmp_path / "timing.csv").read_text().splitlines()
+    header, row = timing[0].split(","), timing[1].split(",")
+    solves, fallbacks = (row[header.index(k)] for k in ("pf_solves",
+                                                        "pf_fallbacks"))
+    assert int(fallbacks) == int(solves) > 0
 
 
 def last_error(capsys):

@@ -9,6 +9,7 @@ import pytest
 import evgrid
 from evgrid.power import (
     _jacobian,
+    _solve_newton,
     Bus,
     Line,
     PFSolution,
@@ -165,6 +166,109 @@ def test_69bus_double_load_against_sweep_oracle():
         BASE_MVA, BASE_KV)
     for bid in net.bus_ids:
         assert abs(sol.voltage(bid) - abs(oracle[bid])) < 1e-8
+
+
+# The station buses of perfbench/scenarios/case_a_ieee69.yaml
+IEEE69_STATION_BUSES = (10, 27, 45, 60, 65)
+
+
+def test_ieee69_station_loads_match_oracle():
+    """Five stations at 0-1000 kW each, on the ieee69 buses a bundled
+    scenario charges at, match the sweep to 1e-8, whether the fixed point
+    or its fallback solves them."""
+    net = load_power_network(evgrid.DATA_DIR / "ieee69")
+    buses, lines = _as_tuples(net)
+    rng = np.random.default_rng(69)
+    patterns = [np.zeros(5), np.full(5, 1000.0),
+                *rng.uniform(0.0, 1000.0, (30, 5))]
+    for kw in patterns:
+        loads = dict(zip(IEEE69_STATION_BUSES, map(float, kw)))
+        sol = solve_power_flow(net, extra_load_kw=loads)
+        oracle = sweep_power_flow(
+            [(bid, kind, p + loads.get(bid, 0.0), q)
+             for bid, kind, p, q in buses], lines, BASE_MVA, BASE_KV)
+        for bid in net.bus_ids:
+            assert abs(sol.voltage(bid) - abs(oracle[bid])) < 1e-8
+
+
+def test_heavy_load_falls_back_to_newton_bit_for_bit():
+    # at three times its base load the fixed point needs more than
+    # FIXED_POINT_CAP updates on ieee33
+    net = _net33()
+    extra = {b.bus_id: 2.0 * b.p_base_kw for b in net.buses if b.kind == "pq"}
+    sol = solve_power_flow(net, extra_load_kw=extra)
+    want = _solve_newton(net, extra)
+    assert sol.newton and want.newton
+    assert sol.v_mag.tobytes() == want.v_mag.tobytes()
+    assert sol.v_ang.tobytes() == want.v_ang.tobytes()
+    assert (sol.iterations, sol.max_mismatch_pu) \
+        == (want.iterations, want.max_mismatch_pu)
+    assert not solve_power_flow(net).newton
+
+
+def _two_bus_past_the_nose():
+    # one line, one load just past the nose of its P-V curve: no real
+    # voltage carries it
+    r_pu, x_pu, p_pu, q_pu = 0.05, 0.04, 3.6, 1.8
+    with pytest.raises(ValueError, match="no real power-flow solution"):
+        two_bus_voltage(r_pu, x_pu, p_pu, q_pu)
+    buses = [Bus(1, "slack", 0, 0),
+             Bus(2, "pq", p_pu * BASE_MVA * 1e3, q_pu * BASE_MVA * 1e3)]
+    lines = [Line(1, 2, r_pu * Z_BASE, x_pu * Z_BASE)]
+    return PowerNetwork(buses, lines, BASE_MVA, BASE_KV), None
+
+
+def _two_bus_first_update_at_zero():
+    # a load that sends the fixed point's first update to 0 V exactly, so
+    # its next update divides by zero
+    line = [Line(1, 2, 0.05 * Z_BASE, 0.04 * Z_BASE)]
+    probe = PowerNetwork([Bus(1, "slack", 0, 0), Bus(2, "pq", 0, 0)], line,
+                         BASE_MVA, BASE_KV)
+    z, v0 = probe.zbus()
+    load = complex(np.conj(v0[0] / z[0, 0])) * BASE_MVA * 1e3
+    net = PowerNetwork([Bus(1, "slack", 0, 0),
+                        Bus(2, "pq", load.real, load.imag)], line,
+                       BASE_MVA, BASE_KV)
+    z, v0 = net.zbus()
+    assert v0 + z @ np.conj(bus_injections(net)[net.pq_indices]) == 0
+    return net, None
+
+
+def _ieee33_overload():
+    net = _net33()
+    return net, {b.bus_id: 1e6 for b in net.buses if b.kind == "pq"}
+
+
+@pytest.mark.parametrize("case,error", [
+    (_two_bus_past_the_nose,
+     r"no convergence in 30 iterations; mismatch trace: \d\.\d{3}e[+-]\d\d, "),
+    (_two_bus_first_update_at_zero,
+     r"voltage collapse \(non-positive magnitude\) at iteration 0"),
+    (_ieee33_overload,
+     r"voltage collapse \(non-positive magnitude\) at iteration 0"),
+], ids=["past-the-nose", "first-update-at-zero", "overload"])
+def test_unsolvable_load_raises_newtons_error(case, error):
+    """The fixed point gives up silently (pytest.ini turns any numpy
+    warning into an error) and Newton's error, trace and all, is what
+    ``solve_power_flow`` raises."""
+    net, loads = case()
+    with pytest.raises(PowerFlowError, match=error) as want:
+        _solve_newton(net, loads)
+    with pytest.raises(PowerFlowError) as got:
+        solve_power_flow(net, extra_load_kw=loads)
+    assert str(got.value) == str(want.value)
+
+
+def test_the_feeder_builds_its_z_bus_on_its_first_solve():
+    net = _net33()
+    assert net._zbus is None        # loading a feeder inverts nothing
+    solve_power_flow(net)
+    z, v0 = net._zbus
+    assert net.zbus()[0] is z       # kept, not rebuilt
+    pq = net.pq_indices
+    assert np.abs(z @ net.ybus[np.ix_(pq, pq)] - np.eye(len(pq))).max() < 1e-9
+    # with no shunt admittance, the no-load voltage is the slack's
+    assert np.abs(v0 - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("feeder", ["ieee33", "shuffled"])
